@@ -166,6 +166,10 @@ def smooth_B_ties(
 
     Returns a new ``B``; with ``slack == 0`` its error equals the per-row
     optimum.
+
+    A row with a single tie-optimal code keeps it on every pass, so votes
+    are only counted for multi-tie rows (typically a few percent of them),
+    as exact integer neighbour counts.
     """
     M = np.asarray(M, dtype=bool)
     C = np.asarray(C, dtype=bool)
@@ -194,18 +198,23 @@ def smooth_B_ties(
         neighbors[:, i] = idx ^ (1 << i)
     neighbors %= n  # safety for non-power-of-two row counts
 
-    one_hot = np.zeros((n, 1 << f), dtype=np.float64)
+    rows = np.flatnonzero(ties.sum(axis=1) > 1)
+    n_codes = 1 << f
+    row_neighbors = neighbors[rows]
+    row_ties = ties[rows]
+    offsets = np.arange(rows.size)[:, None] * n_codes
     for _ in range(passes):
-        one_hot[:] = 0.0
-        one_hot[idx, codes] = 1.0
-        votes = one_hot[neighbors].sum(axis=1)  # (n, 2^f)
+        votes = np.bincount(
+            (offsets + codes[row_neighbors]).ravel(),
+            minlength=rows.size * n_codes,
+        ).reshape(rows.size, n_codes)
         # Among tie-optimal codes, take the neighbourhood favourite (with a
         # small popularity epsilon so isolated rows stay deterministic).
-        score = ties * (votes + 1e-3 * popularity[None, :])
+        score = row_ties * (votes + 1e-3 * popularity[None, :])
         new_codes = np.argmax(score, axis=1)
-        if (new_codes == codes).all():
+        if (new_codes == codes[rows]).all():
             break
-        codes = new_codes
+        codes[rows] = new_codes
 
     B = np.zeros((n, f), dtype=bool)
     for level in range(f):

@@ -52,7 +52,11 @@ from ..runtime import ProfileCache, RuntimeStats, array_token, run_tasks
 from ..runtime.cache import canonical_circuit_bytes
 from ..synth.espresso import EspressoOptions
 from ..synth.library import LIB65, Library
-from ..synth.synthesis import resynthesize, synthesize_outputs_shared
+from ..synth.synthesis import (
+    FlatPlan,
+    resynthesize,
+    synthesize_outputs_shared,
+)
 from ..synth.techmap import tech_map
 from .bmf import bool_product, factorize, factorize_ladder
 from .bmf.asso import DEFAULT_TAUS
@@ -218,7 +222,12 @@ class WindowTaskResult:
 
 
 class _VariantCosting:
-    """Memoized synthesis of factored window implementations."""
+    """Memoized synthesis of factored window implementations.
+
+    One instance serves one :class:`WindowTask`, and so do its memos:
+    whole ``(B, C)`` areas, and the per-column SOP/ANF plans that ladder
+    degrees and weight rails mostly share (DESIGN.md "BMF kernel").
+    """
 
     def __init__(
         self, library: Library, options: EspressoOptions, match_macros: bool
@@ -228,6 +237,7 @@ class _VariantCosting:
         self.match_macros = match_macros
         self.n_syntheses = 0
         self._cache: Dict[bytes, float] = {}
+        self._plans: Dict[Tuple[EspressoOptions, bytes], FlatPlan] = {}
 
     def factored_area(self, B: np.ndarray, C: np.ndarray, algebra: str) -> float:
         key = B.tobytes() + b"|" + C.tobytes() + algebra.encode()
@@ -239,7 +249,9 @@ class _VariantCosting:
         k = int(np.log2(B.shape[0]))
         ins = [builder.input(f"x{i}") for i in range(k)]
         combine = builder.or_ if algebra == "semiring" else builder.xor_
-        t_sigs = synthesize_outputs_shared(builder, B, ins, self.options)
+        t_sigs = synthesize_outputs_shared(
+            builder, B, ins, self.options, plans=self._plans
+        )
         for j in range(C.shape[1]):
             parts = [t_sigs[l] for l in range(C.shape[0]) if C[l, j]]
             if not parts:

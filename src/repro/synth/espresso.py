@@ -45,24 +45,26 @@ def _expand_cube(
     """Raise as many literals of ``cube`` as possible without hitting OFF.
 
     Single-pass greedy: literals are visited in a fixed order and raised
-    when the enlarged cube still avoids the OFF-set.  A second sweep catches
-    literals that became raisable after earlier raises.
+    when the enlarged cube still avoids the OFF-set.
+
+    ``d[j]`` holds the cube's remaining literals that OFF minterm ``j``
+    violates; raising literal ``i`` covers ``j`` iff no other literal is
+    left in ``d[j]``.  Raises only shrink ``d``, so a blocked literal stays
+    blocked and one sweep reaches the fixed point.
     """
     order = range(k - 1, -1, -1) if msb_first else range(k)
-    changed = True
-    while changed:
-        changed = False
-        for i in order:
-            if not (cube.mask >> i) & 1:
-                continue
-            candidate = cube.without_literal(i)
-            if off.size and candidate.covers(off).any():
-                continue
-            cube = candidate
-            changed = True
-        if cube.mask == 0:
-            break
-    return cube
+    mask = cube.mask
+    d = (off ^ cube.value) & mask
+    for i in order:
+        bit = 1 << i
+        if not mask & bit:
+            continue
+        raised = d & ~bit
+        if not raised.all():  # some OFF minterm would be covered
+            continue
+        mask &= ~bit
+        d = raised
+    return Cube(mask, cube.value & mask)
 
 
 def _irredundant(cover: List[Cube], on: np.ndarray) -> List[Cube]:
@@ -142,10 +144,9 @@ def espresso(
     rng.shuffle(order)
 
     covered = np.zeros(on.size, dtype=bool)
-    on_index = {int(m): i for i, m in enumerate(on)}
     cubes: List[Cube] = []
     for minterm in order:
-        if covered[on_index[int(minterm)]]:
+        if covered[np.searchsorted(on, minterm)]:  # ``on`` is sorted
             continue
         cube = _expand_cube(
             Cube.from_minterm(int(minterm), k), off, k, options.literal_order_msb_first

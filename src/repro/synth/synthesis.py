@@ -9,7 +9,7 @@ reports area / power / delay as one :class:`DesignMetrics` record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,11 +107,28 @@ def synthesize_output(
     return synthesize_outputs_shared(builder, table, inputs, options)[0]
 
 
+#: One output's cheaper flat form: ``("sop", cubes, cost)`` or
+#: ``("anf", monomial masks, cost)``, payloads as immutable tuples.
+FlatPlan = Tuple[str, tuple, float]
+
+
+def _flat_plan(column: np.ndarray, options: EspressoOptions) -> FlatPlan:
+    """Espresso SOP vs. ANF for one output column, whichever costs less."""
+    cover = espresso(column, options=options)
+    terms = anf_terms(column)
+    cost_s = sop_cost(cover.n_literals, len(cover)) * _AND2_AREA
+    cost_a = anf_cost(terms) * _AND2_AREA
+    if cost_a < cost_s:
+        return ("anf", tuple(terms), cost_a)
+    return ("sop", tuple(cover.cubes), cost_s)
+
+
 def synthesize_outputs_shared(
     builder: CircuitBuilder,
     tables: np.ndarray,
     inputs: Sequence[int],
     options: EspressoOptions = EspressoOptions(),
+    plans: Optional[Dict[Tuple[EspressoOptions, bytes], FlatPlan]] = None,
 ) -> List[int]:
     """Multi-output synthesis with structure sharing.
 
@@ -120,27 +137,33 @@ def synthesize_outputs_shared(
     emitted as a mux network, and builds the cheaper.  The shared BDD is
     what recovers cross-output structure such as a common carry chain.
 
+    Args:
+        plans: Optional caller-owned memo of per-column flat plans, keyed
+            by (options, column bytes).  A plan is a pure function of that
+            key, so sharing one dict across calls builds the same netlist
+            while minimizing each distinct column once.
+
     Returns one signal per output column.
     """
     tables = np.atleast_2d(np.asarray(tables, dtype=bool))
     if tables.shape[0] == 1:
         tables = tables.T
+    k = tables.shape[0].bit_length() - 1
     m = tables.shape[1]
 
     flat_plans = []
     flat_total = 0.0
     for j in range(m):
         column = tables[:, j]
-        cover = espresso(column, options=options)
-        terms = anf_terms(column)
-        cost_s = sop_cost(cover.n_literals, len(cover)) * _AND2_AREA
-        cost_a = anf_cost(terms) * _AND2_AREA
-        if cost_a < cost_s:
-            flat_plans.append(("anf", terms, cost_a))
-            flat_total += cost_a
+        if plans is None:
+            plan = _flat_plan(column, options)
         else:
-            flat_plans.append(("sop", cover, cost_s))
-            flat_total += cost_s
+            key = (options, column.tobytes())
+            plan = plans.get(key)
+            if plan is None:
+                plan = plans[key] = _flat_plan(column, options)
+        flat_plans.append(plan)
+        flat_total += plan[2]
 
     bdd = build_shared_bdd(tables)
     if bdd_cost(bdd) < flat_total:
@@ -151,7 +174,7 @@ def synthesize_outputs_shared(
         if kind == "anf":
             outs.append(anf_to_gates(builder, payload, list(inputs)))
         else:
-            outs.append(cover_to_gates(builder, payload, list(inputs)))
+            outs.append(cover_to_gates(builder, Cover(k, payload), list(inputs)))
     return outs
 
 

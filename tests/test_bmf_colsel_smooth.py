@@ -17,7 +17,56 @@ from repro.core.bmf import (
     update_B_exact,
     weighted_error,
 )
+from repro.core.bmf.boolean import check_weights
+from repro.core.bmf.refine import _combination_table
 from repro.errors import FactorizationError
+
+
+def _smooth_B_ties_dense(
+    M, C, weights=None, algebra="semiring", passes=3, slack=0.0
+):
+    """The dense one-hot vote implementation, kept as the oracle.
+
+    Votes every row over all ``2**f`` codes through an ``(n, k, 2**f)``
+    float gather; :func:`smooth_B_ties` must pick exactly the same codes.
+    """
+    M = np.asarray(M, dtype=bool)
+    C = np.asarray(C, dtype=bool)
+    f, m = C.shape
+    n = M.shape[0]
+    w = check_weights(weights, m)
+    combos = _combination_table(C, algebra)  # (2^f, m)
+    Mw = M.astype(float) * w[None, :]
+    Nw = (~M).astype(float) * w[None, :]
+    dist = Mw @ (~combos).T.astype(float) + Nw @ combos.T.astype(float)
+    row_min = dist.min(axis=1)
+    ties = dist <= row_min[:, None] + slack + 1e-9  # (n, 2^f)
+
+    popularity = ties.sum(axis=0).astype(float)
+    codes = np.argmax(ties * popularity[None, :], axis=1)
+
+    k = max(n.bit_length() - 1, 1)
+    neighbors = np.empty((n, k), dtype=np.int64)
+    idx = np.arange(n)
+    for i in range(k):
+        neighbors[:, i] = idx ^ (1 << i)
+    neighbors %= n
+
+    one_hot = np.zeros((n, 1 << f), dtype=np.float64)
+    for _ in range(passes):
+        one_hot[:] = 0.0
+        one_hot[idx, codes] = 1.0
+        votes = one_hot[neighbors].sum(axis=1)  # (n, 2^f)
+        score = ties * (votes + 1e-3 * popularity[None, :])
+        new_codes = np.argmax(score, axis=1)
+        if (new_codes == codes).all():
+            break
+        codes = new_codes
+
+    B = np.zeros((n, f), dtype=bool)
+    for level in range(f):
+        B[:, level] = (codes >> level) & 1
+    return B
 
 
 class TestColumnSelect:
@@ -120,6 +169,53 @@ class TestSmoothBTies:
             len(espresso(smoothed[:, l])) for l in range(smoothed.shape[1])
         )
         assert smooth_cubes <= raw_cubes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 10),
+        m=st.integers(2, 8),
+        data=st.data(),
+        weighted=st.booleans(),
+        slack=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        algebra=st.sampled_from(["semiring", "field"]),
+        density=st.sampled_from([0.1, 0.5, 0.9]),
+    )
+    def test_matches_dense_oracle(
+        self, seed, k, m, data, weighted, slack, algebra, density
+    ):
+        f = data.draw(st.integers(1, m - 1), label="f")
+        rng = np.random.default_rng(seed)
+        M = rng.random((1 << k, m)) < density
+        C = rng.random((f, m)) < density
+        weights = rng.random(m) * 3 + 0.1 if weighted else None
+        got = smooth_B_ties(M, C, weights, algebra, slack=slack)
+        want = _smooth_B_ties_dense(M, C, weights, algebra, slack=slack)
+        assert np.array_equal(got, want)
+
+    def test_matches_dense_oracle_realistic(self):
+        # The profiling regime: a 10-input, 9-output window truth table
+        # (1024 rows, f up to 9), factored then re-coded.
+        from repro.bench import get_benchmark
+        from repro.partition import decompose
+
+        circuit = get_benchmark("mult8").factory()
+        window = max(decompose(circuit, 10, 9), key=lambda w: w.n_inputs)
+        M = window.table(circuit)
+        assert M.shape[0] >= 256
+        for f in (1, M.shape[1] // 2, M.shape[1] - 1):
+            C = factorize(M, f, smooth=False).C
+            np.testing.assert_array_equal(
+                smooth_B_ties(M, C), _smooth_B_ties_dense(M, C)
+            )
+        # A dense random 1024 x 9 case with f = 9 basis rows as well.
+        rng = np.random.default_rng(2024)
+        M = rng.random((1024, 9)) < 0.5
+        C = rng.random((9, 9)) < 0.3
+        assert np.array_equal(
+            smooth_B_ties(M, C, slack=1.0),
+            _smooth_B_ties_dense(M, C, slack=1.0),
+        )
 
 
 class TestFactorizeSmoothing:

@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench import butterfly, ripple_adder
+from repro.bench import butterfly, get_benchmark, ripple_adder
 from repro.circuit import CircuitBuilder
 from repro.core.bmf import bool_product
 from repro.core.profile import (
     SELECTIONS,
     WEIGHT_MODES,
+    ProfileParams,
+    WindowTask,
     output_significance,
+    profile_window_task,
     profile_windows,
     window_weights,
 )
@@ -20,6 +23,8 @@ from repro.partition import (
     FactoredReplacement,
     decompose,
 )
+from repro.runtime.cache import canonical_circuit_bytes
+from repro.synth import synthesize_outputs_shared
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +169,79 @@ class TestOutputSignificance:
         circuit = butterfly(5)
         windows = decompose(circuit, 8, 8)
         assert window_weights(circuit, windows[0], "uniform", None) is None
+
+
+class TestPlanMemo:
+    """The per-task SOP/ANF plan memo of the area oracle."""
+
+    def test_one_espresso_call_per_distinct_column(self, monkeypatch):
+        import repro.core.profile as profile_mod
+        import repro.synth.synthesis as synthesis_mod
+
+        circuit = get_benchmark("mult8").factory()
+        w = max(decompose(circuit, 8, 8), key=lambda w: w.n_outputs)
+        task = WindowTask(
+            w.table(circuit),
+            window_weights(
+                circuit, w, "significance", output_significance(circuit)
+            ),
+            w.subcircuit(circuit),
+            ProfileParams(),
+        )
+        minimized, columns, n_columns = [0], set(), [0]
+        espresso = synthesis_mod.espresso
+        shared = profile_mod.synthesize_outputs_shared
+
+        def counting_espresso(*args, **kwargs):
+            minimized[0] += 1
+            return espresso(*args, **kwargs)
+
+        def recording_shared(builder, tables, *args, **kwargs):
+            columns.update(tables[:, j].tobytes() for j in range(tables.shape[1]))
+            n_columns[0] += tables.shape[1]
+            return shared(builder, tables, *args, **kwargs)
+
+        monkeypatch.setattr(synthesis_mod, "espresso", counting_espresso)
+        monkeypatch.setattr(
+            profile_mod, "synthesize_outputs_shared", recording_shared
+        )
+        result = profile_window_task(task)
+        assert result.n_syntheses > 0
+        assert minimized[0] == len(columns)
+        # Degrees and weight rails share basis columns: the memo pays.
+        assert len(columns) < n_columns[0]
+
+    # k = 4 and 5 build the flat SOP/ANF forms, k = 6 the shared BDD.
+    @pytest.mark.parametrize("k,seed", [(4, 0), (5, 1), (6, 0)])
+    def test_memo_builds_the_same_netlist(self, k, seed):
+        rng = np.random.default_rng(seed)
+        idx = np.arange(1 << k)
+        x = [((idx >> i) & 1).astype(bool) for i in range(k)]
+        first = np.column_stack(
+            [x[0] & x[1], x[0] ^ x[1] ^ x[2], x[2] | x[3],
+             rng.random(1 << k) < 0.15]
+        )
+        # The second table reuses two of the first's columns, so it is
+        # built partly from memo hits.
+        second = np.column_stack([first[:, 1], x[1] & ~x[3], first[:, 3]])
+        plans = {}
+        for tables in (first, second):
+            netlists = []
+            for memo in (None, plans):
+                builder = CircuitBuilder("t")
+                ins = [builder.input(f"x{i}") for i in range(k)]
+                outs = synthesize_outputs_shared(builder, tables, ins, plans=memo)
+                for j, sig in enumerate(outs):
+                    builder.output(f"y{j}", sig)
+                netlists.append(canonical_circuit_bytes(builder.build()))
+            assert netlists[0] == netlists[1]
+        distinct = {
+            t[:, j].tobytes() for t in (first, second) for j in range(t.shape[1])
+        }
+        assert len(plans) == len(distinct)
+        assert {kind for kind, _, _ in plans.values()} == {"sop", "anf"}
+        # Plans are immutable values: nothing the builder does can alias
+        # a memo entry into a later call.
+        for _, payload, cost in plans.values():
+            assert isinstance(payload, tuple)
+            assert isinstance(cost, float)

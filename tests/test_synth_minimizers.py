@@ -7,6 +7,9 @@ and espresso must stay within a reasonable factor of the exact optimum.
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import SynthesisError
 from repro.synth import (
     Cover,
+    Cube,
     EspressoOptions,
     espresso,
     espresso_multi,
@@ -25,6 +29,86 @@ from repro.synth import (
 
 def _random_table(rng, k, density=0.5):
     return rng.random(1 << k) < density
+
+
+def _expand_cube_reference(cube, off, k, msb_first):
+    """The cube-object EXPAND, kept as the oracle for the mask-vector one.
+
+    Builds a trial cube per literal and checks it against the OFF-set,
+    sweeping until a pass raises nothing.
+    """
+    order = range(k - 1, -1, -1) if msb_first else range(k)
+    changed = True
+    while changed:
+        changed = False
+        for i in order:
+            if not (cube.mask >> i) & 1:
+                continue
+            candidate = cube.without_literal(i)
+            if off.size and candidate.covers(off).any():
+                continue
+            cube = candidate
+            changed = True
+        if cube.mask == 0:
+            break
+    return cube
+
+
+@contextlib.contextmanager
+def _reference_expand():
+    """Run :func:`espresso` with the oracle EXPAND swapped in."""
+    module = importlib.import_module("repro.synth.espresso")
+    fast = module._expand_cube
+    module._expand_cube = _expand_cube_reference
+    try:
+        yield
+    finally:
+        module._expand_cube = fast
+
+
+class TestExpandOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 10),
+        density=st.sampled_from([0.1, 0.5, 0.9]),
+        with_dc=st.booleans(),
+        quality=st.booleans(),
+        msb_first=st.booleans(),
+    )
+    def test_espresso_cubes_match_reference_expand(
+        self, seed, k, density, with_dc, quality, msb_first
+    ):
+        rng = np.random.default_rng(seed)
+        table = _random_table(rng, k, density)
+        dc = rng.random(1 << k) < 0.2 if with_dc else None
+        options = EspressoOptions(
+            quality=quality, literal_order_msb_first=msb_first, seed=seed % 7
+        )
+        got = espresso(table, dc, options)
+        with _reference_expand():
+            want = espresso(table, dc, options)
+        assert got.cubes == want.cubes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 10),
+        msb_first=st.booleans(),
+    )
+    def test_expand_matches_reference_on_any_cube(self, seed, k, msb_first):
+        # Arbitrary cubes, including ones that already cover OFF minterms
+        # (both versions must then leave them unchanged).
+        from repro.synth.espresso import _expand_cube
+
+        rng = np.random.default_rng(seed)
+        full = (1 << k) - 1
+        mask = int(rng.integers(0, full + 1))
+        cube = Cube(mask, int(rng.integers(0, full + 1)) & mask)
+        off = np.flatnonzero(rng.random(1 << k) < 0.3).astype(np.int64)
+        assert _expand_cube(cube, off, k, msb_first) == _expand_cube_reference(
+            cube, off, k, msb_first
+        )
 
 
 class TestEspressoCorrectness:
