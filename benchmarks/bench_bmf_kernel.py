@@ -12,11 +12,9 @@ perf trajectory accumulates across PRs:
   sweep the same taus per call), and a byte-identity check between the
   two profiles (the ladder-equivalence contract).
 * **kernel micro-benchmarks** — the weighted-error primitive dense vs
-  packed, the fused popcount-and-reduce kernel (K1) vs materialized
-  per-word LUT counts, and full ASSO greedy-descent scoring (K2) dense
-  BLAS vs the incremental scorer — with backend / numpy / CPU provenance
-  recorded so the committed numbers are attributable (and honest: the
-  report says whether the jit backend was actually numba-compiled).
+  packed, and the popcount-and-reduce ``int(bit_count(words).sum())`` vs
+  per-byte LUT counts — with numpy / CPU provenance recorded so the
+  committed numbers are attributable.
 
 Runs standalone (no pytest plugins needed)::
 
@@ -154,23 +152,14 @@ def _cpu_model() -> str:
 
 
 def _kernel_micro(smoke: bool) -> dict:
-    from repro.circuit.simulate import _bit_count_lut
-    from repro.core.bmf.asso import _candidate_gains, association_candidates
-    from repro.core.bmf.packed import (
-        PackedColumns,
-        packed_weighted_error,
-        row_masks,
-        weight_table,
-    )
-    from repro.kernels import get_backend, numba_available
-    from repro.kernels import jit as jit_impl
+    from repro.circuit.simulate import _bit_count_lut, bit_count
+    from repro.core.bmf.packed import PackedColumns, packed_weighted_error
 
     rng = np.random.default_rng(0xB1A5)
     # The paper's window budget: k = 10 inputs -> 1024 truth-table rows,
     # m = 10 outputs.
     n, m = (1 << 10), 10
     repeats = 20 if smoke else 200
-    descent_repeats = 10 if smoke else 100
     M = rng.random((n, m)) < 0.4
     A = rng.random((n, m)) < 0.4
     w = np.arange(1, m + 1, dtype=float)
@@ -181,67 +170,21 @@ def _kernel_micro(smoke: bool) -> dict:
     )
     packed_err_us = _time_us(lambda: packed_weighted_error(Pm, Pa, w), repeats)
 
-    # K1: fused popcount-and-reduce vs materializing the per-word LUT
-    # counts and summing them (the pre-kernel formulation).
+    # Popcount-and-reduce (np.bitwise_count where numpy has it) vs the
+    # per-byte lookup-table counts it falls back to.
     words = rng.integers(0, 1 << 64, size=(1 << 13,), dtype=np.uint64)
-    assert jit_impl.popcount_reduce(words) == int(_bit_count_lut(words).sum())
+    assert int(bit_count(words).sum()) == int(_bit_count_lut(words).sum())
     lut_us = _time_us(lambda: int(_bit_count_lut(words).sum()), repeats)
-    fused_us = _time_us(lambda: jit_impl.popcount_reduce(words), repeats)
+    fused_us = _time_us(lambda: int(bit_count(words).sum()), repeats)
 
-    # K2: full greedy-descent scoring — the unit the explorer actually
-    # pays for.  A single-shot gain evaluation flatters the dense dgemm
-    # (it is one near-optimal BLAS call); over a descent the incremental
-    # scorer only rescores rows whose cover changed.
-    cands = association_candidates(M, 0.4, dedup=True)
-    wtab = weight_table(w)
-    cand_masks = row_masks(cands)
-    M_masks = row_masks(M)
-    levels = min(8, len(cands))
-
-    def dense_descent():
-        covered = np.zeros_like(M)
-        picks = []
-        for _ in range(levels):
-            totals, usage = _candidate_gains(M, covered, cands, w, 1.0, 1.0)
-            best = int(np.argmax(totals))
-            if totals[best] <= 0:
-                break
-            covered[usage[:, best]] |= cands[best]
-            picks.append((best, float(totals[best])))
-        return picks
-
-    def jit_descent():
-        scorer = get_backend("jit").make_gain_scorer(
-            M_masks, cand_masks, wtab, 1.0, 1.0, m
-        )
-        picks = []
-        for _ in range(levels):
-            totals, usage = scorer.score()
-            best = int(np.argmax(totals))
-            if totals[best] <= 0:
-                break
-            scorer.apply(usage[:, best], best)
-            picks.append((best, float(totals[best])))
-        return picks
-
-    identical = dense_descent() == jit_descent()
-    dense_gain_us = _time_us(dense_descent, descent_repeats)
-    jit_gain_us = _time_us(jit_descent, descent_repeats)
-
-    backend = get_backend("jit")
     return {
         "rows": n,
         "cols": m,
-        "backend": backend.name,
-        "backend_compiled": backend.compiled,
-        "numba_available": numba_available(),
         "numpy_version": np.__version__,
         "cpu_model": _cpu_model(),
         "note": (
-            "asso_gains times the full greedy descent (the explorer's unit "
-            "of work): dense BLAS rescoring every level vs the incremental "
-            "scorer rescoring only dirty rows; fused_popcount compares the "
-            "fused count-and-reduce against materialized per-word LUT counts"
+            "fused_popcount compares int(bit_count(words).sum()) against "
+            "materialized per-byte LUT counts"
         ),
         "weighted_error": {
             "dense_us": round(dense_err_us, 2),
@@ -253,14 +196,6 @@ def _kernel_micro(smoke: bool) -> dict:
             "lut_us": round(lut_us, 2),
             "fused_us": round(fused_us, 2),
             "speedup": round(lut_us / fused_us, 2),
-        },
-        "asso_gains": {
-            "n_candidates": int(len(cands)),
-            "descent_levels": levels,
-            "dense_us": round(dense_gain_us, 2),
-            "jit_us": round(jit_gain_us, 2),
-            "speedup": round(dense_gain_us / jit_gain_us, 2),
-            "trajectory_identical": identical,
         },
     }
 
@@ -282,18 +217,12 @@ def run(smoke: bool = False, write: bool = True) -> dict:
         f"below the {min_reduction}x bar"
     )
     micro = report["kernel_micro"]
-    assert micro["asso_gains"]["trajectory_identical"], (
-        "incremental gain scorer diverged from the dense descent"
-    )
     if not smoke:
         # Wall-clock is noisy on shared CI boxes; only the full local run
         # (the committed BENCH_bmf.json) must show a measured speedup.
         assert prof["wall_speedup"] > 1.0, "ladder slower than per-degree"
-        assert micro["asso_gains"]["speedup"] >= 1.0, (
-            "incremental descent scoring slower than dense BLAS"
-        )
         assert micro["fused_popcount"]["speedup"] >= 2.0, (
-            "fused popcount-reduce below the 2x bar vs the LUT path"
+            "bit_count popcount-reduce below the 2x bar vs the LUT path"
         )
         if write:
             OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")

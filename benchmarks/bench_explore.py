@@ -26,11 +26,6 @@ at the repository root so the perf trajectory accumulates across PRs:
   to resident execution.  ``--shard-jobs`` fans the chunk loop across
   worker processes (smoke included — the CI leg runs ``--smoke
   --shard-jobs 2`` and still asserts trajectory identity).
-* **kernel backends** (``explore_kernels``) — end-to-end ``explore()``
-  with ``--kernels numpy`` vs ``--kernels jit`` (resident, plus a sharded
-  streaming jit leg), trajectories asserted byte-identical across all
-  three.  The jit row records ``compiled`` honestly: without numba it
-  runs the pure-numpy fallback kernels and says so.
 * **sharded scaling** (``--scaling``) — the 10^6-sample streaming run
   repeated across shard worker counts (1, 2, 4 by default), recording
   wall time and peak *per-process* sample-matrix bytes per row, with
@@ -233,75 +228,6 @@ def _explore_end_to_end(circuit, windows, profiles, n_samples, max_iterations):
             "cones_compiled": comp.runtime_stats.n_cones_compiled,
         },
         "explore_speedup": round(ref_s / comp_s, 3),
-        "trajectories_byte_identical": identical,
-    }
-
-
-def _explore_kernels(
-    circuit, windows, profiles, n_samples, max_iterations, chunk_words,
-    shard_jobs=1,
-):
-    """The ``--kernels jit`` row: numpy oracle vs the jit backend.
-
-    Honest by construction: without numba the jit backend runs its
-    pure-numpy fallback kernels, and the row records ``compiled: false``
-    so the committed JSON never claims a compiled speedup it did not
-    measure.  Trajectory byte-identity across numpy / jit / jit-streaming
-    (sharded) is asserted by the caller.
-    """
-    from repro.core.explorer import ExplorerConfig, explore
-    from repro.kernels import get_backend
-
-    def run_backend(kernels, chunk=None):
-        config = ExplorerConfig(
-            max_inputs=WINDOW,
-            max_outputs=WINDOW,
-            n_samples=n_samples,
-            max_iterations=max_iterations,
-            strategy="full",
-            kernels=kernels,
-            chunk_words=chunk,
-            shard_jobs=shard_jobs if chunk is not None else None,
-        )
-        t0 = time.perf_counter()
-        result = explore(circuit, config, windows=windows, profiles=profiles)
-        return time.perf_counter() - t0, result
-
-    # Resident runs are sub-second at this scale: take the best of two
-    # so the committed speedup is not a single noisy sample.
-    wall = lambda pair: pair[0]
-    np_s, np_r = min(run_backend("numpy"), run_backend("numpy"), key=wall)
-    jit_s, jit_r = min(run_backend("jit"), run_backend("jit"), key=wall)
-    str_s, str_r = run_backend("jit", chunk=chunk_words)
-    identical = (
-        _trajectory_key(np_r) == _trajectory_key(jit_r) == _trajectory_key(str_r)
-        and np_r.n_evaluations == jit_r.n_evaluations == str_r.n_evaluations
-    )
-    stats = jit_r.runtime_stats
-    return {
-        "n_samples": n_samples,
-        "max_iterations": max_iterations,
-        "numpy": {
-            "wall_s": round(np_s, 4),
-            "backend": np_r.runtime_stats.kernel_backend,
-        },
-        "jit": {
-            "wall_s": round(jit_s, 4),
-            "backend": stats.kernel_backend,
-            "compiled": get_backend("jit").compiled,
-            "kernel_calls": {
-                "popcount": stats.n_kernel_popcounts,
-                "gains": stats.n_kernel_gain_scores,
-                "sweep": stats.n_kernel_sweeps,
-                "partials": stats.n_kernel_partials,
-            },
-        },
-        "jit_streaming": {
-            "wall_s": round(str_s, 4),
-            "chunk_words": chunk_words,
-            "shard_jobs": shard_jobs,
-        },
-        "jit_speedup": round(np_s / jit_s, 3),
         "trajectories_byte_identical": identical,
     }
 
@@ -569,23 +495,9 @@ def run(smoke: bool = False, write: bool = True, shard_jobs: int = 1) -> dict:
             verify_resident=True,
             shard_jobs=shard_jobs,
         ),
-        # Kernel backend row: numpy oracle vs --kernels jit, resident and
-        # sharded streaming, byte-identical by contract.
-        "explore_kernels": _explore_kernels(
-            circuit,
-            windows,
-            profiles,
-            n_samples,
-            ITERATIONS_SMOKE if smoke else ITERATIONS_FULL,
-            CHUNK_WORDS_SMOKE,
-            shard_jobs=max(shard_jobs, 2),
-        ),
     }
     assert report["explore"]["trajectories_byte_identical"], (
         "compiled trajectories diverged from the reference engine"
-    )
-    assert report["explore_kernels"]["trajectories_byte_identical"], (
-        "jit kernel trajectories diverged from the numpy oracle"
     )
     prev, expl = report["preview"], report["explore"]
     assert (

@@ -18,9 +18,6 @@ cache-copy          arrays handed out of caches/memos are shared —
 listing-order       filesystem listings (glob/listdir/iterdir) are
                     OS-order; wrap in ``sorted()`` before iterating
 mutable-default     no mutable default arguments (shared across calls)
-kernel-purity       nopython kernel functions in ``repro/kernels/``
-                    stay object-free: no dict/set literals or
-                    comprehensions, no unordered set/dict iteration
 shard-pickle        executor payloads must be statically picklable
                     (enforced by :mod:`repro.analysis.pickleaudit`)
 ==================  ====================================================
@@ -510,78 +507,6 @@ class MutableDefaultRule(Rule):
                     )
 
 
-# ----------------------------------------------------------------------
-# kernel-purity
-# ----------------------------------------------------------------------
-_KERNELS_PREFIX = "repro/kernels/"
-
-#: Builtins that force object mode (or, for sorted/set/dict, smuggle in
-#: Python containers) inside an ``@njit`` nopython body.
-_IMPURE_CALLS = {
-    "set", "dict", "frozenset", "sorted", "vars",
-    "getattr", "setattr", "hasattr", "eval", "exec",
-}
-
-
-def _decorator_tail(node: ast.AST) -> str:
-    """Last name component of a decorator (``numba.njit(...)`` -> ``njit``)."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    chain = _dotted(node)
-    return chain[-1] if chain else ""
-
-
-class KernelPurityRule(Rule):
-    """Python-object constructs inside a nopython kernel function.
-
-    Applies to ``@njit``-decorated functions in ``repro/kernels/``: the
-    bodies must compile in numba nopython mode *and* behave identically
-    as plain Python when numba is absent (the fallback discipline of
-    DESIGN.md "Kernel backends").  Dict/set literals, comprehensions and
-    object-mode builtins break the first property; unordered set/dict
-    iteration breaks the determinism contract either way.
-    """
-
-    name = "kernel-purity"
-    anchor = "Kernel backends: nopython purity"
-
-    def check(self, ctx: LintContext) -> Iterable[Finding]:
-        if not ctx.module_tail.startswith(_KERNELS_PREFIX):
-            return
-        for fn in ast.walk(ctx.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not any(
-                _decorator_tail(d) == "njit" for d in fn.decorator_list
-            ):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, (ast.Dict, ast.DictComp)):
-                    yield self.finding(
-                        ctx, node,
-                        "dict construction in a nopython kernel — numba "
-                        "object mode; use typed arrays or scalars",
-                    )
-                elif isinstance(node, (ast.Set, ast.SetComp)):
-                    yield self.finding(
-                        ctx, node,
-                        "set construction in a nopython kernel — object "
-                        "mode and unordered; use arrays",
-                    )
-                elif _is_call_to(node, _IMPURE_CALLS):
-                    yield self.finding(
-                        ctx, node,
-                        f"call to {_dotted(node.func)[-1]}() in a "
-                        "nopython kernel — Python-object operation",
-                    )
-                elif isinstance(node, ast.For) and _is_set_expr(node.iter):
-                    yield self.finding(
-                        ctx, node,
-                        "iterating a set in a nopython kernel — "
-                        "unordered iteration in a deterministic kernel",
-                    )
-
-
 #: Rule registry consumed by :func:`repro.analysis.linter.default_rules`.
 #: ``shard-pickle`` findings come from :mod:`repro.analysis.pickleaudit`,
 #: wired into the lint run by the linter core.
@@ -592,5 +517,4 @@ ALL_RULES = (
     CacheCopyRule,
     ListingOrderRule,
     MutableDefaultRule,
-    KernelPurityRule,
 )

@@ -200,9 +200,7 @@ def popcount_words(words: np.ndarray, n: Optional[int] = None) -> int:
         else:
             words = flat[:, :w].copy()
             words[:, -1] &= tail_mask(n)
-    from ..kernels import active_backend
-
-    return active_backend().popcount_reduce(words)
+    return int(bit_count(words).sum())
 
 
 def exhaustive_input_words(k: int) -> np.ndarray:

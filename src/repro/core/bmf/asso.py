@@ -44,13 +44,13 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...circuit.simulate import pack_bits
+from ...circuit.simulate import bit_count, pack_bits
 from ...errors import FactorizationError
-from ...kernels import active_backend
 from .boolean import check_weights, weighted_error
 from .packed import (
     MAX_MASK_BITS,
     PackedColumns,
+    candidate_gains_masks,
     row_masks,
     weight_table,
     weighted_counts_error,
@@ -218,25 +218,21 @@ def _asso_descent(
 
     packed = prep.wtab is not None
     if packed:
-        # The gain scorer owns the per-row cover masks (they feed only
-        # the gain computation; per-level errors come from Pcov).  The
-        # numpy backend recomputes every gain each level — the historical
-        # oracle — while the jit backend updates only the rows a commit
-        # touched; both are byte-identical per level (DESIGN.md "Kernel
-        # backends").
-        kernels = active_backend()
-        Pm = prep.Pm
+        wtab, M_masks, Pm = prep.wtab, prep.M_masks, prep.Pm
         cand_masks = row_masks(candidates)
-        scorer = kernels.make_gain_scorer(
-            prep.M_masks, cand_masks, prep.wtab, bonus, penalty, m
-        )
+        full_mask = np.uint64((1 << m) - 1)
+        cov_masks = np.zeros(n, dtype=np.uint64)
         Pcov = PackedColumns.zeros(m, n)
     else:
         covered = np.zeros_like(M)
 
     for level in range(f_max):
         if packed:
-            totals, usage = scorer.score()
+            good = M_masks & ~cov_masks
+            bad = ~M_masks & ~cov_masks & full_mask
+            totals, usage = candidate_gains_masks(
+                good, bad, cand_masks, wtab, bonus, penalty
+            )
         else:
             totals, usage = _candidate_gains(
                 M, covered, candidates, w, bonus, penalty
@@ -249,10 +245,10 @@ def _asso_descent(
         use = usage[:, best]
         B[:, level] = use
         if packed:
-            scorer.apply(use, best)
+            cov_masks[use] |= cand_masks[best]
             use_words = pack_bits(use.astype(np.uint8))
             Pcov.words[C[level]] |= use_words[None, :]
-            counts = kernels.popcount_xor_rows(Pm.words, Pcov.words)
+            counts = bit_count(Pm.words ^ Pcov.words).sum(axis=1)
             errors[level + 1] = weighted_counts_error(counts, w)
         else:
             covered |= np.outer(use, C[level])

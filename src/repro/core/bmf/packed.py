@@ -33,7 +33,6 @@ import numpy as np
 
 from ...circuit.simulate import bit_count, pack_bits, words_for
 from ...errors import FactorizationError
-from ...kernels import active_backend
 
 #: Row masks / weight tables are only used up to this many columns; the
 #: subset-sum table has ``2**m`` entries, so 16 keeps it at 512 KiB.  BLASYS
@@ -101,7 +100,7 @@ def mismatch_counts(P: PackedColumns, A: PackedColumns) -> np.ndarray:
         raise FactorizationError(
             f"packed shape mismatch {P.words.shape} vs {A.words.shape}"
         )
-    return active_backend().popcount_xor_rows(P.words, A.words)
+    return bit_count(P.words ^ A.words).sum(axis=1)
 
 
 def packed_weighted_error(
@@ -239,7 +238,6 @@ def fit_C_packed(
     zero-weight output can never *strictly* improve) reproduces the dense
     float comparisons exactly (see DESIGN.md).
     """
-    kernels = active_backend()
     f = basis_words.shape[0]
     m = target.m
     C = np.zeros((f, m), dtype=bool)
@@ -248,7 +246,7 @@ def fit_C_packed(
             continue
         tcol = target.words[j]
         cur = np.zeros_like(tcol)
-        cnt = kernels.popcount_reduce(tcol)
+        cnt = int(bit_count(tcol).sum())
         while True:
             best_l, best_cnt, best_vec = None, cnt, None
             for l in range(f):
@@ -259,7 +257,7 @@ def fit_C_packed(
                     if algebra == "semiring"
                     else (cur ^ basis_words[l])
                 )
-                trial_cnt = kernels.popcount_reduce(tcol ^ trial)
+                trial_cnt = int(bit_count(tcol ^ trial).sum())
                 if trial_cnt < best_cnt:
                     best_l, best_cnt, best_vec = l, trial_cnt, trial
             if best_l is None:

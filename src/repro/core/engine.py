@@ -65,7 +65,6 @@ from ..circuit.simulate import (
 )
 from ..analysis.sanitize import assert_tail_clean, freeze
 from ..errors import SimulationError
-from ..kernels import active_backend
 from ..runtime import RuntimeStats
 from .incremental import IncrementalEvaluator
 
@@ -125,7 +124,8 @@ def execute_batch(
         s, a, b = gathered[:, 0], gathered[:, 1], gathered[:, 2]
         return (a & ~s) | (b & s)
     fn, invert = _NARY[op]
-    return active_backend().nary_sweep(values, batch.fanins, fn, invert)
+    acc = fn.reduce(values[batch.fanins], axis=1)
+    return ~acc if invert else acc
 
 
 def input_index_from_rows(in_words: np.ndarray, n_patterns: int) -> np.ndarray:

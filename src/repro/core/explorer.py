@@ -66,7 +66,6 @@ from ..runtime import (
 from ..synth.espresso import EspressoOptions
 from ..synth.library import LIB65, Library
 from ..circuit.simulate import words_for
-from ..kernels import KERNEL_CHOICES, resolve_backend, use_backend
 from .bmf.asso import DEFAULT_TAUS
 from .engine import ENGINES, CompiledEvaluator, make_evaluator
 from .profile import WindowProfile, profile_windows
@@ -196,14 +195,6 @@ class ExplorerConfig:
             every search-defining config field (stop conditions and
             execution knobs excluded; see
             :mod:`repro.runtime.checkpoint`).
-        kernels: Kernel backend for the packed hot loops — ``numpy``
-            (the reference oracle), ``jit`` (numba-compiled loops, with
-            pure-numpy fallbacks when numba is absent) or ``auto``
-            (default: jit when numba imports, numpy otherwise).  The
-            ``REPRO_KERNELS`` environment variable overrides this field.
-            Results are byte-identical for every choice (DESIGN.md
-            "Kernel backends"), so like ``engine`` this is excluded from
-            the checkpoint fingerprint.
     """
 
     max_inputs: int = 10
@@ -249,7 +240,6 @@ class ExplorerConfig:
     bo_lengthscale: float = 0.25
     ranker_epsilon: float = 0.15
     ranker_lr: float = 0.5
-    kernels: str = "auto"
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -259,11 +249,6 @@ class ExplorerConfig:
         if self.engine not in ENGINES:
             raise ExplorationError(
                 f"unknown engine {self.engine!r}; expected {ENGINES}"
-            )
-        if self.kernels not in KERNEL_CHOICES:
-            raise ExplorationError(
-                f"unknown kernel backend {self.kernels!r}; expected "
-                f"{KERNEL_CHOICES}"
             )
         if self.chunk_words is not None and self.chunk_words < 1:
             raise ExplorationError(
@@ -491,36 +476,6 @@ def explore(
         An :class:`ExplorationResult` whose trajectory records QoR and
         estimated area after every committed step.
     """
-    # Resolve the kernel backend once (env > config precedence) and
-    # install it for the whole run — profiling descents, the evaluator,
-    # and QoR partials all pick it up via the thread-local.  Per-kernel
-    # call deltas land in the result's RuntimeStats either way the run
-    # ends (the stats object is shared with the result).
-    runtime_stats = RuntimeStats()
-    kernels = resolve_backend(config.kernels)
-    runtime_stats.kernel_backend = kernels.name
-    kernel_calls = kernels.snapshot()
-    try:
-        with use_backend(kernels):
-            return _explore_impl(
-                circuit, config, windows, profiles, context, runtime_stats
-            )
-    finally:
-        delta = kernels.delta(kernel_calls)
-        runtime_stats.n_kernel_popcounts += delta["popcount"]
-        runtime_stats.n_kernel_gain_scores += delta["gains"]
-        runtime_stats.n_kernel_sweeps += delta["sweep"]
-        runtime_stats.n_kernel_partials += delta["partials"]
-
-
-def _explore_impl(
-    circuit: Circuit,
-    config: ExplorerConfig,
-    windows: Optional[Sequence[Window]],
-    profiles: Optional[Sequence[WindowProfile]],
-    context: Optional[RunContext],
-    runtime_stats: RuntimeStats,
-) -> ExplorationResult:
     if context is None:
         context = RunContext()
     context.check_cancel()
@@ -529,6 +484,7 @@ def _explore_impl(
             circuit, config.max_inputs, config.max_outputs, config.refine_passes
         )
     windows = list(windows)
+    runtime_stats = RuntimeStats()
     sanitize = sanitize_enabled(config.sanitize)
     # One fault-plan instance and one retry policy per run, threaded
     # through every supervised layer (profiling pool, shard executor,

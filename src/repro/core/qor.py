@@ -39,13 +39,13 @@ from ..analysis.sanitize import assert_tail_clean, freeze, sanitize_enabled
 from ..errors import SimulationError
 from ..circuit.netlist import Circuit
 from ..circuit.simulate import (
+    bit_count,
     mask_tail_words,
     tail_mask,
     unpack_bits,
     words_for,
 )
 from ..circuit.words import WordSpec, default_output_word
-from ..kernels import active_backend
 
 #: Metric names accepted by :class:`QoRSpec`.
 METRICS = ("mre", "mae", "nmae", "hamming")
@@ -204,7 +204,10 @@ class QoREvaluator:
             terms = diff
         else:
             terms = diff / max(w.max_abs, 1)
-        return active_backend().word_partials(terms, n_valid)
+        n_words = words_for(n_valid)
+        padded = np.zeros(n_words * 64, dtype=float)
+        padded[:n_valid] = terms
+        return padded.reshape(n_words, 64).sum(axis=1)
 
     def word_partials(
         self,
@@ -250,10 +253,7 @@ class QoREvaluator:
         x = sel[:, :w_valid] ^ exact
         if w_valid:
             x[:, -1] &= tail_mask(n_valid)
-        return active_backend().popcount_rows(x)
-
-    # Backwards-compatible private alias (delta path predates streaming).
-    _row_hamming = row_hamming
+        return bit_count(x).sum(axis=1)
 
     def _combine(
         self,
@@ -267,7 +267,7 @@ class QoREvaluator:
             counts = (
                 row_hamming
                 if row_hamming is not None
-                else self._row_hamming(output_words)
+                else self.row_hamming(output_words)
             )
             return float(int(counts.sum())) / self.n
         if sums is None:

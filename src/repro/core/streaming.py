@@ -80,6 +80,7 @@ whole-axis reductions, never per-chunk state).
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -124,6 +125,9 @@ from .engine import (
     stacked_seed_gather,
 )
 from .qor import QoREvaluator, QoRSpec, circuit_words
+
+#: Source of the per-evaluator shard lineage ids.
+_LINEAGES = itertools.count()
 
 
 def auto_chunk_words(
@@ -349,6 +353,8 @@ class StreamingEvaluator(CompiledEvaluator):
         #: chunk word start -> epoch of the last commit that changed the
         #: chunk's valid bits (absent = never dirtied).
         self._chunk_epoch: Dict[int, int] = {}
+        #: Process-unique id shipped with every shard (ScanShard.lineage).
+        self._lineage = next(_LINEAGES)
         self._executor = None
         self._executor_ready = False
         # Supervision knobs for the shard executor: the retry/timeout
@@ -769,18 +775,26 @@ class StreamingEvaluator(CompiledEvaluator):
         had inlined them, and the shipped epoch watermarks govern chunk
         cache validity — stale worker-side entries simply recompute
         (workers cannot fold repairs; they never ran the commit).
+
+        One job's committed set only grows, but a pooled worker shared
+        by several jobs can be handed a set that lacks a window it holds.
+        Schedules depend only on which windows are committed (tables are
+        read at run time), so such a shrink drops every schedule.
         """
         newly = [k for k in committed if k not in self._committed]
-        changed = newly or any(
+        dropped = any(k not in committed for k in self._committed)
+        changed = newly or dropped or any(
             not np.array_equal(committed[k], self._committed[k])
             for k in self._committed
-            if k in committed
-        ) or len(committed) != len(self._committed)
+        )
         if changed:
             self._committed = {k: v for k, v in committed.items()}
             self._stream_memo.clear()
-        if newly:
+        if dropped or newly:
             self._iter_sched = None
+        if dropped:
+            self._cones.clear()
+        elif newly:
             fresh = set(newly)
             for widx in list(self._cones):
                 if self._cones[widx].step_windows & fresh:
@@ -942,6 +956,7 @@ class StreamingEvaluator(CompiledEvaluator):
                         epoch=self._epoch,
                         chunk_epochs=chunk_epochs,
                         metric=qor.spec.metric,
+                        lineage=self._lineage,
                     )
                     for chs in shard_chunks
                 ]
@@ -1110,6 +1125,7 @@ class ShardWorker:
             sanitize=getattr(context, "sanitize", False),
         )
         self._qors: Dict[str, QoREvaluator] = {}
+        self._lineage: Optional[int] = None
 
     def _qor(self, metric: str) -> QoREvaluator:
         qor = self._qors.get(metric)
@@ -1124,6 +1140,12 @@ class ShardWorker:
 
     def run(self, shard: ScanShard) -> ShardOutcome:
         ev = self.evaluator
+        if shard.lineage != self._lineage:
+            # A pool shared by several jobs interleaves their scans; base
+            # slices cached for another parent carry incomparable epochs.
+            self._lineage = shard.lineage
+            if ev._base_cache is not None:
+                ev._base_cache.drop_outside(set())
         ev._sync_scan_state(
             dict(shard.committed), shard.epoch, dict(shard.chunk_epochs)
         )

@@ -110,17 +110,9 @@ class RuntimeStats:
             cancel as cancelled.
         jobs_recovered: Jobs restored from the journal on service
             restart (re-queued or resumed from their checkpoint).
-        kernel_backend: Resolved kernel backend of the run (``numpy`` /
-            ``jit``; see :mod:`repro.kernels`), or ``""`` outside
-            ``explore()``.  Backend choice never changes results — only
-            wall time — so this is reporting, not provenance.
-        n_kernel_popcounts / n_kernel_gain_scores / n_kernel_sweeps /
-            n_kernel_partials: Kernel calls the run issued through the
-            backend, per kernel family: fused popcount reductions,
-            ASSO gain-scoring levels, n-ary gate-batch sweeps, and
-            per-packed-word QoR partial sums.  Counted in the driving
-            process only (shard workers resolve their own backend from
-            the environment).
+        kernel_backend: Always ``"numpy"``: the hot loops have one
+            implementation.  Kept only for the benchmark's provenance
+            line, which reads it.
     """
 
     n_tasks: int = 0
@@ -158,11 +150,7 @@ class RuntimeStats:
     jobs_failed: int = 0
     jobs_cancelled: int = 0
     jobs_recovered: int = 0
-    kernel_backend: str = ""
-    n_kernel_popcounts: int = 0
-    n_kernel_gain_scores: int = 0
-    n_kernel_sweeps: int = 0
-    n_kernel_partials: int = 0
+    kernel_backend: str = "numpy"
 
     def note_sample_matrix(self, nbytes: int) -> None:
         """Record a sample-matrix working-set high-water mark."""
@@ -200,14 +188,6 @@ class RuntimeStats:
                 f"{self.n_stacked_blocks} stacked blocks, "
                 f"chunk cache {self.n_chunk_cache_hits} hit / "
                 f"{self.n_chunk_cache_misses} miss)"
-            )
-        if self.kernel_backend:
-            text += (
-                f", kernels={self.kernel_backend} "
-                f"({self.n_kernel_popcounts} popcount / "
-                f"{self.n_kernel_gain_scores} gain / "
-                f"{self.n_kernel_sweeps} sweep / "
-                f"{self.n_kernel_partials} partial calls)"
             )
         resilience = self.resilience_summary()
         if resilience:
@@ -270,17 +250,11 @@ class RuntimeStats:
             "n_checkpoints", "cache_corrupt", "cache_corrupt_purged",
             "jobs_admitted", "jobs_rejected", "jobs_completed",
             "jobs_failed", "jobs_cancelled", "jobs_recovered",
-            "n_kernel_popcounts", "n_kernel_gain_scores",
-            "n_kernel_sweeps", "n_kernel_partials",
         ):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         for name in ("peak_sample_matrix_bytes", "chunk_words",
                      "jobs", "shard_jobs"):
             setattr(self, name, max(getattr(self, name), getattr(other, name)))
-        if not self.kernel_backend:
-            self.kernel_backend = other.kernel_backend
-        elif other.kernel_backend and other.kernel_backend != self.kernel_backend:
-            self.kernel_backend = "mixed"
 
 
 def _count_work(stats: RuntimeStats, payloads: Sequence) -> None:

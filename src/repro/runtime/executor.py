@@ -112,6 +112,9 @@ class ScanShard:
             a worker-cached base slice for a chunk is valid iff its
             stored epoch is >= the chunk's watermark.
         metric: QoR metric name for this scan's accumulation.
+        lineage: Id of the parent evaluator that issued the scan.  Epochs
+            of different parents are not comparable, so a worker drops
+            its cached base slices when the lineage changes.
     """
 
     chunks: Tuple
@@ -120,6 +123,7 @@ class ScanShard:
     epoch: int
     chunk_epochs: Tuple[Tuple[int, int], ...]
     metric: str
+    lineage: int
 
 
 @dataclass

@@ -21,7 +21,9 @@ from repro.circuit.simulate import (
     bit_count,
     pack_bits,
     popcount_words,
+    tail_mask,
     unpack_bits,
+    words_for,
 )
 from repro.core.bmf import bool_product, weighted_error
 from repro.core.bmf.packed import (
@@ -51,6 +53,18 @@ def _random_weights(seed: int, m: int) -> np.ndarray:
     return rng.integers(0, 9, m).astype(float)
 
 
+#: Pattern counts hitting every tail-word shape: full words, a 1-bit
+#: tail, a 63-bit tail, and the single-word degenerates.
+TAIL_NS = (1, 63, 64, 65, 127, 128, 191)
+
+
+def _packed(rng, rows: int, n: int) -> np.ndarray:
+    """Random packed (rows, words_for(n)) matrix with a clean tail."""
+    words = rng.integers(0, 1 << 64, size=(rows, words_for(n)), dtype=np.uint64)
+    words[:, -1] &= tail_mask(n)
+    return words
+
+
 class TestBitCount:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 9999))
@@ -72,6 +86,33 @@ class TestBitCount:
         counts = bit_count(words)
         assert counts.shape == (2, 3)
         assert (counts == 64).all()
+
+    @pytest.mark.parametrize("n", TAIL_NS)
+    def test_lut_matches_bitwise_count(self, n):
+        if not hasattr(np, "bitwise_count"):
+            pytest.skip("numpy < 2.0: no np.bitwise_count to compare")
+        words = _packed(np.random.default_rng(n), 5, n)
+        lut = _bit_count_lut(words)
+        fast = np.bitwise_count(words).astype(np.int64)
+        np.testing.assert_array_equal(lut, fast)
+        assert lut.dtype == fast.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "dtype", [np.uint64, np.uint32, np.uint8, np.int64]
+    )
+    def test_dtypes_converted_identically(self, dtype):
+        # bit_count converts to uint64 by value; both paths must agree
+        # through the conversion for every input dtype.
+        vals = np.array([0, 1, 2, 127, 200], dtype=dtype)
+        expected = np.array([bin(int(v)).count("1") for v in vals])
+        np.testing.assert_array_equal(bit_count(vals), expected)
+        as_u64 = np.ascontiguousarray(vals, dtype=np.uint64)
+        np.testing.assert_array_equal(_bit_count_lut(as_u64), expected)
+
+    def test_empty_input(self):
+        empty = np.zeros((0,), dtype=np.uint64)
+        assert bit_count(empty).shape == (0,)
+        assert _bit_count_lut(empty).shape == (0,)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 9999), n=st.integers(1, 200))
@@ -125,6 +166,28 @@ class TestPackedColumns:
         dense = bool_product(B, C, algebra)
         packed = packed_bool_product(PackedColumns.from_dense(B), C, algebra)
         np.testing.assert_array_equal(packed.to_dense(), dense)
+
+    @pytest.mark.parametrize("n", TAIL_NS)
+    def test_mismatch_counts_match_python_popcount(self, n):
+        rng = np.random.default_rng(n)
+        P = PackedColumns(_packed(rng, 4, n), n)
+        A = PackedColumns(_packed(rng, 4, n), n)
+        expected = [
+            sum(int(p ^ a).bit_count() for p, a in zip(prow, arow))
+            for prow, arow in zip(P.words, A.words)
+        ]
+        np.testing.assert_array_equal(mismatch_counts(P, A), expected)
+
+    def test_mismatch_counts_accept_readonly_inputs(self):
+        # The sanitizer hands out frozen arrays; the popcount paths must
+        # never write their inputs.
+        rng = np.random.default_rng(0)
+        P = PackedColumns(_packed(rng, 4, 130), 130)
+        A = PackedColumns(_packed(rng, 4, 130), 130)
+        expected = mismatch_counts(P, A)
+        P.words.setflags(write=False)
+        A.words.setflags(write=False)
+        np.testing.assert_array_equal(mismatch_counts(P, A), expected)
 
     def test_mismatch_counts_shape_check(self):
         P = PackedColumns.from_dense(np.zeros((8, 3), dtype=bool))

@@ -22,7 +22,7 @@ from repro.circuit import (
     words_for,
     words_to_patterns,
 )
-from repro.circuit.simulate import tail_mask
+from repro.circuit.simulate import popcount_words, tail_mask
 from repro.errors import SimulationError
 
 
@@ -228,3 +228,35 @@ class TestTruthTable:
         b.output("y", b.or_(*ins))
         with pytest.raises(SimulationError):
             truth_table(b.build())
+
+
+class TestPopcountWords:
+    """``popcount_words`` validates ``n`` against the array capacity."""
+
+    def test_too_large_n_raises(self):
+        words = np.array([0xFF, 0xFF], dtype=np.uint64)
+        with pytest.raises(ValueError, match="packed words"):
+            popcount_words(words, n=129)
+
+    def test_too_large_n_raises_2d(self):
+        words = np.full((3, 2), 0xFF, dtype=np.uint64)
+        with pytest.raises(ValueError, match="packed words"):
+            popcount_words(words, n=200)
+
+    def test_negative_n_raises(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            popcount_words(np.array([1], dtype=np.uint64), n=-1)
+
+    def test_consistent_n_still_counts(self):
+        words = np.array([0xFFFFFFFFFFFFFFFF, 0x7], dtype=np.uint64)
+        assert popcount_words(words, n=128) == 67
+        assert popcount_words(words, n=66) == 66
+        assert popcount_words(words) == 67
+        assert popcount_words(np.zeros(0, dtype=np.uint64), n=0) == 0
+
+    def test_readonly_input(self):
+        words = np.full((2, 3), 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+        words.setflags(write=False)
+        assert popcount_words(words) == 384
+        assert popcount_words(words, n=130) == 260
+        assert not words.flags.writeable

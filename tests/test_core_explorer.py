@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,25 @@ def adder_result(adder8_profiled):
     return circuit, explore(
         circuit, config, windows=windows, profiles=profiles
     )
+
+
+def test_default_run_emits_no_runtime_warning():
+    """A default explore() in a fresh interpreter raises no
+    RuntimeWarning, so ``-W error::RuntimeWarning`` can be a baseline."""
+    code = (
+        "from repro.bench import butterfly\n"
+        "from repro.core.explorer import ExplorerConfig, explore\n"
+        "explore(butterfly(4), ExplorerConfig(n_samples=256, "
+        "max_iterations=2))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestExplorerConfig:

@@ -122,3 +122,16 @@ class TestQoREvaluator:
         approx_both[x_idx] = ~approx_both[x_idx]
         m2 = ev.metrics(approx_both)
         assert m2["mae"] > m["mae"]
+
+    def test_word_partials_zero_padding_is_exact(self):
+        # 65 samples span two packed words: the missing 63 tail samples
+        # of the second word contribute exactly 0.0.
+        b = CircuitBuilder()
+        b.output("y0", b.input("a"))
+        c = b.build()
+        ev, exact = _make_evaluator(
+            c, np.ones((65, 1), dtype=np.uint8), QoRSpec("mae")
+        )
+        approx = ~exact  # every valid sample off by one; garbage tail
+        np.testing.assert_array_equal(ev.word_partials(0, approx), [64.0, 1.0])
+        assert ev.evaluate(approx) == 1.0

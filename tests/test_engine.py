@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 
 from repro.bench import butterfly, mult8, ripple_adder
 from repro.circuit import CircuitBuilder, random_input_words
+from repro.circuit.gate import Op
 from repro.circuit.simulate import simulate_full_reference, unpack_bits
 from repro.core.engine import (
     ENGINES,
     CompiledEvaluator,
+    GateBatch,
+    execute_batch,
     make_evaluator,
     simulate_full_compiled,
 )
@@ -97,6 +100,38 @@ class TestCompiledSimulateFull:
                 simulate_full_compiled(circuit, words, 256),
                 simulate_full_reference(circuit, words, 256),
             )
+
+
+#: n-ary gate ops -> (pairwise fold, output inverted).
+_NARY_FOLDS = {
+    Op.AND: (np.bitwise_and, False),
+    Op.NAND: (np.bitwise_and, True),
+    Op.OR: (np.bitwise_or, False),
+    Op.NOR: (np.bitwise_or, True),
+    Op.XOR: (np.bitwise_xor, False),
+    Op.XNOR: (np.bitwise_xor, True),
+}
+
+
+class TestExecuteBatch:
+    @pytest.mark.parametrize("op", list(_NARY_FOLDS), ids=lambda op: op.name)
+    def test_nary_batch_matches_per_gate_fold(self, op):
+        """An n-ary batch equals folding each gate's fanin rows one by
+        one, for every arity, and never writes its (frozen) inputs."""
+        fold, invert = _NARY_FOLDS[op]
+        rng = np.random.default_rng(len(op.name))
+        values = rng.integers(0, 1 << 64, size=(9, 5), dtype=np.uint64)
+        values.setflags(write=False)
+        for arity in (1, 2, 3, 4):
+            fanins = rng.integers(0, 9, size=(7, arity), dtype=np.int64)
+            out = np.arange(7, dtype=np.int64)
+            got = execute_batch(GateBatch(op, out, fanins, out), values, None)
+            for g, row in enumerate(fanins):
+                acc = values[row[0]].copy()
+                for s in row[1:]:
+                    acc = fold(acc, values[s])
+                np.testing.assert_array_equal(got[g], ~acc if invert else acc)
+            assert got.dtype == np.uint64
 
 
 class TestEvaluatorEquivalence:

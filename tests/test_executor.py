@@ -231,6 +231,7 @@ def _shard_scan_in_process(stream, requests, metric="mre"):
                     epoch=stream._epoch,
                     chunk_epochs=tuple(stream._chunk_epoch.items()),
                     metric=metric,
+                    lineage=stream._lineage,
                 )
             )
             for acc_list, add_list in zip(accs, outcome.accumulators):
@@ -320,6 +321,105 @@ class TestShardTaskIdentity:
                     assert rows == tuple(sorted(acc["rows"]))
 
 
+def _accumulator_key(acc):
+    return (
+        sorted(acc["rows"]),
+        [
+            (wpos, [(s, e, p.tobytes()) for s, e, p in slices])
+            for wpos, slices in sorted(acc["slices"].items())
+        ],
+        sorted(acc["deltas"].items()),
+    )
+
+
+class TestWorkerStateAcrossJobs:
+    """A pooled worker shared by two jobs (the service leases one pool
+    to jobs with equal streaming contexts) alternates between their
+    scans.  Whatever it kept from one job must not leak into the
+    other's: every scan matches what a fresh worker computes."""
+
+    @staticmethod
+    def _jobs_and_context(rng, cache_chunks):
+        circuit = butterfly(5)
+        windows = decompose(circuit, 6, 6)
+        n = 300
+        words = random_input_words(circuit.n_inputs, n, rng)
+        jobs = [
+            StreamingEvaluator(
+                circuit, windows, words, n, chunk_words=2,
+                cache_chunks=cache_chunks,
+            )
+            for _ in range(2)
+        ]
+        context = StreamContext(
+            circuit=circuit,
+            windows=tuple(windows),
+            input_words=words,
+            n_samples=n,
+            chunk_words=2,
+            exact_outputs=jobs[0].exact_outputs,
+            cache_chunks=cache_chunks,
+        )
+        return circuit, windows, jobs, context
+
+    @staticmethod
+    def _scan_shard(job, circuit, windows):
+        return ScanShard(
+            chunks=tuple(job._chunks),
+            requests=tuple(
+                (v.index, (~v.table(circuit),)) for v in windows
+            ),
+            committed=tuple(job._committed.items()),
+            epoch=job._epoch,
+            chunk_epochs=tuple(job._chunk_epoch.items()),
+            metric="mre",
+            lineage=job._lineage,
+        )
+
+    @staticmethod
+    def _keys(outcome):
+        return [
+            [_accumulator_key(acc) for acc in accs]
+            for accs in outcome.accumulators
+        ]
+
+    def test_worker_survives_committed_set_losing_a_window(self, rng):
+        # Schedules specialized to a window the next job never committed
+        # used to raise KeyError in _compute_base.
+        circuit, windows, (job_a, job_b), context = self._jobs_and_context(
+            rng, cache_chunks=0
+        )
+        w = windows[0]
+        job_a.commit(w.index, ~w.table(circuit))
+        shared = ShardWorker(context)
+        shared.run(self._scan_shard(job_a, circuit, windows))
+        got = shared.run(self._scan_shard(job_b, circuit, windows))
+        expect = ShardWorker(context).run(
+            self._scan_shard(job_b, circuit, windows)
+        )
+        assert self._keys(got) == self._keys(expect)
+
+    def test_cached_base_slices_stay_with_their_job(self, rng):
+        # Both jobs commit the same window at epoch 1 with different
+        # tables: the epoch watermarks alone would serve job a's cached
+        # base slices to job b.
+        circuit, windows, (job_a, job_b), context = self._jobs_and_context(
+            rng, cache_chunks=8
+        )
+        w = windows[0]
+        table = w.table(circuit)
+        job_a.commit(w.index, ~table)
+        flipped = table.copy()
+        flipped[0] = ~flipped[0]
+        job_b.commit(w.index, flipped)
+        assert job_a._epoch == job_b._epoch == 1
+        shared = ShardWorker(context)
+        shared.run(self._scan_shard(job_a, circuit, windows))
+        got = shared.run(self._scan_shard(job_b, circuit, windows))
+        expect = ShardWorker(context).run(
+            self._scan_shard(job_b, circuit, windows)
+        )
+        assert self._keys(got) == self._keys(expect)
 
 
 class TestShardedTrajectoryIdentity:

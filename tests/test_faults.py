@@ -419,6 +419,7 @@ class TestShardFailureAttribution:
             epoch=0,
             chunk_epochs=(),
             metric="mre",
+            lineage=0,
         )
         executor = ProcessShardExecutor(
             context, 2, policy=RetryPolicy(max_retries=0, backoff=0.0)

@@ -292,6 +292,10 @@ class TestSchedulerJobs:
         assert _key(rec_b) == _key(reference)
         assert sched.registry.pools_built == 1
         assert sched.registry.leases == 2
+        # No fault was injected, so no shard may have been retried or
+        # rerun in-process: the pooled workers handled both jobs' scans.
+        assert sched.stats.n_shard_retries == 0
+        assert sched.stats.n_shard_fallbacks == 0
 
     def test_worker_budget_degrades_to_in_process(self, tmp_path, reference):
         # A shard-worker budget below the request degrades the job to
