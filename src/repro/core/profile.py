@@ -53,7 +53,7 @@ from ..runtime.cache import canonical_circuit_bytes
 from ..synth.espresso import EspressoOptions
 from ..synth.library import LIB65, Library
 from ..synth.synthesis import (
-    FlatPlan,
+    OracleMemo,
     resynthesize,
     synthesize_outputs_shared,
 )
@@ -225,8 +225,11 @@ class _VariantCosting:
     """Memoized synthesis of factored window implementations.
 
     One instance serves one :class:`WindowTask`, and so do its memos:
-    whole ``(B, C)`` areas, and the per-column SOP/ANF plans that ladder
-    degrees and weight rails mostly share (DESIGN.md "BMF kernel").
+    whole factored and cone variant areas, and the area oracle's
+    :class:`~repro.synth.synthesis.OracleMemo`, whose column plans and BDD
+    nodes ladder degrees and weight rails mostly share (DESIGN.md "The
+    per-task oracle memo and its bounds").  ``n_syntheses`` counts the
+    areas actually computed.
     """
 
     def __init__(
@@ -236,11 +239,11 @@ class _VariantCosting:
         self.options = options
         self.match_macros = match_macros
         self.n_syntheses = 0
-        self._cache: Dict[bytes, float] = {}
-        self._plans: Dict[Tuple[EspressoOptions, bytes], FlatPlan] = {}
+        self._cache: Dict[tuple, float] = {}
+        self._oracle = OracleMemo()
 
     def factored_area(self, B: np.ndarray, C: np.ndarray, algebra: str) -> float:
-        key = B.tobytes() + b"|" + C.tobytes() + algebra.encode()
+        key = ("bmf", B.tobytes(), C.tobytes(), algebra)
         hit = self._cache.get(key)
         if hit is not None:
             return hit  # contract-ok: cache-copy -- cached float, immutable
@@ -250,7 +253,7 @@ class _VariantCosting:
         ins = [builder.input(f"x{i}") for i in range(k)]
         combine = builder.or_ if algebra == "semiring" else builder.xor_
         t_sigs = synthesize_outputs_shared(
-            builder, B, ins, self.options, plans=self._plans
+            builder, B, ins, self.options, memo=self._oracle
         )
         for j in range(C.shape[1]):
             parts = [t_sigs[l] for l in range(C.shape[0]) if C[l, j]]
@@ -273,6 +276,13 @@ class _VariantCosting:
         ``sub`` is the window materialized as a standalone circuit; the
         replacement is spliced into it and the result re-mapped.
         """
+        key = (
+            "cone", tuple(replacement.selected), replacement.C.tobytes(),
+            replacement.algebra,
+        )
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit  # contract-ok: cache-copy -- cached float, immutable
         self.n_syntheses += 1
         sub_window = Window(
             0,
@@ -283,11 +293,13 @@ class _VariantCosting:
         approx = substitute_windows(
             sub, [sub_window], {0: replacement}, espresso_options=self.options
         )
-        return tech_map(
+        area = tech_map(
             resynthesize(approx, options=self.options),
             self.library,
             match_macros=self.match_macros,
         ).area
+        self._cache[key] = area
+        return area
 
     def window_area(self, sub: Circuit) -> float:
         self.n_syntheses += 1

@@ -11,6 +11,7 @@ from .timing import TimingReport, static_timing
 from .power import PowerReport, estimate_power, signal_probabilities
 from .synthesis import (
     DesignMetrics,
+    OracleMemo,
     area_of,
     cover_to_gates,
     evaluate_design,
@@ -32,6 +33,7 @@ __all__ = [
     "LIB65",
     "Library",
     "MappedNetlist",
+    "OracleMemo",
     "PowerReport",
     "SharedBDD",
     "TimingReport",

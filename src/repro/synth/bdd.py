@@ -17,8 +17,9 @@ order is also tried and the smaller DAG wins.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from ..circuit.builder import CircuitBuilder
 #: Terminal pseudo-ids.
 ZERO = -1
 ONE = -2
+
+#: Mapped area of one MUX2, the cost of one BDD node.
+MUX_AREA = 2.88
 
 
 @dataclass
@@ -52,60 +56,102 @@ class SharedBDD:
         return len(self.nodes)
 
 
-def _build(tables: np.ndarray, order: Sequence[int]) -> SharedBDD:
-    """Construct the shared ROBDD by recursive cofactoring.
+class _Capped(Exception):
+    """A build reached its node cap: the diagram cannot be kept."""
 
-    ``order[level]`` is the input tested at recursion depth ``level`` (the
-    top of the diagram).  The table is permuted once so that the top
-    variable becomes the most significant bit of the row index; every
-    recursion step then simply splits the current column in half.
-    Identical sub-tables merge via a content memo and redundant tests
-    (``lo == hi``) are elided, so the result is fully reduced.
+
+class NodeStore:
+    """The reduced nodes built under one variable order, kept across builds.
+
+    ``memo`` maps a permuted sub-table's bytes to its node; under a fixed
+    order the byte length fixes the level, so content alone is the key.
+    It starts with the constant sub-tables of every level mapped to the
+    terminals, so a miss is always a non-constant sub-table.
+    ``unique`` hash-conses ``(var, lo, hi)`` triples into ids of ``nodes``.
+    ROBDDs are canonical per order, so every build through one store
+    resolves a function to the same node however it was reached.
     """
-    n_rows, m = tables.shape
-    k = n_rows.bit_length() - 1
-    if sorted(order) != list(range(k)):
-        raise SynthesisError("variable order must be a permutation of inputs")
-    # permuted row r has order[level]'s value at bit (k - 1 - level)
-    r_new = np.arange(n_rows)
-    source = np.zeros(n_rows, dtype=np.int64)
-    for level, var in enumerate(order):
-        source |= ((r_new >> (k - 1 - level)) & 1) << var
-    permuted = np.ascontiguousarray(tables[source])
 
-    nodes: List[Tuple[int, int, int]] = []
-    unique: Dict[Tuple[int, int, int], int] = {}
-    memo: Dict[bytes, int] = {}
+    def __init__(self, order: Sequence[int]) -> None:
+        k = len(order)
+        if sorted(order) != list(range(k)):
+            raise SynthesisError("variable order must be a permutation of inputs")
+        self.order = list(order)
+        # permuted row r has order[level]'s value at bit (k - 1 - level)
+        r_new = np.arange(1 << k)
+        self.source = np.zeros(1 << k, dtype=np.int64)
+        for level, var in enumerate(order):
+            self.source |= ((r_new >> (k - 1 - level)) & 1) << var
+        self.nodes: List[Tuple[int, int, int]] = []
+        self.unique: Dict[Tuple[int, int, int], int] = {}
+        self.memo: Dict[bytes, int] = {}
+        for level in range(k + 1):
+            n_rows = 1 << (k - level)
+            self.memo[bytes(n_rows)] = ZERO
+            self.memo[b"\x01" * n_rows] = ONE
 
-    def mk(var: int, lo: int, hi: int) -> int:
+    def node(self, var: int, lo: int, hi: int) -> int:
         if lo == hi:
             return lo
         key = (var, lo, hi)
-        found = unique.get(key)
-        if found is not None:
-            return found
-        nodes.append(key)
-        unique[key] = len(nodes) - 1
-        return len(nodes) - 1
+        found = self.unique.get(key)
+        if found is None:
+            found = self.unique[key] = len(self.nodes)
+            self.nodes.append(key)
+        return found
+
+
+def _build(
+    tables: np.ndarray, store: NodeStore, max_nodes: int
+) -> Optional[SharedBDD]:
+    """One order's shared ROBDD, or None once it reaches ``max_nodes``.
+
+    ``store.order[level]`` is the input tested at recursion depth
+    ``level`` (the top of the diagram).  The table is permuted once so
+    that the top variable becomes the most significant bit of the row
+    index; every recursion step then simply splits the current column in
+    half.  Sub-tables resolve to store nodes; the diagram is the DFS
+    post-order of the nodes reachable from the roots (``lo`` before
+    ``hi``, roots in column order), which is exactly the node list a
+    fresh per-call memo appends, so its size is known node by node and
+    the build can stop at the cap.
+    """
+    if max_nodes <= 0:
+        return None
+    order = store.order
+    columns = np.ascontiguousarray(tables[store.source].T)
+    nodes: List[Tuple[int, int, int]] = []
+    local: Dict[int, int] = {}
+
+    def emit(sid: int) -> None:
+        """Append ``sid`` after its unlisted descendants, ``lo`` first."""
+        var, lo, hi = store.nodes[sid]
+        if lo >= 0 and lo not in local:
+            emit(lo)
+        if hi >= 0 and hi not in local:
+            emit(hi)
+        local[sid] = len(nodes)
+        nodes.append((var, local.get(lo, lo), local.get(hi, hi)))
+        if len(nodes) >= max_nodes:
+            raise _Capped
 
     def rec(level: int, column: np.ndarray) -> int:
-        if not column.any():
-            return ZERO
-        if column.all():
-            return ONE
-        key = column.tobytes() + bytes([level])
-        found = memo.get(key)
-        if found is not None:
-            return found  # contract-ok: cache-copy -- memoized node id (int), immutable
-        half = column.shape[0] // 2
-        lo = rec(level + 1, column[:half])
-        hi = rec(level + 1, column[half:])
-        out = mk(order[level], lo, hi)
-        memo[key] = out
-        return out
+        key = column.tobytes()
+        sid = store.memo.get(key)
+        if sid is None:
+            half = column.shape[0] // 2
+            lo = rec(level + 1, column[:half])
+            hi = rec(level + 1, column[half:])
+            sid = store.memo[key] = store.node(order[level], lo, hi)
+        if sid >= 0 and sid not in local:
+            emit(sid)
+        return sid  # contract-ok: cache-copy -- node id (int), immutable
 
-    roots = [rec(0, np.ascontiguousarray(permuted[:, j])) for j in range(m)]
-    return SharedBDD(nodes, roots, list(order))
+    try:
+        roots = [rec(0, column) for column in columns]
+    except _Capped:
+        return None
+    return SharedBDD(nodes, [local.get(r, r) for r in roots], list(order))
 
 
 def _candidate_orders(k: int) -> List[List[int]]:
@@ -131,12 +177,27 @@ def _candidate_orders(k: int) -> List[List[int]]:
     return orders
 
 
-def build_shared_bdd(tables: np.ndarray, try_orders: bool = True) -> SharedBDD:
+def build_shared_bdd(
+    tables: np.ndarray,
+    try_orders: bool = True,
+    stores: Optional[Dict[Tuple[int, ...], NodeStore]] = None,
+    max_nodes: Optional[int] = None,
+) -> Optional[SharedBDD]:
     """Shared ROBDD over the columns of a ``(2**k, m)`` truth table.
 
     A small set of candidate variable orders is tried (see
-    :func:`_candidate_orders`) and the smallest diagram wins; with
-    ``try_orders`` False only the descending natural order is built.
+    :func:`_candidate_orders`) and the first with the strictly smallest
+    node count wins; with ``try_orders`` False only the descending natural
+    order is built.  An order stops building as soon as it reaches the
+    best count so far, since it can no longer win.
+
+    Args:
+        stores: Caller-owned :class:`NodeStore` per order; sharing them
+            across calls builds the same diagrams while resolving each
+            sub-function once.  Without them, throwaway stores are used.
+        max_nodes: Only diagrams with fewer nodes are wanted: an order
+            stops at that count, and None is returned when every order
+            does.
     """
     tables = np.atleast_2d(np.asarray(tables, dtype=bool))
     if tables.shape[0] == 1:
@@ -146,11 +207,16 @@ def build_shared_bdd(tables: np.ndarray, try_orders: bool = True) -> SharedBDD:
         raise SynthesisError(f"table length {n_rows} is not a power of two")
     k = n_rows.bit_length() - 1
     orders = _candidate_orders(k) if try_orders else [list(range(k - 1, -1, -1))]
-    best: SharedBDD = None
+    stores = {} if stores is None else stores
+    limit = sys.maxsize if max_nodes is None else max_nodes
+    best: Optional[SharedBDD] = None
     for order in orders:
-        built = _build(tables, order)
-        if best is None or built.n_internal < best.n_internal:
-            best = built
+        store = stores.get(tuple(order))
+        if store is None:
+            store = stores[tuple(order)] = NodeStore(order)
+        built = _build(tables, store, limit)
+        if built is not None:
+            best, limit = built, built.n_internal
     return best
 
 
@@ -167,12 +233,12 @@ def bdd_to_gates(
         ZERO: builder.const(False),
         ONE: builder.const(True),
     }
-    # nodes were appended post-order (children before parents) by _build
+    # nodes are in post-order (children before parents), see _build
     for nid, (var, lo, hi) in enumerate(bdd.nodes):
         sig[nid] = builder.mux(inputs[var], sig[lo], sig[hi])
     return [sig[r] for r in bdd.roots]
 
 
-def bdd_cost(bdd: SharedBDD, mux_area: float = 2.88) -> float:
+def bdd_cost(bdd: SharedBDD, mux_area: float = MUX_AREA) -> float:
     """Area upper bound: every internal node one MUX2 (folding only helps)."""
     return mux_area * bdd.n_internal

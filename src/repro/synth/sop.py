@@ -167,3 +167,25 @@ def on_off_dc_split(
     off = idx[~table & ~dc_mask]
     dcs = idx[dc_mask]
     return on, off, dcs
+
+
+def cover_literal_bound(table: np.ndarray) -> int:
+    """Lower bound on the literal count of any cover of ``table``'s ON-set.
+
+    Let ``deg(x)`` be the number of ON minterms at Hamming distance 1 from
+    ON minterm ``x``.  A cube of dimension ``d`` inside the ON-set that
+    contains ``x`` has ``d <= deg(x)``; it has ``k - d`` literals over
+    ``2**d`` minterms.  Charging each minterm its share, which shrinks as
+    ``d`` grows, gives ``L >= sum_x (k - deg x) * 2**(k - deg x) / 2**k``.
+    No don't-cares: every cube of the cover lies inside the ON-set.
+    """
+    table = np.asarray(table, dtype=bool)
+    n = table.shape[0]
+    k = n.bit_length() - 1
+    deg = np.zeros(n, dtype=np.int64)
+    for i in range(k):
+        # row r's neighbour across input i, as the bit-i-swapped view
+        deg += table.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(-1)
+    t = k - deg[table]
+    total = int((t << t).sum())
+    return -(-total >> k)  # ceil(total / 2**k)

@@ -18,12 +18,12 @@ from ..circuit.builder import CircuitBuilder
 from ..circuit.gate import Op
 from ..circuit.netlist import Circuit
 from .anf import anf_cost, anf_terms, anf_to_gates, sop_cost
-from .bdd import bdd_cost, bdd_to_gates, build_shared_bdd
+from .bdd import MUX_AREA, NodeStore, bdd_cost, bdd_to_gates, build_shared_bdd
 from .espresso import EspressoOptions, espresso
 from .library import DEFAULT_CLOCK_MHZ, LIB65, Library
 from .power import estimate_power
 from .quine import quine_mccluskey
-from .sop import Cover
+from .sop import Cover, cover_literal_bound
 from .techmap import tech_map
 from .timing import static_timing
 
@@ -112,15 +112,58 @@ def synthesize_output(
 FlatPlan = Tuple[str, tuple, float]
 
 
-def _flat_plan(column: np.ndarray, options: EspressoOptions) -> FlatPlan:
+class OracleMemo:
+    """Per-task memo of :func:`synthesize_outputs_shared`.
+
+    Every entry is a pure function of its key, so one memo shared across
+    calls builds the same netlists as a fresh memo per call, while each
+    distinct column and sub-function is worked out once (DESIGN.md "The
+    per-task oracle memo and its bounds").
+
+    Attributes:
+        plans: ``(options, column bytes)`` to the column's :data:`FlatPlan`.
+        bounds: Column bytes to ``(ANF monomials, ANF cost, SOP floor)``,
+            the floor being a lower bound on the espresso SOP cost.
+        bdd_stores: Variable order to the :class:`NodeStore` of every BDD
+            node built under it.
+    """
+
+    def __init__(self) -> None:
+        self.plans: Dict[Tuple[EspressoOptions, bytes], FlatPlan] = {}
+        self.bounds: Dict[bytes, Tuple[tuple, float, float]] = {}
+        self.bdd_stores: Dict[Tuple[int, ...], NodeStore] = {}
+
+    def column_bounds(
+        self, key: bytes, column: np.ndarray
+    ) -> Tuple[tuple, float, float]:
+        found = self.bounds.get(key)
+        if found is None:
+            terms = tuple(anf_terms(column))
+            floor = max(cover_literal_bound(column) - 1, 0) * _AND2_AREA
+            found = self.bounds[key] = (terms, anf_cost(terms) * _AND2_AREA, floor)
+        return found
+
+
+def _flat_plan(
+    column: np.ndarray, options: EspressoOptions, terms: tuple, cost_a: float
+) -> FlatPlan:
     """Espresso SOP vs. ANF for one output column, whichever costs less."""
     cover = espresso(column, options=options)
-    terms = anf_terms(column)
     cost_s = sop_cost(cover.n_literals, len(cover)) * _AND2_AREA
-    cost_a = anf_cost(terms) * _AND2_AREA
     if cost_a < cost_s:
-        return ("anf", tuple(terms), cost_a)
+        return ("anf", terms, cost_a)
     return ("sop", tuple(cover.cubes), cost_s)
+
+
+def _node_cap(area: float) -> int:
+    """Fewest BDD nodes whose mux cost reaches ``area``: a diagram that
+    large cannot win a strict ``bdd_cost < area`` comparison."""
+    n = max(int(area / MUX_AREA), 0)
+    while MUX_AREA * n < area:
+        n += 1
+    while n and MUX_AREA * (n - 1) >= area:
+        n -= 1
+    return n
 
 
 def synthesize_outputs_shared(
@@ -128,49 +171,68 @@ def synthesize_outputs_shared(
     tables: np.ndarray,
     inputs: Sequence[int],
     options: EspressoOptions = EspressoOptions(),
-    plans: Optional[Dict[Tuple[EspressoOptions, bytes], FlatPlan]] = None,
+    memo: Optional[OracleMemo] = None,
 ) -> List[int]:
     """Multi-output synthesis with structure sharing.
 
     Compares, by mapped-cost estimate, (a) the best flat form per output
     (espresso SOP vs. ANF) against (b) one shared multi-rooted ROBDD
-    emitted as a mux network, and builds the cheaper.  The shared BDD is
-    what recovers cross-output structure such as a common carry chain.
+    emitted as a mux network, and builds the cheaper (the BDD on a strict
+    ``bdd_cost < flat_total``).  The shared BDD is what recovers
+    cross-output structure such as a common carry chain.
+
+    Only work that can change the winner is done.  Summed in column
+    order, ``lower`` (exact cost of a memoized plan, else the smaller of
+    the ANF cost and the SOP floor) and ``upper`` (exact cost, else the
+    ANF cost) bracket ``flat_total``: a BDD cheaper than ``lower`` wins
+    without running espresso, and a BDD build stops once its cost reaches
+    ``upper``.
 
     Args:
-        plans: Optional caller-owned memo of per-column flat plans, keyed
-            by (options, column bytes).  A plan is a pure function of that
-            key, so sharing one dict across calls builds the same netlist
-            while minimizing each distinct column once.
+        memo: Optional caller-owned :class:`OracleMemo`; without one a
+            throwaway memo is used.
 
     Returns one signal per output column.
     """
+    memo = OracleMemo() if memo is None else memo
     tables = np.atleast_2d(np.asarray(tables, dtype=bool))
     if tables.shape[0] == 1:
         tables = tables.T
     k = tables.shape[0].bit_length() - 1
-    m = tables.shape[1]
+    columns = [tables[:, j] for j in range(tables.shape[1])]
+    raws = [column.tobytes() for column in columns]
+    plans = [memo.plans.get((options, raw)) for raw in raws]
 
-    flat_plans = []
-    flat_total = 0.0
-    for j in range(m):
-        column = tables[:, j]
-        if plans is None:
-            plan = _flat_plan(column, options)
+    lower = upper = 0.0
+    for column, raw, plan in zip(columns, raws, plans):
+        if plan is not None:
+            lower += plan[2]
+            upper += plan[2]
         else:
-            key = (options, column.tobytes())
-            plan = plans.get(key)
-            if plan is None:
-                plan = plans[key] = _flat_plan(column, options)
-        flat_plans.append(plan)
-        flat_total += plan[2]
+            _, cost_a, floor_s = memo.column_bounds(raw, column)
+            lower += min(cost_a, floor_s)
+            upper += cost_a
 
-    bdd = build_shared_bdd(tables)
-    if bdd_cost(bdd) < flat_total:
+    bdd = build_shared_bdd(
+        tables, stores=memo.bdd_stores, max_nodes=_node_cap(upper)
+    )
+    if bdd is not None and bdd_cost(bdd) < lower:
+        return bdd_to_gates(builder, bdd, list(inputs))
+
+    flat_total = 0.0
+    for j, (column, raw) in enumerate(zip(columns, raws)):
+        plan = memo.plans.get((options, raw))  # repeats are planned once
+        if plan is None:
+            terms, cost_a, _ = memo.column_bounds(raw, column)
+            plan = _flat_plan(column, options, terms, cost_a)
+            memo.plans[(options, raw)] = plan
+        plans[j] = plan
+        flat_total += plan[2]
+    if bdd is not None and bdd_cost(bdd) < flat_total:
         return bdd_to_gates(builder, bdd, list(inputs))
 
     outs = []
-    for kind, payload, _cost in flat_plans:
+    for kind, payload, _cost in plans:
         if kind == "anf":
             outs.append(anf_to_gates(builder, payload, list(inputs)))
         else:

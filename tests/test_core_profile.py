@@ -24,7 +24,7 @@ from repro.partition import (
     decompose,
 )
 from repro.runtime.cache import canonical_circuit_bytes
-from repro.synth import synthesize_outputs_shared
+from repro.synth import OracleMemo, synthesize_outputs_shared
 
 
 @pytest.fixture(scope="module")
@@ -172,9 +172,9 @@ class TestOutputSignificance:
 
 
 class TestPlanMemo:
-    """The per-task SOP/ANF plan memo of the area oracle."""
+    """The per-task oracle memo of the area oracle."""
 
-    def test_one_espresso_call_per_distinct_column(self, monkeypatch):
+    def test_at_most_one_espresso_call_per_distinct_column(self, monkeypatch):
         import repro.core.profile as profile_mod
         import repro.synth.synthesis as synthesis_mod
 
@@ -188,18 +188,27 @@ class TestPlanMemo:
             w.subcircuit(circuit),
             ProfileParams(),
         )
-        minimized, columns, n_columns = [0], set(), [0]
+        minimized, columns, reached, n_columns = [], set(), set(), [0]
+        memos = set()
         espresso = synthesis_mod.espresso
         shared = profile_mod.synthesize_outputs_shared
 
-        def counting_espresso(*args, **kwargs):
-            minimized[0] += 1
-            return espresso(*args, **kwargs)
+        def counting_espresso(table, *args, **kwargs):
+            minimized.append(np.asarray(table).tobytes())
+            return espresso(table, *args, **kwargs)
 
         def recording_shared(builder, tables, *args, **kwargs):
-            columns.update(tables[:, j].tobytes() for j in range(tables.shape[1]))
+            mine = {tables[:, j].tobytes() for j in range(tables.shape[1])}
+            columns.update(mine)
             n_columns[0] += tables.shape[1]
-            return shared(builder, tables, *args, **kwargs)
+            out = shared(builder, tables, *args, **kwargs)
+            memo = kwargs["memo"]
+            memos.add(id(memo))
+            # A call that reached the flat comparison leaves every column
+            # planned; one the BDD won on the lower bound may leave none.
+            if mine <= {column for _, column in memo.plans}:
+                reached.update(mine)
+            return out
 
         monkeypatch.setattr(synthesis_mod, "espresso", counting_espresso)
         monkeypatch.setattr(
@@ -207,7 +216,11 @@ class TestPlanMemo:
         )
         result = profile_window_task(task)
         assert result.n_syntheses > 0
-        assert minimized[0] == len(columns)
+        assert len(memos) == 1  # one memo serves the whole task
+        assert len(minimized) == len(set(minimized))
+        assert set(minimized) == reached <= columns
+        # The lower bound lets the BDD win without a cover.
+        assert len(minimized) < len(columns)
         # Degrees and weight rails share basis columns: the memo pays.
         assert len(columns) < n_columns[0]
 
@@ -224,13 +237,13 @@ class TestPlanMemo:
         # The second table reuses two of the first's columns, so it is
         # built partly from memo hits.
         second = np.column_stack([first[:, 1], x[1] & ~x[3], first[:, 3]])
-        plans = {}
+        shared_memo = OracleMemo()
         for tables in (first, second):
             netlists = []
-            for memo in (None, plans):
+            for memo in (None, shared_memo):
                 builder = CircuitBuilder("t")
                 ins = [builder.input(f"x{i}") for i in range(k)]
-                outs = synthesize_outputs_shared(builder, tables, ins, plans=memo)
+                outs = synthesize_outputs_shared(builder, tables, ins, memo=memo)
                 for j, sig in enumerate(outs):
                     builder.output(f"y{j}", sig)
                 netlists.append(canonical_circuit_bytes(builder.build()))
@@ -238,7 +251,10 @@ class TestPlanMemo:
         distinct = {
             t[:, j].tobytes() for t in (first, second) for j in range(t.shape[1])
         }
-        assert len(plans) == len(distinct)
+        plans = shared_memo.plans
+        # Only calls that reached the flat comparison planned columns; at
+        # k = 6 one call's BDD beat the lower bound, skipping espresso.
+        assert len(plans) == len(distinct) - (k == 6)
         assert {kind for kind, _, _ in plans.values()} == {"sop", "anf"}
         # Plans are immutable values: nothing the builder does can alias
         # a memo entry into a later call.
