@@ -34,6 +34,10 @@ at the repository root so the perf trajectory accumulates across PRs:
   actually exposes ≥ 4 usable cores (single-core CI boxes record honest
   rows instead of failing on physics).
 
+The streaming and scaling legs inject no faults, so both assert zero
+shard retries, shard fallbacks and pool rebuilds (``--smoke`` included):
+a recovery event there means a bug the retry path hid.
+
 Runs standalone (no pytest plugins needed)::
 
     PYTHONPATH=src python benchmarks/bench_explore.py                    # full
@@ -271,6 +275,17 @@ def _trajectory_key(result):
     ]
 
 
+def _assert_fault_free(stats, leg: str) -> None:
+    """A bench injects no faults, so any recovery event is a bug that the
+    retry/fallback path would otherwise hide."""
+    events = {
+        "shard retries": stats.n_shard_retries,
+        "shard fallbacks": stats.n_shard_fallbacks,
+        "pool rebuilds": stats.n_pool_rebuilds,
+    }
+    assert not any(events.values()), f"{leg}: resilience events {events}"
+
+
 def _run_streaming_once(
     circuit, windows, profiles, n_samples, chunk_words, max_iterations,
     shard_jobs=1, cache_chunks=0,
@@ -312,6 +327,7 @@ def _streaming(
         shard_jobs=shard_jobs, cache_chunks=cache_chunks,
     )
     stats = chunked.runtime_stats
+    _assert_fault_free(stats, "streaming")
     budget_bytes = (2 + cache_chunks) * 8 * circuit.n_nodes * chunk_words
     resident_bytes = 8 * circuit.n_nodes * (
         (n_samples + 63) // 64
@@ -374,6 +390,7 @@ def _scaling(circuit, windows, profiles, n_samples, chunk_words, jobs_list):
             cache_chunks=SCALING_CACHE_CHUNKS,
         )
         stats = result.runtime_stats
+        _assert_fault_free(stats, f"scaling at {jobs} workers")
         key = _trajectory_key(result)
         if serial_wall is None:
             serial_wall, serial_key = wall_s, key

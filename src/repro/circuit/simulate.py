@@ -134,6 +134,65 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return bits[..., :n]
 
 
+#: Widest row set :func:`decode_rows` interprets (int64 holds 63 value bits).
+MAX_DECODE_BITS = 63
+
+
+def decode_rows(words: np.ndarray, n: int, signed: bool = False) -> np.ndarray:
+    """Packed rows in, one integer per sample out.
+
+    ``words`` is a ``(k, W)`` packed matrix; row ``i`` supplies bit ``i``
+    of sample ``s``'s integer, and with ``signed`` the last row carries
+    the two's-complement weight ``-2**(k-1)``.  The rows are unpacked in
+    one call and combined by Horner shift-add in the narrowest signed
+    integer type with room for ``k`` bits (int16 / int32 / int64), so the
+    arithmetic is exact and a narrow table index moves little memory;
+    callers that subtract decoded values widen them first.  Chunk-sliced
+    calls reproduce a slice of the full-width call.  This is the one
+    bit-plane decode: QoR word integers and window-table row indices both
+    come from it.  Samples past ``n`` are not decoded; a full-word ``n``
+    past the pattern count decodes tail garbage, which table callers mask
+    after the lookup.
+
+    Raises:
+        SimulationError: for more than :data:`MAX_DECODE_BITS` rows.
+    """
+    k = words.shape[0]
+    if k > MAX_DECODE_BITS:
+        raise SimulationError(
+            f"cannot decode {k} bit rows into int64 "
+            f"(at most {MAX_DECODE_BITS})"
+        )
+    dtype = np.int16 if k < 16 else np.int32 if k < 32 else np.int64
+    if k == 0:
+        return np.zeros(n, dtype=dtype)
+    bits = unpack_bits(words, n)
+    acc = bits[k - 1].astype(dtype)
+    if signed:
+        np.negative(acc, out=acc)
+    for i in range(k - 2, -1, -1):
+        np.add(acc, acc, out=acc)
+        np.add(acc, bits[i], out=acc)
+    return acc
+
+
+def lookup_packed(table_t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Packed outputs of a transposed truth table at per-sample rows.
+
+    ``table_t`` is the ``(m, 2**k)`` uint8 transpose of a ``(2**k, m)``
+    table; ``idx`` holds one row index per sample (from
+    :func:`decode_rows`).  Returns ``(m, words_for(len(idx)))`` packed
+    words.  Tails are not masked: callers whose index covers samples past
+    the pattern count mask them (see DESIGN.md's tail-bit invariant).
+    """
+    return pack_bits(np.take(table_t, idx, axis=1))
+
+
+def table_transpose(table: np.ndarray) -> np.ndarray:
+    """The ``(m, 2**k)`` uint8 layout :func:`lookup_packed` reads."""
+    return np.ascontiguousarray(np.asarray(table).T, dtype=np.uint8)
+
+
 def tail_mask(n: int) -> np.uint64:
     """Mask selecting the valid bits of the final word for ``n`` patterns."""
     rem = n % WORD_BITS
@@ -279,14 +338,9 @@ def _lut_eval(
     fanin tails hit ``table[0]``, which may be 1), so when the pattern
     count is known the output tail is masked back to zero.
     """
-    k = len(fanin_words)
-    w = fanin_words[0].shape[0]
-    n = w * WORD_BITS
-    idx = np.zeros(n, dtype=np.uint32)
-    for i, fw in enumerate(fanin_words):
-        idx |= unpack_bits(fw, n).astype(np.uint32) << np.uint32(i)
-    out_bits = np.asarray(table, dtype=np.uint8)[idx]
-    out = pack_bits(out_bits)
+    rows = np.stack(fanin_words)
+    idx = decode_rows(rows, rows.shape[1] * WORD_BITS)
+    out = lookup_packed(table_transpose(np.asarray(table)[:, None]), idx)[0]
     if n_valid is not None:
         mask_tail_words(out, n_valid)
     return out

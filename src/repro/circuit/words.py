@@ -14,6 +14,9 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..errors import SimulationError
+from .simulate import MAX_DECODE_BITS
+
 
 @dataclass(frozen=True)
 class WordSpec:
@@ -35,6 +38,20 @@ class WordSpec:
     def width(self) -> int:
         return len(self.indices)
 
+    def check_width(self) -> None:
+        """Raise unless the word's integers fit int64.
+
+        Raises:
+            SimulationError: for a word wider than
+                :data:`~repro.circuit.simulate.MAX_DECODE_BITS` bits, whose
+                high bits would otherwise shift out silently.
+        """
+        if self.width > MAX_DECODE_BITS:
+            raise SimulationError(
+                f"word {self.name!r} is {self.width} bits wide; integer "
+                f"interpretation supports at most {MAX_DECODE_BITS} bits"
+            )
+
     def to_ints(self, bit_rows: np.ndarray) -> np.ndarray:
         """Interpret ``bit_rows[:, self.indices]`` as integers.
 
@@ -43,7 +60,11 @@ class WordSpec:
 
         Returns:
             int64 vector of length ``n``.
+
+        Raises:
+            SimulationError: for a word wider than 63 bits.
         """
+        self.check_width()
         bits = np.asarray(bit_rows, dtype=np.int64)[:, list(self.indices)]
         weights = np.int64(1) << np.arange(self.width, dtype=np.int64)
         vals = bits @ weights

@@ -12,8 +12,7 @@ array ops:
   the quotient plan (:meth:`~repro.partition.plan.QuotientGraph.cone`) is
   extracted once per decomposition; a sweep touches only the cone's units
   instead of all of them.  The window's packed input-index vector is cached
-  and invalidated on commit instead of being rebuilt via ``unpack_bits``
-  per preview.
+  and invalidated on commit instead of being re-decoded per preview.
 * **Structure-of-arrays gate programs** — cone gates grouped by
   (level, op, arity) with fanin index matrices, executed as gathered-row
   bitwise ufunc reductions over a local packed value matrix.  Windows not
@@ -27,9 +26,13 @@ array ops:
   compiler serves whole-circuit simulation (:func:`simulate_full_compiled`
   behind :func:`repro.circuit.simulate.simulate_full`).
 * **Stacked candidate gather** — all candidate tables of one window are
-  pushed through the shared input index in a single ``(n_cand, m, n)``
-  fancy-index plus one ``pack_bits`` call, and dirty tracking happens in
-  one bulk valid-bit compare per sweep instead of per node.
+  pushed through the shared input index in a single transposed-table
+  lookup (:func:`~repro.circuit.simulate.lookup_packed`), and dirty
+  tracking happens in one bulk valid-bit compare per sweep instead of per
+  node.  Every table lookup in the engines — seeds, commits, committed
+  windows inside sweeps — decodes its index with
+  :func:`~repro.circuit.simulate.decode_rows` and gathers with
+  ``lookup_packed``; committed tables are transposed once, at commit.
 
 Determinism contract (see DESIGN.md "Exploration engine"): on every
 **valid bit** the engine is byte-identical to the interpreted reference —
@@ -59,9 +62,10 @@ from ..circuit.simulate import (
     _FULL_WORD,
     WORD_BITS,
     _lut_eval,
+    decode_rows,
+    lookup_packed,
     mask_tail_words,
-    pack_bits,
-    unpack_bits,
+    table_transpose,
 )
 from ..analysis.sanitize import assert_tail_clean, freeze
 from ..errors import SimulationError
@@ -128,36 +132,20 @@ def execute_batch(
     return ~acc if invert else acc
 
 
-def input_index_from_rows(in_words: np.ndarray, n_patterns: int) -> np.ndarray:
-    """Per-pattern table-row indices from packed input rows.
-
-    ``in_words`` is a ``(k, W)`` packed matrix (input ``i`` supplies bit
-    ``i`` of the index).  Patterns beyond the valid count produce garbage
-    indices; callers mask the gathered outputs (see
-    :func:`gather_window_outputs`).
-    """
-    idx = np.zeros(n_patterns, dtype=np.uint32)
-    for bit in range(in_words.shape[0]):
-        idx |= unpack_bits(in_words[bit], n_patterns).astype(
-            np.uint32
-        ) << np.uint32(bit)
-    return idx
-
-
 def gather_window_outputs(
-    table: np.ndarray, in_words: np.ndarray, n_valid: int
+    table_t: np.ndarray, in_words: np.ndarray, n_valid: int
 ) -> np.ndarray:
     """Evaluate a window table on packed inputs; ``(m, W)`` packed outputs.
 
-    The single table-gather primitive shared by the resident cone sweeps,
-    the streaming engine's chunk passes and commits.  Output tails beyond
-    ``n_valid`` are masked to zero (tail-bit invariant: garbage indices in
-    the tail would otherwise read arbitrary table rows).
+    ``table_t`` is the window's transposed table
+    (:func:`~repro.circuit.simulate.table_transpose`).  The table-gather
+    step of the resident cone sweeps and the streaming engine's chunk
+    base passes.  Output tails beyond ``n_valid`` are masked to zero
+    (tail-bit invariant: garbage indices in the tail would otherwise
+    read arbitrary table rows).
     """
-    n_pat = in_words.shape[1] * WORD_BITS
-    idx = input_index_from_rows(in_words, n_pat)
-    packed = pack_bits(np.ascontiguousarray(table[idx, :].T).astype(np.uint8))
-    return mask_tail_words(packed, n_valid)
+    idx = decode_rows(in_words, in_words.shape[1] * WORD_BITS)
+    return mask_tail_words(lookup_packed(table_t, idx), n_valid)
 
 
 def stacked_seed_gather(
@@ -165,12 +153,13 @@ def stacked_seed_gather(
 ) -> np.ndarray:
     """All candidate tables through one shared input index at once.
 
-    One ``(n_cand, m, n)`` fancy-index plus a single ``pack_bits`` —
-    returns packed seeds of shape ``(n_cand, m, W)``, tails masked.
+    The transposed tables stack into one ``(n_cand · m, 2^k)`` lookup,
+    so a single :func:`~repro.circuit.simulate.lookup_packed` returns
+    packed seeds of shape ``(n_cand, m, W)``, tails masked.
     """
-    stacked = np.stack([t.astype(np.uint8) for t in tables])
-    gathered = stacked[:, idx, :]
-    seeds = pack_bits(np.ascontiguousarray(gathered.transpose(0, 2, 1)))
+    stacked_t = np.concatenate([table_transpose(t) for t in tables])
+    seeds = lookup_packed(stacked_t, idx)
+    seeds = seeds.reshape(len(tables), -1, seeds.shape[-1])
     mask_tail_words(seeds, n_valid)
     return seeds
 
@@ -424,6 +413,9 @@ class CompiledEvaluator(IncrementalEvaluator):
         self._cones: Dict[int, ConeSchedule] = {}
         self._idx_cache: Dict[int, np.ndarray] = {}
         self._seed_cache: Dict[int, Tuple] = {}
+        # window -> (committed table, its transpose): the lookup layout,
+        # built once per committed table object.
+        self._table_t_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._touch_cache: Dict[int, frozenset] = {}
         self._iter_sched: Optional[IterationSchedule] = None
         # Memoized preview results: window -> (tables, touch_ids, entries).
@@ -564,7 +556,7 @@ class CompiledEvaluator(IncrementalEvaluator):
         return x.any(axis=1)
 
     def _apply_window_table(
-        self, instr: WindowInstr, table: np.ndarray, local: np.ndarray
+        self, instr: WindowInstr, local: np.ndarray
     ) -> None:
         if not self._rows_neq(
             local[instr.in_slots], self._values[instr.in_ids]
@@ -574,7 +566,7 @@ class CompiledEvaluator(IncrementalEvaluator):
             local[instr.out_slots] = self._values[instr.out_ids]
             return
         local[instr.out_slots] = gather_window_outputs(
-            table, local[instr.in_slots], self.n
+            self._table_t(instr.index), local[instr.in_slots], self.n
         )
 
     def _run_cone(
@@ -600,15 +592,31 @@ class CompiledEvaluator(IncrementalEvaluator):
         local[cone.root_out_slots] = seed
         for instr in cone.instructions:
             if isinstance(instr, WindowInstr):
-                self._apply_window_table(
-                    instr, self._committed[instr.index], local
-                )
+                self._apply_window_table(instr, local)
             else:
                 local[instr.out] = execute_batch(instr, local, self.n)
         neq = self._rows_neq(
             local[cone.recorded_slots], self._values[cone.recorded_ids]
         )
         return local, neq
+
+    def _table_t(self, index: int) -> np.ndarray:
+        """Transposed lookup layout of window ``index``'s committed table.
+
+        Keyed on the committed array's identity, so a recommit — or a
+        shard worker adopting a parent's committed map — rebuilds it,
+        and every other lookup reuses the transpose made at commit.
+        """
+        table = self._committed[index]
+        cached = self._table_t_cache.get(index)
+        if cached is None or cached[0] is not table:
+            table_t = table_transpose(table)
+            if self._sanitize:
+                freeze(table_t)
+            cached = (table, table_t)
+            self._table_t_cache[index] = cached
+        # Read-only lookup operand, frozen under sanitize.
+        return cached[1]  # contract-ok: cache-copy -- read-only lookup table, frozen under sanitize
 
     # -- shared input index (commit-invalidated cache) ------------------
     def _window_input_index(self, index: int) -> np.ndarray:
@@ -673,7 +681,7 @@ class CompiledEvaluator(IncrementalEvaluator):
         self, index: int, checked: Sequence[np.ndarray]
     ) -> np.ndarray:
         """All candidate tables through the shared input index in one
-        ``(n_cand, m, n)`` fancy-index plus a single ``pack_bits``.
+        stacked lookup (:func:`stacked_seed_gather`).
 
         Seeds are cached per window: they only change when the window's
         input index is invalidated (an upstream commit) or the candidate
@@ -900,19 +908,13 @@ class CompiledEvaluator(IncrementalEvaluator):
                     (m, n_blocks, w_words),
                 ).reshape(m, n_blocks * w_words)
                 if dirty_blocks.size:
-                    table = self._committed[instr.index]
                     cols = (
                         dirty_blocks[:, None] * w_words + word_span
                     ).ravel()
                     sub = stacked[np.ix_(instr.in_slots, cols)]
-                    n_pat = dirty_blocks.size * w_words * WORD_BITS
-                    idx = np.zeros(n_pat, dtype=np.uint32)
-                    for bit in range(len(instr.in_slots)):
-                        idx |= unpack_bits(sub[bit], n_pat).astype(
-                            np.uint32
-                        ) << np.uint32(bit)
-                    stacked[np.ix_(instr.out_slots, cols)] = pack_bits(
-                        np.ascontiguousarray(table[idx, :].T).astype(np.uint8)
+                    idx = decode_rows(sub, cols.size * WORD_BITS)
+                    stacked[np.ix_(instr.out_slots, cols)] = lookup_packed(
+                        self._table_t(instr.index), idx
                     )
             else:
                 stacked[instr.out] = execute_batch(instr, stacked, None)
@@ -943,8 +945,10 @@ class CompiledEvaluator(IncrementalEvaluator):
     def commit(self, index: int, table: np.ndarray) -> None:
         w = self._window_by_index[index]
         table = self._check_table(w, table)
-        idx = self._window_input_index(index)
-        seed = pack_bits(np.ascontiguousarray(table[idx, :].T).astype(np.uint8))
+        table_t = table_transpose(table)
+        if self._sanitize:
+            freeze(table_t)
+        seed = lookup_packed(table_t, self._window_input_index(index))
         mask_tail_words(seed, self.n)
         if self._sanitize:
             assert_tail_clean(seed, self.n, "commit seed")
@@ -952,6 +956,7 @@ class CompiledEvaluator(IncrementalEvaluator):
         swept = self._run_cone(cone, seed)
         first_commit = index not in self._committed
         self._committed[index] = table
+        self._table_t_cache[index] = (table, table_t)
         changed = set()
         if swept is not None:
             local, neq = swept

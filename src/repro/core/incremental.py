@@ -41,11 +41,12 @@ from ..circuit.netlist import Circuit
 from ..circuit.simulate import (
     WORD_BITS,
     _eval_node,
+    decode_rows,
+    lookup_packed,
     mask_tail_words,
-    pack_bits,
     simulate_full,
+    table_transpose,
     tail_mask,
-    unpack_bits,
 )
 from ..partition.plan import quotient_graph
 from ..partition.windows import Window
@@ -154,24 +155,20 @@ class IncrementalEvaluator:
         self, w: Window, overlay: Dict[int, np.ndarray]
     ) -> np.ndarray:
         """Per-pattern table row index from the window's packed inputs."""
-        idx = np.zeros(self._n_words * WORD_BITS, dtype=np.uint32)
-        for bit, nid in enumerate(w.inputs):
-            vals = overlay.get(nid, self._values[nid])
-            idx |= unpack_bits(vals, self._n_words * WORD_BITS).astype(
-                np.uint32
-            ) << np.uint32(bit)
-        return idx
+        rows = np.array(
+            [overlay.get(nid, self._values[nid]) for nid in w.inputs],
+            dtype=np.uint64,
+        ).reshape(len(w.inputs), self._n_words)
+        return decode_rows(rows, self._n_words * WORD_BITS)
 
     def _gather_outputs(
         self, w: Window, table: np.ndarray, idx: np.ndarray
     ) -> Dict[int, np.ndarray]:
         """{output node id: packed, tail-masked values} via ``table[idx]``."""
-        return {
-            nid: mask_tail_words(
-                pack_bits(table[idx, pos].astype(np.uint8)), self.n
-            )
-            for pos, nid in enumerate(w.outputs)
-        }
+        packed = mask_tail_words(
+            lookup_packed(table_transpose(table), idx), self.n
+        )
+        return {nid: packed[pos] for pos, nid in enumerate(w.outputs)}
 
     def _lut_outputs(
         self, w: Window, table: np.ndarray, overlay: Dict[int, np.ndarray]

@@ -21,11 +21,20 @@ of the pattern axis reproduces the identical partials vector and
 therefore the identical float: full evaluation
 (:meth:`QoREvaluator.evaluate` / :meth:`QoREvaluator.metrics`), the
 incremental delta path (:meth:`QoREvaluator.evaluate_delta`) and the
-streaming chunk accumulation (:meth:`QoREvaluator.word_partials` +
+streaming chunk accumulation (:meth:`QoREvaluator.ints_partials` +
 :meth:`QoREvaluator.evaluate_spliced`) all route through the same
 per-word-partials helper and the same combination loop, so the paths
 cannot drift.  Hamming errors are integer mismatch popcounts
 (order-independent, exact under any chunking).
+
+Word integers come from one bit-plane decode
+(:func:`repro.circuit.simulate.decode_rows`), and the delta paths never
+decode a whole word again: :meth:`QoREvaluator.patched_word_ints` adds
+``weight_r · (new_r − old_r)`` for the candidate's dirty rows only to the
+committed integers (``weight_r = ±2**i``).  That sum is exact int64
+arithmetic, so the patched integers equal a full decode and every float
+downstream stays byte-identical.  Words wider than 63 bits are rejected
+at construction instead of wrapping silently.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from ..errors import SimulationError
 from ..circuit.netlist import Circuit
 from ..circuit.simulate import (
     bit_count,
+    decode_rows,
     mask_tail_words,
     tail_mask,
     unpack_bits,
@@ -87,12 +97,19 @@ class QoREvaluator:
     few per-word vector ops — or, on the delta path, only the vector ops
     of the words a candidate actually dirtied:
 
-    * :meth:`rebase` caches the per-word error sums of the current
-      committed outputs;
+    * :meth:`rebase` caches the committed packed rows, word integers
+      and per-word error sums of the current committed outputs;
     * :meth:`evaluate_delta` recomputes sums only for the words whose
-      output rows a candidate changed and combines them with the cached
-      sums in the canonical order, yielding the exact same float as
+      output rows a candidate changed — patching the committed integers
+      with just those rows — and combines them with the cached sums in
+      the canonical order, yielding the exact same float as
       :meth:`evaluate` on the full output matrix.
+
+    Raises:
+        SimulationError: when an output word is wider than 63 bits (its
+            integers would not fit int64) — including the single fallback
+            word of a circuit with 64 or more outputs and no word
+            metadata.
     """
 
     def __init__(
@@ -107,6 +124,8 @@ class QoREvaluator:
         self.n = n_samples
         self._sanitize = sanitize_enabled(sanitize)
         self.words = circuit_words(circuit)
+        for w in self.words:
+            w.check_width()
         exact = np.atleast_2d(np.asarray(exact_output_words, dtype=np.uint64))
         self._exact_words = mask_tail_words(exact.copy(), n_samples)
         if self._sanitize:
@@ -130,6 +149,19 @@ class QoREvaluator:
             )
             for row in range(exact.shape[0])
         ]
+        # Per word: output row -> signed weight of its bit(s) in the
+        # word's integer (the dirty-row patch of patched_word_ints).
+        self._row_weights: List[Dict[int, int]] = []
+        for w in self.words:
+            weights: Dict[int, int] = {}
+            for bit, row in enumerate(w.indices):
+                weight = 1 << bit
+                if w.signed and bit == w.width - 1:
+                    weight = -weight
+                weights[row] = weights.get(row, 0) + weight
+            self._row_weights.append(weights)
+        self._base_out: Optional[np.ndarray] = None
+        self._base_ints: Optional[List[np.ndarray]] = None
         self._base_sums: Optional[List[float]] = None
         self._base_partials: Optional[List[np.ndarray]] = None
         self._base_row_hamming: Optional[np.ndarray] = None
@@ -144,58 +176,51 @@ class QoREvaluator:
         w: WordSpec,
         n_valid: Optional[int] = None,
     ) -> np.ndarray:
-        """Integer interpretation of one word, unpacking only its rows.
+        """Integer interpretation of one word, decoding only its rows.
 
         Matches :meth:`repro.circuit.words.WordSpec.to_ints` exactly
-        (integer arithmetic; no float rounding anywhere).  ``n_valid``
-        restricts the unpack to the first samples of ``output_words`` —
-        chunk-sliced calls produce the exact same integers as slicing a
-        full-width call.
+        (:func:`~repro.circuit.simulate.decode_rows` shift-add, widened to
+        int64; no float rounding anywhere).  ``n_valid`` restricts the
+        decode to the first samples of ``output_words`` — chunk-sliced
+        calls produce the exact same integers as slicing a full-width
+        call.
         """
         n = self.n if n_valid is None else n_valid
-        bits = unpack_bits(output_words[list(w.indices)], n)
-        vals = bits.T.astype(np.int64) @ (
-            np.int64(1) << np.arange(w.width, dtype=np.int64)
+        return decode_rows(output_words[list(w.indices)], n, w.signed).astype(
+            np.int64, copy=False
         )
-        if w.signed and w.width:
-            sign = np.int64(1) << np.int64(w.width - 1)
-            vals = np.where(bits[-1] > 0, vals - (sign << 1), vals)
-        return vals
 
-    def _word_partials(
+    def _partials_from_ints(
         self,
         w: WordSpec,
-        output_words: np.ndarray,
+        approx: np.ndarray,
         metric: str,
         word_start: int = 0,
-        n_valid: Optional[int] = None,
     ) -> np.ndarray:
         """Canonical per-packed-word error partials of one output word.
 
-        Element ``i`` is the error-term sum of the 64 samples packed in
-        word ``word_start + i``; samples past the valid count contribute
-        exactly ``0.0``.  A partial depends only on its own 64 samples, so
-        concatenating chunk-sliced calls reproduces the full-width vector
-        byte for byte — this is what makes chunked QoR accumulation
-        bit-identical to resident evaluation (DESIGN.md "Streaming
-        execution").
+        ``approx`` holds the word's integers for the ``n_valid =
+        len(approx)`` samples starting at packed word ``word_start``.
+        Element ``i`` of the result is the error-term sum of the 64
+        samples packed in word ``word_start + i``; samples past the valid
+        count contribute exactly ``0.0``.  A partial depends only on its
+        own 64 samples, so concatenating chunk-sliced calls reproduces the
+        full-width vector byte for byte — this is what makes chunked QoR
+        accumulation bit-identical to resident evaluation (DESIGN.md
+        "Streaming execution").  Every metric path ends here, whether its
+        integers came from a full decode or a dirty-row patch.
 
         Args:
             w: The output word spec.
-            output_words: Packed approximate outputs, full row set, whose
-                word axis covers ``[word_start, word_start + width)``.
+            approx: Approximate word integers of the covered samples.
             metric: ``mre`` / ``mae`` / ``nmae`` (hamming partials are the
                 integer popcounts of :meth:`row_hamming`).
-            word_start: First packed word the matrix covers.
-            n_valid: Valid samples inside the slice (default: all samples
-                from ``word_start`` on).
+            word_start: First packed word the samples cover.
         """
-        s0 = word_start * 64
-        if n_valid is None:
-            n_valid = max(self.n - s0, 0)
+        n_valid = approx.shape[0]
         if n_valid <= 0:
             return np.zeros(0, dtype=float)
-        approx = self._word_ints(output_words, w, n_valid)
+        s0 = word_start * 64
         exact = self._exact_vals[w.name][s0 : s0 + n_valid]
         diff = np.abs(exact - approx).astype(float)
         if metric == "mre":
@@ -209,6 +234,25 @@ class QoREvaluator:
         padded[:n_valid] = terms
         return padded.reshape(n_words, 64).sum(axis=1)
 
+    def _word_partials(
+        self,
+        w: WordSpec,
+        output_words: np.ndarray,
+        metric: str,
+        word_start: int = 0,
+        n_valid: Optional[int] = None,
+    ) -> np.ndarray:
+        """Canonical partials of one word from a packed output matrix.
+
+        ``output_words`` holds the full row set, and its word axis covers
+        ``[word_start, word_start + width)``; ``n_valid`` counts the valid
+        samples inside it (default: all samples from ``word_start`` on).
+        """
+        if n_valid is None:
+            n_valid = max(self.n - word_start * 64, 0)
+        approx = self._word_ints(output_words, w, max(n_valid, 0))
+        return self._partials_from_ints(w, approx, metric, word_start)
+
     def word_partials(
         self,
         pos: int,
@@ -217,11 +261,60 @@ class QoREvaluator:
         n_valid: Optional[int] = None,
     ) -> np.ndarray:
         """Per-packed-word partials of word ``pos`` under the configured
-        metric (the streaming accumulation primitive; see
-        :meth:`_word_partials` for the exact semantics)."""
+        metric (see :meth:`_word_partials` for the exact semantics)."""
         return self._word_partials(
             self.words[pos], output_words, self.spec.metric, word_start, n_valid
         )
+
+    def word_ints(
+        self, pos: int, output_words: np.ndarray, n_valid: Optional[int] = None
+    ) -> np.ndarray:
+        """Integers of word ``pos`` over the first ``n_valid`` samples of
+        a packed output matrix (full row set)."""
+        return self._word_ints(output_words, self.words[pos], n_valid)
+
+    def ints_partials(
+        self, pos: int, approx: np.ndarray, word_start: int = 0
+    ) -> np.ndarray:
+        """Canonical partials of word ``pos`` from its integers under the
+        configured metric (see :meth:`_partials_from_ints`)."""
+        return self._partials_from_ints(
+            self.words[pos], approx, self.spec.metric, word_start
+        )
+
+    def patched_word_ints(
+        self,
+        pos: int,
+        base_ints: np.ndarray,
+        rows: Sequence[int],
+        new_words: np.ndarray,
+        old_words: np.ndarray,
+    ) -> np.ndarray:
+        """Integers of word ``pos`` after some output rows changed.
+
+        ``base_ints`` are the word's integers under ``old_words``; row
+        ``j`` of ``new_words`` / ``old_words`` holds output row
+        ``rows[j]`` (packed, covering at least ``len(base_ints)``
+        samples).  Returns ``base_ints + Σ weight_r · (new_r − old_r)``
+        over the listed rows that feed the word, where ``weight_r`` is
+        ``2**i`` for word bit ``i`` and ``-2**(width-1)`` for a signed
+        word's sign bit.  Integer arithmetic throughout, so the result
+        equals a full decode of the patched rows exactly; rows listed but
+        unchanged contribute zero.
+        """
+        weights = self._row_weights[pos]
+        sel = [j for j, row in enumerate(rows) if row in weights]
+        if not sel:
+            return base_ints
+        n = base_ints.shape[0]
+        # new − old per sample: −1, 0 or +1, in int8.
+        delta = unpack_bits(new_words[sel], n).view(np.int8) - unpack_bits(
+            old_words[sel], n
+        ).view(np.int8)
+        approx = base_ints.copy()
+        for j, row_delta in zip(sel, delta):
+            approx += row_delta * np.int64(weights[rows[j]])
+        return approx
 
     def _word_sum(
         self, w: WordSpec, output_words: np.ndarray, metric: str
@@ -238,19 +331,20 @@ class QoREvaluator:
     ) -> np.ndarray:
         """Per-output-row mismatch popcounts over the valid bits.
 
-        ``word_start``/``n_valid`` select a word-aligned chunk of the
-        pattern axis; counts are exact integers, so per-chunk counts sum
-        to the full-width count under any chunking.
+        ``rows`` names the output rows ``output_words`` holds, in order
+        (``None``: every row).  ``word_start``/``n_valid`` select a
+        word-aligned chunk of the pattern axis; counts are exact
+        integers, so per-chunk counts sum to the full-width count under
+        any chunking.
         """
         if n_valid is None:
             n_valid = max(self.n - word_start * 64, 0)
         w_valid = words_for(n_valid)
-        sel = output_words if rows is None else output_words[list(rows)]
         exact = (
             self._exact_words if rows is None else self._exact_words[list(rows)]
         )
         exact = exact[:, word_start : word_start + w_valid]
-        x = sel[:, :w_valid] ^ exact
+        x = output_words[:, :w_valid] ^ exact
         if w_valid:
             x[:, -1] &= tail_mask(n_valid)
         return bit_count(x).sum(axis=1)
@@ -281,9 +375,23 @@ class QoREvaluator:
 
     # ------------------------------------------------------------------
     def metrics(self, approx_output_words: np.ndarray) -> Dict[str, float]:
-        """All supported metrics for one approximate output set."""
+        """All supported metrics for one approximate output set.
+
+        Each word is decoded once; its integers feed every value metric.
+        """
         out = np.atleast_2d(np.asarray(approx_output_words, dtype=np.uint64))
-        return {m: self._combine(m, out) for m in METRICS}
+        ints = [self._word_ints(out, w) for w in self.words]
+        result: Dict[str, float] = {}
+        for m in METRICS:
+            if m == "hamming":
+                result[m] = self._combine(m, out)
+                continue
+            sums = (
+                float(self._partials_from_ints(w, v, m).sum())
+                for w, v in zip(self.words, ints)
+            )
+            result[m] = self._combine(m, None, sums=sums)
+        return result
 
     def evaluate(self, approx_output_words: np.ndarray) -> float:
         """The configured metric only (cheaper than :meth:`metrics`)."""
@@ -296,11 +404,13 @@ class QoREvaluator:
     def rebase(self, output_words: np.ndarray) -> None:
         """Cache the canonical error state of the *committed* outputs.
 
-        Stores, per output word, both the per-packed-word partials vector
-        and its reduced sum (per-row mismatch popcounts for hamming).
-        Call after every commit; :meth:`evaluate_delta` then reuses the
-        cached sums for every word a candidate leaves untouched, and the
-        streaming engine splices candidate chunk partials over
+        Stores the committed packed rows, each output word's integers
+        (decoded once per commit), its per-packed-word partials vector
+        and the reduced sum (per-row mismatch popcounts for hamming).
+        Call after every commit; :meth:`evaluate_delta` then patches the
+        cached integers with only a candidate's dirty rows and reuses the
+        cached sums for every word it leaves untouched, and the streaming
+        engine splices candidate chunk partials over
         :meth:`base_partials` (every word a chunk leaves clean keeps the
         committed partial, which a fresh sweep would reproduce exactly).
 
@@ -314,13 +424,16 @@ class QoREvaluator:
             if self._sanitize:
                 freeze(self._base_row_hamming)
         else:
+            self._base_out = out.copy()
+            self._base_ints = [self._word_ints(out, w) for w in self.words]
             self._base_partials = [
-                self._word_partials(w, out, self.spec.metric)
-                for w in self.words
+                self._partials_from_ints(w, v, self.spec.metric)
+                for w, v in zip(self.words, self._base_ints)
             ]
             if self._sanitize:
-                for p in self._base_partials:
-                    freeze(p)
+                freeze(self._base_out)
+                for arr in self._base_ints + self._base_partials:
+                    freeze(arr)
             self._base_sums = [float(p.sum()) for p in self._base_partials]
 
     def base_partials(self, pos: int) -> np.ndarray:
@@ -423,10 +536,17 @@ class QoREvaluator:
                 listed must be byte-identical to the rebased state (the
                 compiled engine's dirty tracking guarantees exactly this).
 
+        Each touched word's integers are the rebased committed integers
+        patched with the dirty rows only (:meth:`patched_word_ints`), so
+        the cost scales with the rows a candidate changed, not the word
+        width.
+
         Determinism: the result is bit-identical to :meth:`evaluate` on
-        the same matrix — recomputed words use the same canonical
-        per-packed-word partials, untouched words reuse the rebased sums
-        those partials produced.  Invalidation is the caller's contract:
+        the same matrix — the patch is exact integer arithmetic, so
+        recomputed words feed the same integers to the same canonical
+        per-packed-word partials, and untouched words reuse the rebased
+        sums those partials produced.  Invalidation is the caller's
+        contract:
         stale base sums (a commit without a fresh :meth:`rebase`) produce
         silently wrong floats, which is why the explorer rebases after
         every commit.  Without any rebase the call falls back to a full
@@ -439,12 +559,17 @@ class QoREvaluator:
             counts = self._base_row_hamming
             if dirty_rows:
                 counts = counts.copy()
-                counts[list(dirty_rows)] = self.row_hamming(out, dirty_rows)
+                rows = list(dirty_rows)
+                counts[rows] = self.row_hamming(out[rows], rows)
             return self._combine("hamming", None, row_hamming=counts)
         if self._base_sums is None:
             return self._combine(self.spec.metric, out)
-        sums = {
-            pos: self._word_sum(self.words[pos], out, self.spec.metric)
-            for pos in self.word_positions(dirty_rows)
-        }
+        rows = list(dirty_rows)
+        new_words, old_words = out[rows], self._base_out[rows]
+        sums = {}
+        for pos in self.word_positions(rows):
+            approx = self.patched_word_ints(
+                pos, self._base_ints[pos], rows, new_words, old_words
+            )
+            sums[pos] = float(self.ints_partials(pos, approx).sum())
         return self.evaluate_spliced(sums)

@@ -29,7 +29,11 @@ executions (candidates stacked along the word axis, the same layout the
 resident ``preview_scan`` uses, capped so the stacked matrix stays
 inside the chunk budget), and (d) folds the dirtied output rows into
 per-candidate accumulators — canonical per-packed-word partial slices
-for value metrics, exact integer mismatch deltas for hamming.  Nothing
+for value metrics, exact integer mismatch deltas for hamming.  Step (d)
+decodes the chunk's committed word integers (or counts its committed
+mismatches) once and shares them across the chunk's candidates; each
+candidate patches in only its dirty rows
+(:meth:`~repro.core.qor.QoREvaluator.patched_word_ints`).  Nothing
 pattern-sized survives the chunk.
 
 **Sharding** (DESIGN.md "Parallel streaming"): the per-chunk work above
@@ -96,7 +100,8 @@ from ..circuit.netlist import Circuit
 from ..circuit.simulate import (
     _FULL_WORD,
     WORD_BITS,
-    pack_bits,
+    decode_rows,
+    lookup_packed,
     plan_chunks,
     simulate_outputs,
     tail_mask,
@@ -121,7 +126,6 @@ from .engine import (
     circuit_program,
     execute_batch,
     gather_window_outputs,
-    input_index_from_rows,
     stacked_seed_gather,
 )
 from .qor import QoREvaluator, QoRSpec, circuit_words
@@ -538,7 +542,7 @@ class StreamingEvaluator(CompiledEvaluator):
         for instr in sched.instructions:
             if isinstance(instr, WindowInstr):
                 values[instr.out_slots] = gather_window_outputs(
-                    self._committed[instr.index],
+                    self._table_t(instr.index),
                     values[instr.in_slots],
                     chunk.n_valid,
                 )
@@ -648,16 +652,13 @@ class StreamingEvaluator(CompiledEvaluator):
                     base[instr.out_ids][:, None, :], (mo, nb, cw)
                 ).reshape(mo, nb * cw)
                 if dirty_blocks.size:
-                    table = self._committed[instr.index]
                     cols = (
                         dirty_blocks[:, None] * cw + word_span
                     ).ravel()
                     sub = local[np.ix_(instr.in_slots, cols)]
-                    idx = input_index_from_rows(
-                        sub, dirty_blocks.size * cw * WORD_BITS
-                    )
-                    local[np.ix_(instr.out_slots, cols)] = pack_bits(
-                        np.ascontiguousarray(table[idx, :].T).astype(np.uint8)
+                    idx = decode_rows(sub, cols.size * WORD_BITS)
+                    local[np.ix_(instr.out_slots, cols)] = lookup_packed(
+                        self._table_t(instr.index), idx
                     )
             else:
                 local[instr.out] = execute_batch(instr, local, None)
@@ -705,12 +706,21 @@ class StreamingEvaluator(CompiledEvaluator):
         base = self._base_values(chunk)
         base_out = base[self._out_nodes_arr]
         cw = chunk.n_words
+        # The chunk's committed word integers (value metrics) or per-row
+        # mismatch counts (hamming), computed once and shared by every
+        # candidate of the chunk: a candidate only patches its dirty rows.
+        base_ints: Dict[int, np.ndarray] = {}
+        base_ham = (
+            qor.row_hamming(base_out, None, chunk.start, chunk.n_valid)
+            if hamming
+            else None
+        )
         for (pos, index, checked, _), acc_list in zip(todo, accs):
             cone = self._cone(index)
             # Per-chunk input-index + stacked-seed caches: built once
             # per (window, chunk), shared by all its candidates, and
             # discarded with the chunk.
-            idx = input_index_from_rows(
+            idx = decode_rows(
                 base[self._win_input_ids[index]], cw * WORD_BITS
             )
             seeds = stacked_seed_gather(checked, idx, chunk.n_valid)
@@ -733,34 +743,34 @@ class StreamingEvaluator(CompiledEvaluator):
                     acc = acc_list[b0 + off]
                     rows = [row for row, _ in dirty]
                     acc["rows"].update(rows)
-                    cand_out = base_out.copy()
-                    for row, vals in dirty:
-                        cand_out[row] = vals
+                    new_words = np.stack([vals for _, vals in dirty])
                     if hamming:
                         cand = qor.row_hamming(
-                            cand_out, rows, chunk.start, chunk.n_valid
+                            new_words, rows, chunk.start, chunk.n_valid
                         )
-                        ref = qor.row_hamming(
-                            base_out, rows, chunk.start, chunk.n_valid
-                        )
-                        for row, d in zip(rows, (cand - ref).tolist()):
+                        for row, d in zip(
+                            rows, (cand - base_ham[rows]).tolist()
+                        ):
                             acc["deltas"][row] = (
                                 acc["deltas"].get(row, 0) + d
                             )
-                    else:
-                        for wpos in qor.word_positions(rows):
-                            acc["slices"].setdefault(wpos, []).append(
-                                (
-                                    chunk.start,
-                                    chunk.stop,
-                                    qor.word_partials(
-                                        wpos,
-                                        cand_out,
-                                        chunk.start,
-                                        chunk.n_valid,
-                                    ),
-                                )
+                        continue
+                    old_words = base_out[rows]
+                    for wpos in qor.word_positions(rows):
+                        ints = base_ints.get(wpos)
+                        if ints is None:
+                            ints = qor.word_ints(wpos, base_out, chunk.n_valid)
+                            base_ints[wpos] = ints
+                        approx = qor.patched_word_ints(
+                            wpos, ints, rows, new_words, old_words
+                        )
+                        acc["slices"].setdefault(wpos, []).append(
+                            (
+                                chunk.start,
+                                chunk.stop,
+                                qor.ints_partials(wpos, approx, chunk.start),
                             )
+                        )
 
     def _sync_scan_state(
         self,
@@ -1027,7 +1037,7 @@ class StreamingEvaluator(CompiledEvaluator):
         changed_rows: set = set()
         for chunk in self._chunks:
             base = self._base_values(chunk)
-            idx = input_index_from_rows(
+            idx = decode_rows(
                 base[self._win_input_ids[index]], chunk.n_words * WORD_BITS
             )
             seed = stacked_seed_gather([table], idx, chunk.n_valid)

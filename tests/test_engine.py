@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from repro.bench import butterfly, mult8, ripple_adder
 from repro.circuit import CircuitBuilder, random_input_words
 from repro.circuit.gate import Op
-from repro.circuit.simulate import simulate_full_reference, unpack_bits
+from repro.circuit.simulate import (
+    decode_rows,
+    lookup_packed,
+    simulate_full_reference,
+    table_transpose,
+    unpack_bits,
+)
 from repro.core.engine import (
     ENGINES,
     CompiledEvaluator,
@@ -28,6 +34,7 @@ from repro.core.explorer import ExplorerConfig, explore
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.profile import profile_windows
 from repro.core.qor import QoREvaluator, QoRSpec
+from repro.core.streaming import StreamingEvaluator
 from repro.errors import ExplorationError, SimulationError
 from repro.partition import decompose
 from repro.runtime import RuntimeStats
@@ -335,6 +342,83 @@ class TestDeltaQoR:
             t = rng.random((1 << probe.n_inputs, probe.n_outputs)) < 0.5
             (out, dirty), = comp.preview_batch_delta(probe.index, [t])
             assert qor.evaluate_delta(out, dirty) == qor.evaluate(out)
+
+
+class TestTableLookup:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 10),
+        m=st.integers(1, 6),
+        n=st.integers(1, 300),
+    )
+    def test_lookup_packed_matches_bool_reference(self, seed, k, m, n):
+        """lookup_packed(table.T, idx) packs exactly table[idx]."""
+        rng = np.random.default_rng(seed)
+        table = rng.random((1 << k, m)) < 0.5
+        in_words = random_input_words(k, n, rng)
+        idx = decode_rows(in_words, n)
+        got = lookup_packed(table_transpose(table), idx)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(
+            unpack_bits(got, n).astype(bool), table[idx].T
+        )
+
+
+@pytest.fixture(scope="module")
+def mult8_windows(mult8_circuit):
+    return mult8_circuit, decompose(mult8_circuit, 8, 8)
+
+
+class TestStreamingScanMatchesDelta:
+    @settings(max_examples=4, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(100, 700),
+        chunk_words=st.integers(1, 5),
+    )
+    def test_mult8_scan_floats_equal_resident_delta(
+        self, mult8_windows, seed, n, chunk_words
+    ):
+        """Streaming scan_errors (per-chunk dirty-row patches) returns the
+        resident evaluate_delta floats bit for bit on a mult8 scan, across
+        a commit."""
+        circuit, windows = mult8_windows
+        rng = np.random.default_rng(seed)
+        words = random_input_words(circuit.n_inputs, n, rng)
+        res = CompiledEvaluator(circuit, windows, words, n)
+        stream = StreamingEvaluator(
+            circuit, windows, words, n, chunk_words=chunk_words
+        )
+        q_res = QoREvaluator(circuit, res.exact_outputs, n)
+        q_str = QoREvaluator(circuit, stream.exact_outputs, n)
+        q_res.rebase(res.exact_outputs)
+        q_str.rebase(stream.exact_outputs)
+        for _ in range(2):
+            requests = [
+                (
+                    w.index,
+                    [
+                        rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
+                        for _ in range(2)
+                    ],
+                )
+                for w in windows
+            ]
+            scanned = stream.scan_errors(requests, q_str)
+            for (index, tables), got in zip(requests, scanned):
+                expect = res.preview_batch_delta(index, tables)
+                for (err, rows), (out, dirty) in zip(got, expect):
+                    assert err == q_res.evaluate_delta(out, dirty)
+                    assert err == q_res.evaluate(out)
+                    assert rows == tuple(sorted(dirty))
+            w = windows[int(rng.integers(0, len(windows)))]
+            table = requests[windows.index(w)][1][0]
+            res.commit(w.index, table)
+            stream.commit(w.index, table)
+            q_res.rebase(res.current_outputs())
+            q_str.rebase(stream.current_outputs())
+        stream.close()
 
 
 class TestExploreTrajectoryIdentity:
