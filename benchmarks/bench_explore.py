@@ -36,7 +36,9 @@ at the repository root so the perf trajectory accumulates across PRs:
 
 The streaming and scaling legs inject no faults, so both assert zero
 shard retries, shard fallbacks and pool rebuilds (``--smoke`` included):
-a recovery event there means a bug the retry path hid.
+a recovery event there means a bug the retry path hid.  Under
+``REPRO_FAULTS`` (the chaos leg) recovery events are expected, and the
+trajectory identity assertions prove them invisible instead.
 
 Runs standalone (no pytest plugins needed)::
 
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
 from pathlib import Path
 
@@ -276,8 +279,10 @@ def _trajectory_key(result):
 
 
 def _assert_fault_free(stats, leg: str) -> None:
-    """A bench injects no faults, so any recovery event is a bug that the
-    retry/fallback path would otherwise hide."""
+    """Without an injected fault plan, any recovery event is a bug that
+    the retry/fallback path would otherwise hide."""
+    if os.environ.get("REPRO_FAULTS"):
+        return
     events = {
         "shard retries": stats.n_shard_retries,
         "shard fallbacks": stats.n_shard_fallbacks,

@@ -8,14 +8,6 @@ Examples::
     blasys compare --bench adder32 --thresholds 0.05 0.25   # vs SALSA
     blasys lint                # contract lint over the shipped package
     blasys lint src tests      # explicit paths
-
-Service mode (DESIGN.md "Service")::
-
-    blasys serve --socket /tmp/b.sock --journal /tmp/jobs   # daemon
-    blasys submit --socket /tmp/b.sock --bench mult8 --wait
-    blasys jobs --socket /tmp/b.sock
-    blasys job job-0001 --socket /tmp/b.sock --wait
-    blasys shutdown --socket /tmp/b.sock
 """
 
 from __future__ import annotations
@@ -28,9 +20,9 @@ from .bench import BENCHMARK_ORDER, get_benchmark
 from .baselines import run_salsa
 from .circuit import read_blif, write_blif, write_verilog
 from .core.explorer import STRATEGIES, ExplorerConfig, explore
-from .errors import ExplorationError, ServiceShutdown
+from .errors import ExplorationError, ShutdownRequested
 from .flow import run_blasys
-from .runtime import CancelToken, RunContext, ShutdownGuard
+from .runtime import CancelToken, ShutdownGuard
 from .synth import evaluate_design
 
 
@@ -225,9 +217,9 @@ def _cmd_run(args) -> int:
         with guard:
             result = run_blasys(
                 circuit, thresholds=args.thresholds, config=config,
-                context=RunContext(cancel=token),
+                cancel=token,
             )
-    except ServiceShutdown:
+    except ShutdownRequested:
         return _interrupted(guard, config)
     print(result.summary())
     if args.out and result.designs:
@@ -278,10 +270,9 @@ def _cmd_compare(args) -> int:
     guard = ShutdownGuard(token)
     try:
         with guard:
-            blasys = explore(circuit, config,
-                             context=RunContext(cancel=token))
+            blasys = explore(circuit, config, cancel=token)
             salsa = run_salsa(circuit, config)
-    except ServiceShutdown:
+    except ShutdownRequested:
         return _interrupted(guard, config)
     print(f"{circuit.name}: baseline {base.area_um2:.1f} um2")
     for thr in args.thresholds:
@@ -298,126 +289,6 @@ def _cmd_compare(args) -> int:
             cols.append(f"{label} {saving:5.1f}%")
         print(f"  thr={thr:>5.0%}: " + "  ".join(cols))
     return 0
-
-
-# -- service mode ---------------------------------------------------------
-
-def _cmd_serve(args) -> int:
-    # Deferred import: serving pulls in socketserver/threading machinery
-    # the one-shot commands never need.
-    from .service import serve
-
-    return serve(
-        args.socket,
-        args.journal,
-        max_queue=args.max_queue,
-        max_memory_mb=args.max_memory_mb,
-        max_concurrent=args.max_concurrent,
-        cache_dir=args.cache_dir,
-        max_pool_workers=args.pool_workers,
-        checkpoint_every=args.checkpoint_every,
-        drain_on_term=args.drain_on_term,
-        quiet=args.quiet,
-    )
-
-
-def _client(args):
-    from .service import ServiceClient
-
-    return ServiceClient(args.socket, timeout=args.timeout)
-
-
-def _print_job(record) -> None:
-    line = f"{record.job_id}  {record.state:9s}  {record.spec.name}"
-    if record.resumed:
-        line += "  [resumed]"
-    if record.error:
-        line += f"  ({record.error})"
-    print(line)
-    if record.trajectory:
-        last = record.trajectory[-1]
-        print(
-            f"  {len(record.trajectory)} trajectory points, "
-            f"{record.n_evaluations} evaluations, "
-            f"final qor={last[3]:.6g} est_area={last[4]:.6g}"
-        )
-
-
-def _cmd_submit(args) -> int:
-    from .service import JobSpec
-
-    if args.blif:
-        with open(args.blif) as fh:
-            blif_text = fh.read()
-    else:
-        blif_text = None
-    config = {
-        key: value
-        for key, value in (
-            ("max_inputs", args.k),
-            ("max_outputs", args.m),
-            ("n_samples", args.samples),
-            ("strategy", args.strategy),
-            ("weight_mode", args.weights),
-            ("seed", args.seed),
-            ("threshold", args.threshold),
-            ("jobs", args.jobs),
-            ("shard_jobs", args.shard_jobs),
-            ("chunk_words", args.chunk_words),
-            ("chunk_budget_mb", args.chunk_budget_mb),
-            ("chunk_cache_chunks", args.chunk_cache_chunks),
-            ("engine", args.engine),
-        )
-        if value is not None
-    }
-    spec = JobSpec(
-        bench=args.bench, blif=blif_text,
-        name=args.name or args.bench or args.blif or "",
-        deadline_s=args.deadline, config=config,
-    )
-    client = _client(args)
-    job_id = client.submit(spec)
-    print(f"submitted {job_id}")
-    if args.wait:
-        record = client.wait(job_id, timeout=args.timeout)
-        _print_job(record)
-        return 0 if record.state == "done" else 1
-    return 0
-
-
-def _cmd_jobs(args) -> int:
-    records = _client(args).list_jobs()
-    if not records:
-        print("no jobs")
-        return 0
-    for record in records:
-        _print_job(record)
-    return 0
-
-
-def _cmd_job(args) -> int:
-    client = _client(args)
-    if args.cancel:
-        record = client.cancel(args.job_id)
-    elif args.wait:
-        record = client.wait(args.job_id, timeout=args.timeout)
-    else:
-        record = client.status(args.job_id)
-    _print_job(record)
-    return 0 if record.state in ("done", "queued", "running") else 1
-
-
-def _cmd_shutdown(args) -> int:
-    _client(args).shutdown(drain=args.drain)
-    print("shutdown requested" + (" (draining)" if args.drain else ""))
-    return 0
-
-
-def _add_client_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--socket", required=True,
-                   help="Unix socket of the running blasys serve daemon")
-    p.add_argument("--timeout", type=float, default=600.0,
-                   help="per-request socket timeout in seconds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,86 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the import-based shard payload audit")
     p_lint.set_defaults(fn=_cmd_lint)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the exploration service daemon (DESIGN.md 'Service')",
-    )
-    p_serve.add_argument("--socket", required=True,
-                         help="Unix socket path to listen on")
-    p_serve.add_argument("--journal", required=True,
-                         help="journal directory: job log, per-job "
-                              "checkpoints, shared profile cache; restart "
-                              "on the same directory to recover unfinished "
-                              "jobs")
-    p_serve.add_argument("--max-queue", type=int, default=8,
-                         help="admission bound on queued+running jobs")
-    p_serve.add_argument("--max-concurrent", type=int, default=1,
-                         help="jobs explored concurrently")
-    p_serve.add_argument("--max-memory-mb", type=float, default=0.0,
-                         help="admission bound on the summed sample-matrix "
-                              "estimate of admitted jobs (0 = unbounded)")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="shared profile cache directory (default: "
-                              "<journal>/cache; '' disables)")
-    p_serve.add_argument("--pool-workers", type=int, default=0,
-                         help="total shard-pool worker budget across jobs "
-                              "(0 = unbounded; jobs beyond the budget run "
-                              "their scans in-process)")
-    p_serve.add_argument("--checkpoint-every", type=int, default=1,
-                         help="per-job checkpoint commit period")
-    p_serve.add_argument("--drain-on-term", action="store_true",
-                         help="on SIGTERM finish queued jobs instead of "
-                              "checkpointing in-flight ones")
-    p_serve.add_argument("--quiet", action="store_true")
-    p_serve.set_defaults(fn=_cmd_serve)
-
-    p_sub = sub.add_parser("submit", help="submit a job to a running service")
-    _add_client_common(p_sub)
-    p_sub.add_argument("--bench",
-                       help=f"benchmark name ({', '.join(BENCHMARK_ORDER)})")
-    p_sub.add_argument("--blif", help="BLIF file to upload inline")
-    p_sub.add_argument("--name", help="display label (default: circuit)")
-    p_sub.add_argument("--deadline", type=float, default=None,
-                       help="wall-clock budget in seconds once running")
-    p_sub.add_argument("--wait", action="store_true",
-                       help="block until the job reaches a terminal state")
-    p_sub.add_argument("--k", type=int, default=None, help="window input budget")
-    p_sub.add_argument("--m", type=int, default=None, help="window output budget")
-    p_sub.add_argument("--samples", type=int, default=None)
-    p_sub.add_argument("--strategy", choices=list(STRATEGIES), default=None)
-    p_sub.add_argument("--weights", choices=["uniform", "significance"],
-                       default=None)
-    p_sub.add_argument("--seed", type=int, default=None)
-    p_sub.add_argument("--threshold", type=float, default=None,
-                       help="error threshold bounding the search")
-    p_sub.add_argument("--jobs", type=int, default=None)
-    p_sub.add_argument("--shard-jobs", type=int, default=None)
-    p_sub.add_argument("--chunk-words", type=int, default=None)
-    p_sub.add_argument("--chunk-budget-mb", type=float, default=None)
-    p_sub.add_argument("--chunk-cache-chunks", type=int, default=None)
-    p_sub.add_argument("--engine", choices=["compiled", "reference"],
-                       default=None)
-    p_sub.set_defaults(fn=_cmd_submit)
-
-    p_jobs = sub.add_parser("jobs", help="list jobs on a running service")
-    _add_client_common(p_jobs)
-    p_jobs.set_defaults(fn=_cmd_jobs)
-
-    p_job = sub.add_parser("job", help="inspect/wait/cancel one job")
-    _add_client_common(p_job)
-    p_job.add_argument("job_id")
-    p_job.add_argument("--wait", action="store_true",
-                       help="block until the job reaches a terminal state")
-    p_job.add_argument("--cancel", action="store_true",
-                       help="request cooperative cancellation")
-    p_job.set_defaults(fn=_cmd_job)
-
-    p_down = sub.add_parser("shutdown", help="stop a running service")
-    _add_client_common(p_down)
-    p_down.add_argument("--drain", action="store_true",
-                        help="finish queued jobs before stopping (default: "
-                             "checkpoint in-flight jobs for the next start)")
-    p_down.set_defaults(fn=_cmd_shutdown)
     return parser
 
 

@@ -1000,7 +1000,6 @@ def make_evaluator(
     sanitize: Optional[bool] = None,
     policy=None,
     faults=None,
-    executor_factory=None,
     cancel=None,
 ) -> IncrementalEvaluator:
     """Construct the evaluation engine selected by ``engine``.
@@ -1028,13 +1027,10 @@ def make_evaluator(
     tolerance").  Both are ignored by the resident engines, which have
     no worker pool.
 
-    ``executor_factory`` substitutes for :func:`repro.runtime.executor.
-    make_shard_executor` (the exploration service leases shared pools
-    through it) and ``cancel`` is a cooperative
-    :class:`~repro.runtime.cancel.CancelToken` checked at the streaming
-    engine's chunk/dispatch boundaries.  Both are streaming-only — the
-    resident engines' sweeps are single vectorized passes with no safe
-    interior interruption point.
+    ``cancel`` is a cooperative :class:`~repro.runtime.cancel.CancelToken`
+    checked at the streaming engine's chunk/dispatch boundaries.  It is
+    streaming-only — the resident engines' sweeps are single vectorized
+    passes with no safe interior interruption point.
     """
     if engine not in ENGINES:
         raise SimulationError(
@@ -1051,8 +1047,7 @@ def make_evaluator(
             circuit, windows, input_words, n_samples,
             chunk_words=chunk_words, stats=stats,
             shard_jobs=shard_jobs, cache_chunks=cache_chunks,
-            sanitize=sanitize, policy=policy, faults=faults,
-            executor_factory=executor_factory, cancel=cancel,
+            sanitize=sanitize, policy=policy, faults=faults, cancel=cancel,
         )
     cls = CompiledEvaluator if engine == "compiled" else IncrementalEvaluator
     return cls(

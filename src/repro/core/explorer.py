@@ -38,23 +38,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.sanitize import sanitize_enabled
-from ..errors import (
-    ExplorationError,
-    JobCancelled,
-    JobDeadlineExceeded,
-    ServiceShutdown,
-)
+from ..errors import ExplorationError, ShutdownRequested
 from ..circuit.netlist import Circuit
 from ..circuit.stimulus import stimulus_input_words
 from ..partition.decompose import decompose
 from ..partition.substitute import substitute_windows
 from ..partition.windows import Window
 from ..runtime import (
+    CancelToken,
     ExploreCheckpoint,
     FaultPlan,
     ProfileCache,
     RetryPolicy,
-    RunContext,
     RuntimeStats,
     canonical_circuit_bytes,
     effective_jobs,
@@ -451,7 +446,7 @@ def explore(
     config: ExplorerConfig = ExplorerConfig(),
     windows: Optional[Sequence[Window]] = None,
     profiles: Optional[Sequence[WindowProfile]] = None,
-    context: Optional[RunContext] = None,
+    cancel: Optional[CancelToken] = None,
 ) -> ExplorationResult:
     """Run Algorithm 1 end to end.
 
@@ -460,15 +455,10 @@ def explore(
         config: See :class:`ExplorerConfig`.
         windows / profiles: Reuse a previous decomposition/profiling (e.g.
             to sweep several thresholds or strategies without re-profiling).
-        context: Per-run hooks (:class:`~repro.runtime.RunContext`):
-            cooperative cancellation/deadline token, per-step progress
-            callback, a shared profile cache overriding
-            ``config.cache_dir``, and a shard-executor factory.  A
-            cancelled run raises the token's verdict exception
-            (:class:`~repro.errors.JobCancelled` /
-            :class:`~repro.errors.JobDeadlineExceeded` /
-            :class:`~repro.errors.ServiceShutdown`) at the next safe
-            boundary — after flushing a final checkpoint when
+        cancel: Cooperative :class:`~repro.runtime.CancelToken` (see
+            :class:`~repro.runtime.ShutdownGuard`).  A cancelled run
+            raises :class:`~repro.errors.ShutdownRequested` at the next
+            safe boundary — after flushing a final checkpoint when
             ``config.checkpoint_path`` is set, so resuming that
             checkpoint continues the search byte-identically.
 
@@ -476,9 +466,7 @@ def explore(
         An :class:`ExplorationResult` whose trajectory records QoR and
         estimated area after every committed step.
     """
-    if context is None:
-        context = RunContext()
-    context.check_cancel()
+    _check_cancel(cancel)
     if windows is None:
         windows = decompose(
             circuit, config.max_inputs, config.max_outputs, config.refine_passes
@@ -495,19 +483,13 @@ def explore(
         max_retries=config.shard_retries, timeout=config.shard_timeout
     )
     if profiles is None:
-        if context.cache is not None:
-            # A live shared cache (the exploration service's) overrides
-            # the per-run directory: concurrent jobs on the same circuit
-            # dedup identical window truth tables through one store.
-            cache = context.cache
-        else:
-            cache = (
-                ProfileCache(
-                    config.cache_dir, sanitize=sanitize, faults=fault_plan
-                )
-                if config.cache_dir
-                else None
+        cache = (
+            ProfileCache(
+                config.cache_dir, sanitize=sanitize, faults=fault_plan
             )
+            if config.cache_dir
+            else None
+        )
         profiles = profile_windows(
             circuit,
             windows,
@@ -525,10 +507,10 @@ def explore(
             runtime_stats=runtime_stats,
             policy=retry_policy,
             faults=fault_plan,
-            cancel=context.cancel,
+            cancel=cancel,
         )
     profiles = list(profiles)
-    context.check_cancel()
+    _check_cancel(cancel)
 
     rng = np.random.default_rng(config.seed)
     input_words = stimulus_input_words(circuit, config.n_samples, rng)
@@ -559,16 +541,20 @@ def explore(
         sanitize=sanitize,
         policy=retry_policy,
         faults=fault_plan,
-        executor_factory=context.executor_factory,
-        cancel=context.cancel,
+        cancel=cancel,
     )
     try:
         return _run_exploration(
             circuit, config, windows, profiles, evaluator, runtime_stats,
-            rng=rng, context=context,
+            rng=rng, cancel=cancel,
         )
     finally:
         evaluator.close()
+
+
+def _check_cancel(cancel: Optional[CancelToken]) -> None:
+    if cancel is not None:
+        cancel.check()
 
 
 def _search_fingerprint(circuit: Circuit, config: ExplorerConfig) -> str:
@@ -635,11 +621,9 @@ def _run_exploration(
     evaluator,
     runtime_stats: RuntimeStats,
     rng=None,
-    context: Optional[RunContext] = None,
+    cancel: Optional[CancelToken] = None,
 ) -> ExplorationResult:
     """Algorithm 1's greedy loop over a constructed evaluation engine."""
-    if context is None:
-        context = RunContext()
     profile_by_index = {p.window.index: p for p in profiles}
     qor_eval = QoREvaluator(
         circuit, evaluator.exact_outputs, config.n_samples, config.qor,
@@ -829,7 +813,7 @@ def _run_exploration(
     def greedy_loop() -> None:
         nonlocal iteration, current_qor, counter
         while True:
-            context.check_cancel()
+            _check_cancel(cancel)
             if stop_reached():
                 break
 
@@ -916,8 +900,6 @@ def _run_exploration(
                     seed=config.seed,
                 )
             )
-            if context.on_progress is not None:
-                context.on_progress(trajectory[-1])
             if config.strategy == "lazy" and active(chosen):
                 heapq.heappush(heap, (current_qor, counter, chosen))
                 counter += 1
@@ -935,7 +917,7 @@ def _run_exploration(
         # previews) but commit nothing and advance no iteration.
         nonlocal iteration, current_qor
         while True:
-            context.check_cancel()
+            _check_cancel(cancel)
             if stop_reached():
                 break
             idx = searcher.propose(fs, active, current_qor)
@@ -964,8 +946,6 @@ def _run_exploration(
                     move_id=searcher.last_move_id,
                 )
             )
-            if context.on_progress is not None:
-                context.on_progress(trajectory[-1])
             if (
                 config.checkpoint_path
                 and iteration % config.checkpoint_every == 0
@@ -977,7 +957,7 @@ def _run_exploration(
             searcher_loop()
         else:
             greedy_loop()
-    except (JobCancelled, JobDeadlineExceeded, ServiceShutdown):
+    except ShutdownRequested:
         # Cancellation surfaces only at safe boundaries — the loop top,
         # or inside a preview scan, which mutates no committed state —
         # so the committed trajectory is always consistent; flush it

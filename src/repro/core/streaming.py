@@ -84,7 +84,6 @@ whole-axis reductions, never per-chunk state).
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -129,10 +128,6 @@ from .engine import (
     stacked_seed_gather,
 )
 from .qor import QoREvaluator, QoRSpec, circuit_words
-
-#: Source of the per-evaluator shard lineage ids.
-_LINEAGES = itertools.count()
-
 
 def auto_chunk_words(
     n_nodes: int,
@@ -298,10 +293,6 @@ class StreamingEvaluator(CompiledEvaluator):
         exact_outputs: Precomputed packed exact output rows; skips the
             initial full-axis simulation (the shard-worker fast path —
             workers receive the parent's exact rows in their context).
-        executor_factory: Replacement for :func:`repro.runtime.executor.
-            make_shard_executor` with the same signature — the
-            exploration service leases shared worker pools through here
-            (``None`` keeps the per-run pool).
         cancel: Cooperative :class:`~repro.runtime.cancel.CancelToken`
             checked at chunk and shard-dispatch boundaries; a cancelled
             scan raises before mutating any committed state.
@@ -329,7 +320,6 @@ class StreamingEvaluator(CompiledEvaluator):
         sanitize: Optional[bool] = None,
         policy=None,
         faults=None,
-        executor_factory=None,
         cancel=None,
     ) -> None:
         if chunk_words < 1:
@@ -357,8 +347,6 @@ class StreamingEvaluator(CompiledEvaluator):
         #: chunk word start -> epoch of the last commit that changed the
         #: chunk's valid bits (absent = never dirtied).
         self._chunk_epoch: Dict[int, int] = {}
-        #: Process-unique id shipped with every shard (ScanShard.lineage).
-        self._lineage = next(_LINEAGES)
         self._executor = None
         self._executor_ready = False
         # Supervision knobs for the shard executor: the retry/timeout
@@ -366,10 +354,8 @@ class StreamingEvaluator(CompiledEvaluator):
         # injection).  Held here because the executor is built lazily.
         self._shard_policy = policy
         self._shard_faults = faults
-        # Optional make_shard_executor replacement (the exploration
-        # service leases shared pools through here) and a cooperative
-        # cancellation token checked at chunk/dispatch boundaries.
-        self._executor_factory = executor_factory
+        # Cooperative cancellation token checked at chunk/dispatch
+        # boundaries.
         self._cancel = cancel
         self._precomputed_exact = exact_outputs
         super().__init__(
@@ -450,12 +436,7 @@ class StreamingEvaluator(CompiledEvaluator):
                 cache_chunks=self._cache_chunks,
                 sanitize=self._sanitize,
             )
-            factory = (
-                self._executor_factory
-                if self._executor_factory is not None
-                else make_shard_executor
-            )
-            self._executor = factory(
+            self._executor = make_shard_executor(
                 context,
                 self._shard_jobs,
                 policy=self._shard_policy,
@@ -784,27 +765,20 @@ class StreamingEvaluator(CompiledEvaluator):
         commit sweeps: newly committed windows drop the schedules that
         had inlined them, and the shipped epoch watermarks govern chunk
         cache validity — stale worker-side entries simply recompute
-        (workers cannot fold repairs; they never ran the commit).
-
-        One job's committed set only grows, but a pooled worker shared
-        by several jobs can be handed a set that lacks a window it holds.
-        Schedules depend only on which windows are committed (tables are
-        read at run time), so such a shrink drops every schedule.
+        (workers cannot fold repairs; they never ran the commit).  Each
+        worker serves one parent evaluator, whose committed set only
+        grows.
         """
         newly = [k for k in committed if k not in self._committed]
-        dropped = any(k not in committed for k in self._committed)
-        changed = newly or dropped or any(
+        changed = newly or any(
             not np.array_equal(committed[k], self._committed[k])
             for k in self._committed
         )
         if changed:
             self._committed = {k: v for k, v in committed.items()}
             self._stream_memo.clear()
-        if dropped or newly:
+        if newly:
             self._iter_sched = None
-        if dropped:
-            self._cones.clear()
-        elif newly:
             fresh = set(newly)
             for widx in list(self._cones):
                 if self._cones[widx].step_windows & fresh:
@@ -966,7 +940,6 @@ class StreamingEvaluator(CompiledEvaluator):
                         epoch=self._epoch,
                         chunk_epochs=chunk_epochs,
                         metric=qor.spec.metric,
-                        lineage=self._lineage,
                     )
                     for chs in shard_chunks
                 ]
@@ -1135,7 +1108,6 @@ class ShardWorker:
             sanitize=getattr(context, "sanitize", False),
         )
         self._qors: Dict[str, QoREvaluator] = {}
-        self._lineage: Optional[int] = None
 
     def _qor(self, metric: str) -> QoREvaluator:
         qor = self._qors.get(metric)
@@ -1150,12 +1122,6 @@ class ShardWorker:
 
     def run(self, shard: ScanShard) -> ShardOutcome:
         ev = self.evaluator
-        if shard.lineage != self._lineage:
-            # A pool shared by several jobs interleaves their scans; base
-            # slices cached for another parent carry incomparable epochs.
-            self._lineage = shard.lineage
-            if ev._base_cache is not None:
-                ev._base_cache.drop_outside(set())
         ev._sync_scan_state(
             dict(shard.committed), shard.epoch, dict(shard.chunk_epochs)
         )

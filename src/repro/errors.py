@@ -41,14 +41,16 @@ class ParseError(ReproError):
 
 
 class ShardFailure(ReproError):
-    """Raised when a shard task fails permanently.
+    """Raised when a supervised shard or task fails permanently.
 
-    The supervised executor (:mod:`repro.runtime.executor`) retries a
-    failed shard on the pool (bounded, with backoff) and then re-runs it
-    in-process; only when the in-process fallback *also* fails does the
-    failure propagate — as this exception, carrying the shard index and
-    the formatted worker traceback of the last pool attempt so the root
-    cause is never lost behind the retry machinery.
+    The supervised pools (:class:`~repro.runtime.parallel.PoolSupervisor`)
+    retry infrastructure faults — a dead or hung worker, a broken pool,
+    an injected fault — and then re-run the item in-process; when the
+    in-process fallback *also* fails, the failure propagates as this
+    exception.  Any other exception raised in a worker is a bug and
+    raises this at once, unretried.  Either way it carries the item
+    index and the formatted worker traceback, so the root cause is never
+    lost behind the retry machinery.
     """
 
 
@@ -77,48 +79,14 @@ class FaultSpecError(ReproError):
     """Raised for malformed ``REPRO_FAULTS`` / ``--faults`` specs."""
 
 
-class JobRejected(ReproError):
-    """Raised when the exploration service refuses to admit a job.
-
-    Admission control (:mod:`repro.service.scheduler`) bounds the queue
-    depth and the summed memory estimate of admitted jobs; a saturated
-    service rejects new work *at submit time* with the concrete reason
-    (queue full, memory budget exceeded, service draining) instead of
-    accepting jobs it cannot serve.  Rejection is an admission verdict,
-    not a failure — nothing about the job itself is wrong.
-    """
-
-
-class JobDeadlineExceeded(ReproError):
-    """Raised when a job's wall-clock deadline expires mid-exploration.
-
-    Deadlines are enforced cooperatively: the exploration loop and the
-    supervised pool layers check the job's :class:`~repro.runtime.cancel.
-    CancelToken` at iteration/dispatch boundaries, so an expired job
-    stops at the next safe point — after flushing a final checkpoint
-    when checkpointing is active — and only that job fails; concurrent
-    jobs proceed untouched.
-    """
-
-
-class JobCancelled(ReproError):
-    """Raised inside a job whose caller requested cancellation.
-
-    Same cooperative mechanism as :class:`JobDeadlineExceeded`, different
-    verdict: the work was abandoned on purpose, not timed out.
-    """
-
-
-class ServiceShutdown(ReproError):
+class ShutdownRequested(ReproError):
     """Raised inside in-flight work when a graceful shutdown begins.
 
-    SIGTERM/SIGINT (daemon or plain CLI run — see
+    SIGTERM/SIGINT during a CLI run (see
     :class:`~repro.runtime.cancel.ShutdownGuard`) cancels outstanding
     work with this exception; the exploration loop flushes a final
-    checkpoint before letting it propagate, so an interrupted job
-    resumes byte-identically on the next start.  Distinct from
-    :class:`JobCancelled` so recovery logic can tell "abandon" from
-    "continue later".
+    checkpoint before letting it propagate, so an interrupted run
+    resumes byte-identically with ``--resume``.
     """
 
 

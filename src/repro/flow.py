@@ -25,7 +25,7 @@ from .core.explorer import (
     explore,
 )
 from .core.qor import QoREvaluator, QoRSpec
-from .runtime import format_bytes
+from .runtime import CancelToken, format_bytes
 from .synth.library import DEFAULT_CLOCK_MHZ, LIB65, Library
 from .synth.synthesis import DesignMetrics, evaluate_design
 
@@ -141,7 +141,7 @@ def run_blasys(
     library: Library = LIB65,
     clock_mhz: float = DEFAULT_CLOCK_MHZ,
     activity_samples: int = 2048,
-    context=None,
+    cancel: Optional[CancelToken] = None,
 ) -> FlowResult:
     """Run the complete BLASYS flow against one or more error thresholds.
 
@@ -156,9 +156,8 @@ def run_blasys(
             ``max(thresholds)`` raises :class:`ExplorationError` instead of
             silently realizing nothing at the larger thresholds.
         final_samples: Sample count for the independent error re-measurement.
-        context: Per-run :class:`~repro.runtime.RunContext` forwarded to
-            :func:`~repro.core.explorer.explore` (cancellation/deadline
-            token, progress callback, shared cache, executor factory).
+        cancel: Cooperative cancellation token forwarded to
+            :func:`~repro.core.explorer.explore`.
 
     Raises:
         ExplorationError: No thresholds given, or ``config.threshold`` is
@@ -189,7 +188,7 @@ def run_blasys(
         clock_mhz=clock_mhz,
         match_macros=config.match_macros,
     )
-    exploration = explore(circuit, config, context=context)
+    exploration = explore(circuit, config, cancel=cancel)
 
     result = FlowResult(
         circuit, baseline, exploration, qor_metric=config.qor.metric

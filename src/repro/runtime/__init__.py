@@ -11,7 +11,8 @@ exploits both properties:
   :func:`~repro.runtime.parallel.supervised_map`): bounded per-item
   retries with backoff (:class:`~repro.runtime.parallel.RetryPolicy`),
   attempt timeouts that defeat hung workers, bounded pool rebuilds, and
-  per-item in-process fallback.
+  per-item in-process fallback; an exception an item itself raises
+  is not retried.
 * :mod:`repro.runtime.cache` — a content-addressed on-disk cache keyed by a
   canonical hash of the task inputs, so threshold sweeps and repeated CLI
   invocations skip redundant factorization/synthesis work entirely;
@@ -26,8 +27,7 @@ exploits both properties:
   (``REPRO_FAULTS=<spec>``) for chaos-testing every recovery path above.
 * :mod:`repro.runtime.checkpoint` — atomic exploration checkpoints for
   kill-and-resume with byte-identical continuations.
-* :mod:`repro.runtime.cancel` — cooperative cancellation/deadline tokens,
-  the per-run :class:`~repro.runtime.cancel.RunContext` hook bundle, and
+* :mod:`repro.runtime.cancel` — cooperative cancellation tokens and
   scoped SIGINT/SIGTERM handling (:class:`~repro.runtime.cancel.
   ShutdownGuard`) so interrupted runs checkpoint and close their pools
   instead of leaking workers.
@@ -45,7 +45,7 @@ from .cache import (
     array_token,
     canonical_circuit_bytes,
 )
-from .cancel import CancelToken, RunContext, ShutdownGuard
+from .cancel import CancelToken, ShutdownGuard
 from .checkpoint import (
     CHECKPOINT_VERSION,
     ExploreCheckpoint,
@@ -77,7 +77,6 @@ __all__ = [
     "PoolSupervisor",
     "ProfileCache",
     "RetryPolicy",
-    "RunContext",
     "RuntimeStats",
     "ShutdownGuard",
     "array_token",

@@ -1,4 +1,4 @@
-"""Cooperative cancellation, deadlines, and graceful-shutdown signals.
+"""Cooperative cancellation and graceful-shutdown signals.
 
 Long-running work in this repo — exploration loops, supervised pool
 dispatch — is made interruptible *cooperatively*: a
@@ -7,139 +7,54 @@ boundaries (loop iterations, dispatch rounds), never by killing threads
 mid-computation.  That keeps every interruption point a place where the
 determinism contract holds: an interrupted exploration can flush a
 checkpoint whose resume is byte-identical to the uninterrupted run
-(DESIGN.md "Fault tolerance" / "Service").
-
-Three cancellation verdicts share the mechanism and differ only in the
-exception raised, so callers can tell them apart:
-
-* :class:`~repro.errors.JobDeadlineExceeded` — the token's wall-clock
-  deadline expired (armed once at construction, checked lazily);
-* :class:`~repro.errors.JobCancelled` — a caller abandoned the work;
-* :class:`~repro.errors.ServiceShutdown` — a graceful shutdown began
-  and the work should checkpoint and stop (to be continued later).
+(DESIGN.md "Fault tolerance").  A cancelled token raises
+:class:`~repro.errors.ShutdownRequested` at its next check.
 
 :class:`ShutdownGuard` is the signal-handling end: it installs
-SIGINT/SIGTERM handlers that cancel a token with
-:class:`~repro.errors.ServiceShutdown` instead of letting the default
-handler kill the process with pools still alive and checkpoints
-unflushed.  Both the daemon (:mod:`repro.service.server`) and plain CLI
-runs (``blasys run``) route through it, so "no leaked workers on
-Ctrl-C" holds everywhere.
-
-:class:`RunContext` bundles the per-run cross-cutting hooks — the
-cancel token, a trajectory progress callback, a shared profile cache,
-and a shard-executor factory — that :func:`repro.core.explorer.explore`
-threads through the engine layers.  It exists so the exploration
-service can multiplex many jobs over shared runtime assets without the
-config (a frozen, fingerprinted dataclass) having to carry live
-objects.
+SIGINT/SIGTERM handlers that cancel a token instead of letting the
+default handler kill the process with pools still alive and checkpoints
+unflushed.  ``blasys run`` and ``blasys compare`` route through it, so
+"no leaked workers on Ctrl-C" holds for every CLI run.
 """
 
 from __future__ import annotations
 
 import signal
 import threading
-import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from ..errors import JobCancelled, JobDeadlineExceeded, ServiceShutdown
+from ..errors import ShutdownRequested
 
 
 class CancelToken:
-    """A thread-safe cooperative cancellation flag with an optional deadline.
+    """A cooperative cancellation flag.
 
-    Args:
-        deadline_s: Wall-clock budget in seconds from construction;
-            ``None`` means no deadline.  Expiry is detected lazily at
-            :meth:`check` time (monotonic clock), so a token is cheap to
-            create and costs nothing until consulted.
-
-    The token is sticky: once cancelled (explicitly or by deadline
-    expiry) every subsequent :meth:`check` raises the same exception
-    type with the same reason.
+    The token is sticky: once cancelled, every subsequent :meth:`check`
+    raises :class:`~repro.errors.ShutdownRequested` with the first
+    cancellation's reason.  Setting the flag is one attribute store and
+    takes no lock, so a signal handler may cancel a token that the code
+    it interrupted is checking (a lock held by :meth:`check` would
+    deadlock that handler).
     """
 
-    def __init__(self, deadline_s: Optional[float] = None) -> None:
-        self._lock = threading.Lock()
-        self._exc_type: Optional[type] = None
-        self._reason: str = ""
-        self._deadline: Optional[float] = (
-            time.monotonic() + deadline_s if deadline_s is not None else None
-        )
-        self._deadline_s = deadline_s
+    def __init__(self) -> None:
+        self._reason: Optional[str] = None
 
-    def cancel(
-        self, reason: str, exc_type: type = JobCancelled
-    ) -> None:
+    def cancel(self, reason: str) -> None:
         """Cancel the token; the first cancellation wins."""
-        with self._lock:
-            if self._exc_type is None:
-                self._exc_type = exc_type
-                self._reason = reason
-
-    def shutdown(self, reason: str = "service shutting down") -> None:
-        """Cancel with :class:`~repro.errors.ServiceShutdown` semantics."""
-        self.cancel(reason, ServiceShutdown)
+        if self._reason is None:
+            self._reason = reason
 
     @property
     def cancelled(self) -> bool:
-        """True once cancelled or past the deadline (without raising)."""
-        self._poll_deadline()
-        return self._exc_type is not None
-
-    def remaining(self) -> Optional[float]:
-        """Seconds until the deadline, or ``None`` when there is none."""
-        if self._deadline is None:
-            return None
-        return max(0.0, self._deadline - time.monotonic())
-
-    def _poll_deadline(self) -> None:
-        if self._deadline is not None and time.monotonic() >= self._deadline:
-            self.cancel(
-                f"deadline of {self._deadline_s:.3g}s exceeded",
-                JobDeadlineExceeded,
-            )
+        """True once cancelled (without raising)."""
+        return self._reason is not None
 
     def check(self) -> None:
-        """Raise the cancellation exception if cancelled/expired; else no-op."""
-        self._poll_deadline()
-        with self._lock:
-            if self._exc_type is not None:
-                raise self._exc_type(self._reason)
-
-
-@dataclass
-class RunContext:
-    """Per-run cross-cutting hooks threaded through ``explore()``.
-
-    Attributes:
-        cancel: Cooperative cancellation/deadline token, checked at loop
-            iterations and pool dispatch rounds.  ``None`` disables all
-            checks (zero overhead on the plain path).
-        on_progress: Called with each freshly committed
-            :class:`~repro.core.explorer.TrajectoryPoint` — the service
-            uses it to stream per-job progress; it must not mutate the
-            point and must not raise (exceptions propagate and fail the
-            run).
-        cache: A live :class:`~repro.runtime.cache.ProfileCache` shared
-            across runs; overrides ``config.cache_dir`` so concurrent
-            jobs dedup identical window truth tables through one store.
-        executor_factory: Replacement for :func:`repro.runtime.executor.
-            make_shard_executor` with the same signature — the service
-            supplies :meth:`ShardExecutorRegistry.lease` here so jobs
-            with identical streaming contexts share one warm worker
-            pool.  ``None`` keeps the per-run pool.
-    """
-
-    cancel: Optional[CancelToken] = None
-    on_progress: Optional[Callable] = None
-    cache: Optional[object] = None
-    executor_factory: Optional[Callable] = None
-
-    def check_cancel(self) -> None:
-        if self.cancel is not None:
-            self.cancel.check()
+        """Raise :class:`~repro.errors.ShutdownRequested` if cancelled."""
+        reason = self._reason
+        if reason is not None:
+            raise ShutdownRequested(reason)
 
 
 class ShutdownGuard:
@@ -149,7 +64,7 @@ class ShutdownGuard:
 
         token = CancelToken()
         with ShutdownGuard(token):
-            explore(circuit, config, context=RunContext(cancel=token))
+            explore(circuit, config, cancel=token)
 
     The handler only flips the token — the work itself stops at its next
     cooperative check, flushes its checkpoint, and unwinds through the
@@ -159,8 +74,7 @@ class ShutdownGuard:
     so a stuck run can still be killed the hard way.
 
     Handlers are restored on exit.  Installation is a no-op off the main
-    thread (CPython restricts ``signal.signal`` to it); the daemon
-    installs its guard on the main thread before spawning workers.
+    thread (CPython restricts ``signal.signal`` to it).
     """
 
     SIGNALS = (signal.SIGINT, signal.SIGTERM)
@@ -179,7 +93,7 @@ class ShutdownGuard:
             return
         self.signum = signum
         name = signal.Signals(signum).name
-        self.token.shutdown(
+        self.token.cancel(
             f"received {name}; finishing the current step, flushing "
             "checkpoints and closing worker pools"
         )

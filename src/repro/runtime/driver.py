@@ -102,14 +102,6 @@ class RuntimeStats:
             failing to unpickle (each also counted a miss).
         cache_corrupt_purged: Quarantined ``*.pkl.corrupt`` files deleted
             by the cache's bounded-retention sweep (oldest first).
-        jobs_admitted / jobs_rejected: Exploration-service admission
-            verdicts (queue/memory bounds — see
-            :mod:`repro.service.scheduler`).
-        jobs_completed / jobs_failed / jobs_cancelled: Terminal job
-            outcomes; a deadline expiry counts as failed, an operator
-            cancel as cancelled.
-        jobs_recovered: Jobs restored from the journal on service
-            restart (re-queued or resumed from their checkpoint).
         kernel_backend: Always ``"numpy"``: the hot loops have one
             implementation.  Kept only for the benchmark's provenance
             line, which reads it.
@@ -144,12 +136,6 @@ class RuntimeStats:
     n_checkpoints: int = 0
     cache_corrupt: int = 0
     cache_corrupt_purged: int = 0
-    jobs_admitted: int = 0
-    jobs_rejected: int = 0
-    jobs_completed: int = 0
-    jobs_failed: int = 0
-    jobs_cancelled: int = 0
-    jobs_recovered: int = 0
     kernel_backend: str = "numpy"
 
     def note_sample_matrix(self, nbytes: int) -> None:
@@ -223,39 +209,6 @@ class RuntimeStats:
             parts.append(f"{self.n_checkpoints} checkpoints written")
         return ", ".join(parts)
 
-    def service_summary(self) -> str:
-        """Job-level accounting for the exploration service."""
-        text = (
-            f"service: {self.jobs_admitted} admitted / "
-            f"{self.jobs_rejected} rejected, "
-            f"{self.jobs_completed} completed, {self.jobs_failed} failed, "
-            f"{self.jobs_cancelled} cancelled"
-        )
-        if self.jobs_recovered:
-            text += f", {self.jobs_recovered} recovered from journal"
-        return text
-
-    def absorb(self, other: "RuntimeStats") -> None:
-        """Fold another record's counters into this one (service-level
-        aggregation across per-job stats).  Max-valued fields keep the
-        max; resolved-worker-count fields keep the widest run."""
-        for name in (
-            "n_tasks", "tasks_computed", "cache_hits", "cache_misses",
-            "dedup_hits", "n_factorizations", "n_ladder_levels",
-            "n_syntheses", "n_preview_sweeps", "n_preview_cache_hits",
-            "n_sweep_units", "n_cones_compiled", "n_chunk_passes",
-            "n_shard_tasks", "n_stacked_blocks", "n_chunk_cache_hits",
-            "n_chunk_cache_misses", "n_shard_retries", "n_shard_fallbacks",
-            "n_task_retries", "n_task_fallbacks", "n_pool_rebuilds",
-            "n_checkpoints", "cache_corrupt", "cache_corrupt_purged",
-            "jobs_admitted", "jobs_rejected", "jobs_completed",
-            "jobs_failed", "jobs_cancelled", "jobs_recovered",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        for name in ("peak_sample_matrix_bytes", "chunk_words",
-                     "jobs", "shard_jobs"):
-            setattr(self, name, max(getattr(self, name), getattr(other, name)))
-
 
 def _count_work(stats: RuntimeStats, payloads: Sequence) -> None:
     for payload in payloads:
@@ -278,10 +231,13 @@ def run_tasks(
     """Execute ``task_fn`` over ``tasks``; results in task order.
 
     Dispatch is supervised (:func:`~repro.runtime.parallel.
-    supervised_map`): one worker death or task exception costs that task
-    bounded retries plus at worst an in-process re-run instead of
-    aborting the whole profiling pass, and results stay byte-identical
-    to the serial loop because tasks are pure functions of their inputs.
+    supervised_map`): a worker death, hung attempt or injected fault
+    costs that task bounded retries plus at worst an in-process re-run
+    instead of aborting the whole profiling pass, and results stay
+    byte-identical to the serial loop because tasks are pure functions
+    of their inputs.  An exception the task itself raises is a bug, not
+    a fault: it stops the pass at once as a
+    :class:`~repro.errors.ShardFailure`.
 
     Args:
         tasks: Work items (picklable when ``jobs > 1``).

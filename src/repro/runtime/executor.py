@@ -40,13 +40,12 @@ other execution of the same shard plan.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -112,9 +111,6 @@ class ScanShard:
             a worker-cached base slice for a chunk is valid iff its
             stored epoch is >= the chunk's watermark.
         metric: QoR metric name for this scan's accumulation.
-        lineage: Id of the parent evaluator that issued the scan.  Epochs
-            of different parents are not comparable, so a worker drops
-            its cached base slices when the lineage changes.
     """
 
     chunks: Tuple
@@ -123,7 +119,6 @@ class ScanShard:
     epoch: int
     chunk_epochs: Tuple[Tuple[int, int], ...]
     metric: str
-    lineage: int
 
 
 @dataclass
@@ -283,7 +278,7 @@ class ProcessShardExecutor(ShardExecutor):
     keep their cone-epoch chunk caches warm across iterations.
 
     Each ``run`` dispatches per-shard futures through a
-    :class:`~repro.runtime.parallel.PoolSupervisor`: a failed or
+    :class:`~repro.runtime.parallel.PoolSupervisor`: a crashed or
     timed-out shard is retried on the pool (bounded, with backoff; a
     timeout or ``BrokenProcessPool`` kills and rebuilds the pool within
     the respawn budget) and finally re-run in-process on a parent-side
@@ -353,11 +348,9 @@ class ProcessShardExecutor(ShardExecutor):
             for i, shard in enumerate(shards):
                 audit_payload(shard, f"ScanShard[{i}]")
         # One scan dispatch at a time: the supervisor's retry bookkeeping
-        # and the scan counter are not re-entrant, and a shared (leased)
-        # executor may be driven by several job threads concurrently.
-        # Serializing scans keeps the pool warm across jobs while each
-        # scan's shard order — and therefore its merge — stays exactly
-        # the serial one.
+        # and the scan counter are not re-entrant, so a caller driving
+        # the executor from more than one thread still gets each scan's
+        # shard order — and therefore its merge — exactly the serial one.
         with self._dispatch_lock:
             scan = self._scan_no
             self._scan_no += 1
@@ -437,202 +430,3 @@ def make_shard_executor(
             RuntimeWarning,
         )
         return None
-
-
-# ----------------------------------------------------------------------
-# Cross-run pool sharing (the exploration service's executor seam)
-# ----------------------------------------------------------------------
-def context_key(context: StreamContext, jobs: int) -> str:
-    """Content key of a :class:`StreamContext` + worker count.
-
-    Two runs whose contexts hash identically would initialize workers
-    with byte-identical state (same circuit structure, windows, packed
-    stimulus, chunk plan, cache capacity, sanitize mode), so they can
-    share one warm pool.  Hashed by content, never by object identity —
-    the same circuit submitted by two different clients collides, which
-    is the point.
-    """
-    from .cache import array_token, canonical_circuit_bytes
-
-    digest = hashlib.sha256(b"blasys-shard-context-v1")
-    for token in (
-        canonical_circuit_bytes(context.circuit),
-        repr(tuple(
-            (w.index, w.members, w.inputs, w.outputs)
-            for w in context.windows
-        )).encode(),
-        array_token(context.input_words),
-        array_token(context.exact_outputs),
-        repr((
-            context.n_samples,
-            context.chunk_words,
-            context.cache_chunks,
-            context.sanitize,
-            int(jobs),
-        )).encode(),
-    ):
-        digest.update(b"\x00")
-        digest.update(token)
-    return digest.hexdigest()
-
-
-class LeasedShardExecutor(ShardExecutor):
-    """A job's view of a registry-owned :class:`ProcessShardExecutor`.
-
-    ``close()`` releases the lease instead of killing the pool — the
-    registry keeps the pool warm for the next job with the same context
-    (schedule compilation and chunk caches amortize across jobs) and
-    tears it down only on :meth:`ShardExecutorRegistry.close`.  ``run``
-    forwards to the shared executor, whose internal dispatch lock
-    serializes concurrent scans from different job threads.
-    """
-
-    def __init__(self, registry: "ShardExecutorRegistry", key: str,
-                 inner: ProcessShardExecutor) -> None:
-        self._registry = registry
-        self._key = key
-        self._inner = inner
-        self.jobs = inner.jobs
-        self._released = False
-
-    def run(
-        self,
-        shards: Sequence[ScanShard],
-        cancel: Optional[CancelToken] = None,
-    ) -> Optional[List[ShardOutcome]]:
-        return self._inner.run(shards, cancel=cancel)
-
-    def close(self) -> None:
-        if not self._released:
-            self._released = True
-            self._registry.release(self._key)
-
-
-class ShardExecutorRegistry:
-    """Shared shard pools for concurrent exploration jobs.
-
-    The service's replacement for :func:`make_shard_executor`
-    (:attr:`~repro.runtime.cancel.RunContext.executor_factory`): jobs
-    whose streaming contexts hash identically (:func:`context_key`)
-    lease one shared supervised pool instead of each building their own,
-    and a **worker budget** bounds the total worker processes across all
-    live pools — a lease that would exceed it returns ``None``, which
-    degrades that job to in-process streaming (byte-identical by the
-    merge contract) rather than oversubscribing the host.
-
-    Pools are refcounted by lease but deliberately kept warm at
-    refcount zero; :meth:`close` (service shutdown) or :meth:`evict_idle`
-    reclaims them.  A pool whose creation fails platform-side is
-    remembered as dead so every subsequent lease degrades immediately
-    instead of re-attempting the spawn.
-    """
-
-    def __init__(self, max_total_workers: int = 0, stats=None) -> None:
-        #: ``0`` = unbounded (resolve to "all cores" is deliberately NOT
-        #: applied here: the budget is a cap on pool *sum*, not a count).
-        self.max_total_workers = int(max_total_workers)
-        self._stats = stats
-        self._lock = threading.Lock()
-        self._pools: Dict[str, ProcessShardExecutor] = {}
-        self._leases: Dict[str, int] = {}
-        self._dead: set = set()
-        self._closed = False
-        #: Diagnostic counters: pools actually built vs. leases served
-        #: (their difference is the cross-job sharing win) and leases
-        #: degraded to in-process execution by the worker budget.
-        self.pools_built = 0
-        self.leases = 0
-        self.rejected_leases = 0
-
-    def _live_workers(self) -> int:
-        return sum(pool.jobs for pool in self._pools.values())
-
-    def lease(
-        self,
-        context: StreamContext,
-        jobs: int,
-        policy: Optional[RetryPolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        stats=None,
-    ) -> Optional[ShardExecutor]:
-        """Lease a shared executor for ``context``, or ``None`` to degrade.
-
-        Matches :func:`make_shard_executor`'s signature so it can stand
-        in as a :class:`~repro.runtime.cancel.RunContext` executor
-        factory.  ``faults`` is honored per-lease only when a fresh pool
-        is built (an existing shared pool keeps its own plan — fault
-        clauses are scoped to the run that created the pool); retry
-        ``policy`` likewise binds at pool construction.  Supervision
-        counters feed the registry's service-level ``stats`` (per-job
-        attribution of shared-pool events would be arbitrary).
-        """
-        jobs = effective_jobs(jobs)
-        if jobs <= 1:
-            return None
-        key = context_key(context, jobs)
-        with self._lock:
-            if self._closed or key in self._dead:
-                return None
-            pool = self._pools.get(key)
-            if pool is None:
-                if (
-                    self.max_total_workers > 0
-                    and self._live_workers() + jobs > self.max_total_workers
-                ):
-                    self.rejected_leases += 1
-                    warnings.warn(
-                        f"shard worker budget ({self.max_total_workers}) "
-                        f"exhausted ({self._live_workers()} live); job "
-                        "degrades to in-process streaming",
-                        RuntimeWarning,
-                    )
-                    return None
-                try:
-                    pool = ProcessShardExecutor(
-                        context, jobs, policy=policy, faults=faults,
-                        stats=self._stats if self._stats is not None else stats,
-                    )
-                except (OSError, PermissionError) as exc:  # pragma: no cover
-                    warnings.warn(
-                        f"process pool unavailable ({exc}); jobs degrade "
-                        "to in-process streaming",
-                        RuntimeWarning,
-                    )
-                    self._dead.add(key)
-                    return None
-                self._pools[key] = pool
-                self._leases[key] = 0
-                self.pools_built += 1
-            self._leases[key] += 1
-            self.leases += 1
-            return LeasedShardExecutor(self, key, pool)
-
-    def release(self, key: str) -> None:
-        with self._lock:
-            if key in self._leases and self._leases[key] > 0:
-                self._leases[key] -= 1
-
-    def evict_idle(self) -> int:
-        """Close pools with no live lease; returns how many were closed."""
-        with self._lock:
-            idle = [k for k, n in self._leases.items() if n == 0]
-            closed = 0
-            for key in idle:
-                pool = self._pools.pop(key, None)
-                self._leases.pop(key, None)
-                if pool is not None:
-                    pool.close()
-                    closed += 1
-            return closed
-
-    def close(self) -> None:
-        """Tear down every pool (leased or idle).  Used at shutdown —
-        leaseholders' in-flight scans fail over to their in-process
-        fallback path, which is exactly the degradation contract."""
-        with self._lock:
-            self._closed = True
-            pools = list(self._pools.values())
-            self._pools.clear()
-            self._leases.clear()
-        for pool in pools:
-            pool.close()

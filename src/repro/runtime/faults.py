@@ -96,8 +96,9 @@ class InjectedFault(RuntimeError):
     """The deliberate failure a fault clause raises inside a worker.
 
     Deliberately *not* a :class:`~repro.errors.ReproError`: it stands in
-    for an arbitrary application-level crash, so it must travel the same
-    generic-exception retry path real worker bugs would.
+    for a worker crash, so the supervisor retries it like one.  Any
+    other exception raised in a worker is treated as a bug and fails the
+    batch at once (:class:`~repro.runtime.parallel.PoolSupervisor`).
     """
 
 

@@ -20,7 +20,9 @@ Two dispatch strategies live here:
 * :class:`PoolSupervisor` / :func:`supervised_map` — per-item futures
   with a bounded retry/backoff policy (:class:`RetryPolicy`), attempt
   timeouts that defeat hung workers, bounded pool rebuilds on
-  ``BrokenProcessPool``, and per-item in-process fallback.  Items are
+  ``BrokenProcessPool``, and per-item in-process fallback.  Only
+  infrastructure faults are retried; an exception the item itself
+  raises is a bug and stops the batch at once.  Items are
   pure functions of their inputs, so a retried or locally re-run item
   returns byte-identical results — the supervisor changes *where* work
   runs, never *what* it computes.  The streaming shard executor
@@ -41,9 +43,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from ..errors import WorkerTimeout
+from ..errors import ShardFailure, WorkerTimeout
 from .cancel import CancelToken
-from .faults import FaultPlan, _raise_injected
+from .faults import FaultPlan, InjectedFault, _raise_injected
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -75,22 +77,21 @@ def effective_jobs(jobs: int, n_items: Optional[int] = None) -> int:
 def bind_worker_to_parent() -> None:
     """Pool-worker initializer: die when the parent process dies.
 
-    ``fork``-started workers survive a SIGKILLed parent — and keep every
-    inherited descriptor alive, including a service daemon's *listening
-    socket*, whose stale backlog can then swallow client connections
-    racing a restarted daemon's re-bind.  ``PR_SET_PDEATHSIG`` makes the
-    kernel deliver SIGTERM to the worker the moment its parent exits for
-    any reason.  Linux-only and best-effort: on other platforms workers
-    rely on the pools' normal shutdown paths, which every graceful exit
-    already runs.
+    ``fork``-started workers survive a SIGKILLed parent — a killed
+    ``blasys run`` would leave its pool behind, each worker holding
+    every descriptor it inherited and computing results nobody will
+    read.  ``PR_SET_PDEATHSIG`` makes the kernel deliver SIGTERM to the
+    worker the moment its parent exits for any reason.  Linux-only and
+    best-effort: on other platforms workers rely on the pools' normal
+    shutdown paths, which every graceful exit already runs.
     """
     import signal as _signal
 
-    # fork inherits the parent's Python-level signal handlers.  A service
-    # daemon (or a CLI run inside ShutdownGuard) handles SIGTERM/SIGINT by
-    # cancelling a token — in a worker that handler is a no-op on a dead
-    # copy of the token, so the death signal below would be absorbed and
-    # the worker would linger.  Workers must die on these signals.
+    # fork inherits the parent's Python-level signal handlers.  A CLI
+    # run inside ShutdownGuard handles SIGTERM/SIGINT by cancelling a
+    # token — in a worker that handler is a no-op on a dead copy of the
+    # token, so the death signal below would be absorbed and the worker
+    # would linger.  Workers must die on these signals.
     for signum in (_signal.SIGTERM, _signal.SIGINT):
         try:
             _signal.signal(signum, _signal.SIG_DFL)
@@ -214,11 +215,14 @@ class PoolSupervisor:
     Owns the retry loop shared by the shard executor and the task
     driver: submit every pending item, collect each future under the
     policy's attempt timeout, classify failures (timeout and broken-pool
-    compromise the pool → kill + rebuild within budget; application
-    exceptions leave the pool alive), retry failed items with
-    exponential backoff up to ``policy.max_retries``, and run anything
-    still failing in-process via the caller's ``run_local`` — in sorted
-    item order, so the fallback path is deterministic.
+    compromise the pool → kill + rebuild within budget; an injected
+    fault or ``MemoryError`` leaves the pool alive), retry failed items
+    with exponential backoff up to ``policy.max_retries``, and run
+    anything still failing in-process via the caller's ``run_local`` —
+    in sorted item order, so the fallback path is deterministic.  Any
+    other exception raised by an item is a bug in the item, not a
+    fault of the pool: it raises :class:`~repro.errors.ShardFailure` at
+    once with the worker traceback, with no retry and no fallback.
 
     ``kind`` selects which :class:`~repro.runtime.driver.RuntimeStats`
     counters the supervisor feeds (``"shard"`` → ``n_shard_retries`` /
@@ -325,13 +329,9 @@ class PoolSupervisor:
 
         ``cancel`` makes the dispatch loop cooperative: the token is
         checked before every dispatch/retry round and before the
-        in-process fallback, so an expired deadline or a shutdown
-        request stops the batch at a round boundary (already-submitted
-        futures finish on the pool and are discarded; the pool itself
-        stays healthy for other users).  The raised exception is the
-        token's verdict (:class:`~repro.errors.JobDeadlineExceeded`,
-        :class:`~repro.errors.JobCancelled`, or
-        :class:`~repro.errors.ServiceShutdown`).
+        in-process fallback, so a shutdown request stops the batch at a
+        round boundary (already-submitted futures finish on the pool and
+        are discarded) with :class:`~repro.errors.ShutdownRequested`.
         """
         results: List[R] = [None] * n_items  # type: ignore[list-item]
         attempts = [0] * n_items
@@ -380,11 +380,19 @@ class PoolSupervisor:
                     if last_exc[i] is None:
                         last_exc[i] = exc
                     failed.append(i)
-                except Exception as exc:
-                    # Application-level failure inside the item itself:
-                    # the pool is healthy, only this item is retried.
+                except (InjectedFault, MemoryError) as exc:
+                    # Infrastructure faults that leave the pool healthy:
+                    # the chaos harness's stand-in for a worker crash, and
+                    # a worker that ran out of memory.  Retry this item.
                     last_exc[i] = exc
                     failed.append(i)
+                except Exception as exc:
+                    # A bug in the item itself: a re-run would raise it
+                    # again or, worse, hide it.
+                    raise ShardFailure(
+                        f"{self._kind} {i} raised in its worker "
+                        f"(not retried):\n{format_worker_failure(exc)}"
+                    ) from exc
             pending = []
             for i in failed:
                 attempts[i] += 1
@@ -417,13 +425,15 @@ def supervised_map(
 ) -> List[R]:
     """:func:`parallel_map` with per-item retries and local fallback.
 
-    A worker death, hung attempt, or application-level exception costs
-    only the affected item bounded retries plus (at worst) one
-    in-process re-run — the rest of the batch's pool results are kept.
-    Items are pure functions of their inputs, so results are
-    byte-identical to the serial loop regardless of which items were
-    retried or fell back.  A failure that survives the in-process
-    fallback propagates unwrapped.
+    A worker death, hung attempt, or injected fault costs only the
+    affected item bounded retries plus (at worst) one in-process re-run
+    — the rest of the batch's pool results are kept.  Items are pure
+    functions of their inputs, so results are byte-identical to the
+    serial loop regardless of which items were retried or fell back.
+    A failure that survives the in-process fallback propagates
+    unwrapped; an exception ``fn`` raises in a worker raises
+    :class:`~repro.errors.ShardFailure` at once (see
+    :class:`PoolSupervisor`).
 
     ``faults`` threads the deterministic chaos harness through: a
     matching ``task`` clause replaces that attempt's submission with an

@@ -354,7 +354,6 @@ def make_shard(**overrides) -> ScanShard:
         epoch=0,
         chunk_epochs=((0, 0),),
         metric="mred",
-        lineage=0,
     )
     base.update(overrides)
     return ScanShard(**base)

@@ -38,6 +38,13 @@ class TestParser:
         assert args.jobs == 0
         assert args.cache_dir == "/tmp/c"
 
+    @pytest.mark.parametrize("command", ["serve", "submit", "jobs", "job",
+                                         "shutdown"])
+    def test_no_service_subcommands(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_thresholds_parsed(self):
         args = build_parser().parse_args(
             ["run", "--bench", "mult8", "--thresholds", "0.05", "0.25"]
@@ -145,41 +152,6 @@ class TestCheckpointFlagCoherence:
         with pytest.raises(ExplorationError, match="--checkpoint-every"):
             main(["compare", "--bench", "but", "--samples", "256",
                   "--checkpoint-every", "3"])
-
-
-class TestServiceParser:
-    def test_serve_requires_socket_and_journal(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve"])
-        args = build_parser().parse_args(
-            ["serve", "--socket", "/tmp/b.sock", "--journal", "/tmp/j",
-             "--max-queue", "4", "--max-concurrent", "2",
-             "--max-memory-mb", "64", "--pool-workers", "4",
-             "--drain-on-term"]
-        )
-        assert args.max_queue == 4 and args.max_concurrent == 2
-        assert args.max_memory_mb == 64.0 and args.pool_workers == 4
-        assert args.drain_on_term
-
-    def test_submit_builds_sparse_config(self):
-        args = build_parser().parse_args(
-            ["submit", "--socket", "/tmp/b.sock", "--bench", "but",
-             "--samples", "700", "--k", "8", "--deadline", "30", "--wait"]
-        )
-        assert args.samples == 700 and args.k == 8
-        assert args.m is None  # unset flags stay out of the job config
-        assert args.deadline == 30.0 and args.wait
-
-    def test_client_commands_parse(self):
-        parser = build_parser()
-        assert parser.parse_args(
-            ["jobs", "--socket", "/tmp/b.sock"]).fn is not None
-        job = parser.parse_args(
-            ["job", "job-0001", "--socket", "/tmp/b.sock", "--cancel"])
-        assert job.job_id == "job-0001" and job.cancel
-        down = parser.parse_args(
-            ["shutdown", "--socket", "/tmp/b.sock", "--drain"])
-        assert down.drain
 
 
 class TestSignalHandling:

@@ -392,10 +392,9 @@ class TestShardFailureAttribution:
     def test_app_level_failure_raises_shard_failure_with_traceback(
         self, butterfly_profiled, rng
     ):
-        """Satellite bugfix: an application-level exception inside a shard
-        no longer propagates raw out of the executor — it rides the
-        retry/fallback path, and when the in-process fallback fails too,
-        the raised ShardFailure carries the worker traceback."""
+        """An exception the shard itself raises is a bug, not a fault:
+        it raises ShardFailure at once, carrying the worker traceback,
+        with no pool retry and no in-process fallback."""
         circuit, windows, _ = butterfly_profiled
         n = 700
         words = random_input_words(circuit.n_inputs, n, rng)
@@ -410,8 +409,7 @@ class TestShardFailureAttribution:
             exact_outputs=simulate_outputs(circuit, words, n_samples=n),
         )
         # A shard referencing a window index no profile/window defines:
-        # every attempt (pool and in-process) raises the same app-level
-        # exception.
+        # every attempt raises the same app-level exception.
         bad = ScanShard(
             chunks=((0, 3),),
             requests=((9999, (np.zeros((2, 2), dtype=np.uint8),)),),
@@ -419,11 +417,9 @@ class TestShardFailureAttribution:
             epoch=0,
             chunk_epochs=(),
             metric="mre",
-            lineage=0,
         )
-        executor = ProcessShardExecutor(
-            context, 2, policy=RetryPolicy(max_retries=0, backoff=0.0)
-        )
+        stats = RuntimeStats()
+        executor = ProcessShardExecutor(context, 2, policy=FAST, stats=stats)
         try:
             with quiet(), pytest.raises(ShardFailure) as exc_info:
                 executor.run([bad])
@@ -432,6 +428,26 @@ class TestShardFailureAttribution:
             assert "Traceback" in message  # worker-side traceback preserved
         finally:
             executor.close()
+        assert stats.n_shard_retries == 0
+        assert stats.n_shard_fallbacks == 0
+
+    def test_app_level_task_failure_is_not_retried(self):
+        """supervised_map holds the same line: a task that raises in its
+        worker fails the batch at once, unretried."""
+        stats = RuntimeStats()
+        with quiet(), pytest.raises(ShardFailure) as exc_info:
+            supervised_map(
+                _raise_value_error, [0, 1], jobs=2, policy=FAST, stats=stats
+            )
+        message = str(exc_info.value)
+        assert "task " in message
+        assert "ValueError: task bug" in message
+        assert stats.n_task_retries == 0
+        assert stats.n_task_fallbacks == 0
+
+
+def _raise_value_error(x):
+    raise ValueError(f"task bug {x}")
 
 
 # ----------------------------------------------------------------------

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from repro.bench import butterfly, ripple_adder
 from repro.core.explorer import ExplorerConfig, explore
 from repro.core.profile import WindowTask, profile_windows
+from repro.errors import ShutdownRequested
 from repro.flow import run_blasys
 from repro.partition import decompose
 from repro.runtime import (
+    CancelToken,
     ProfileCache,
     RuntimeStats,
+    ShutdownGuard,
     parallel_map,
     resolve_jobs,
     run_tasks,
@@ -366,22 +372,29 @@ class TestCorruptQuarantineRetention:
         assert "1 purged" in stats.resilience_summary()
 
 
-class TestServiceStats:
-    def test_service_summary_and_absorb(self):
-        a = RuntimeStats(jobs_admitted=2, jobs_rejected=1, jobs_completed=1,
-                         jobs_failed=1, jobs_recovered=1)
-        b = RuntimeStats(jobs_admitted=1, jobs_cancelled=1,
-                         cache_corrupt_purged=2)
-        a.absorb(b)
-        assert a.jobs_admitted == 3 and a.jobs_cancelled == 1
-        assert a.cache_corrupt_purged == 2
-        summary = a.service_summary()
-        assert "3 admitted" in summary and "1 rejected" in summary
-        assert "recovered" in summary
+class TestShutdownGuard:
+    def test_first_signal_cancels_second_falls_through(self):
+        """The first SIGINT only cancels the token; a second one reaches
+        the handler the guard replaced; both handlers are restored."""
+        received = []
 
-    def test_service_summary_idle_shape(self):
-        # Always reports (the daemon prints it at stop); the recovered
-        # clause only appears when recovery actually happened.
-        summary = RuntimeStats().service_summary()
-        assert summary.startswith("service: 0 admitted")
-        assert "recovered" not in summary
+        def previous(signum, frame):
+            received.append(signum)
+
+        saved_int = signal.signal(signal.SIGINT, previous)
+        saved_term = signal.getsignal(signal.SIGTERM)
+        try:
+            token = CancelToken()
+            guard = ShutdownGuard(token)
+            with guard:
+                os.kill(os.getpid(), signal.SIGINT)
+                with pytest.raises(ShutdownRequested, match="SIGINT"):
+                    token.check()
+                assert guard.signum == signal.SIGINT
+                assert received == []
+                os.kill(os.getpid(), signal.SIGINT)
+                assert received == [signal.SIGINT]
+            assert signal.getsignal(signal.SIGINT) is previous
+            assert signal.getsignal(signal.SIGTERM) is saved_term
+        finally:
+            signal.signal(signal.SIGINT, saved_int)

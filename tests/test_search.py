@@ -26,8 +26,8 @@ from repro.core.search import (
     AnnealSearcher,
     make_searcher,
 )
-from repro.errors import ExplorationError, JobCancelled
-from repro.runtime import CancelToken, RunContext, load_checkpoint
+from repro.errors import ExplorationError, ShutdownRequested
+from repro.runtime import CancelToken, load_checkpoint
 
 from explore_fixtures import explorer_config, trajectory_key
 
@@ -57,7 +57,7 @@ class TripAfter(CancelToken):
     def check(self) -> None:
         self.count += 1
         if self.count > self.n:
-            raise JobCancelled("injected trip")
+            raise ShutdownRequested("injected trip")
 
 
 @pytest.fixture(scope="module")
@@ -215,10 +215,10 @@ class TestCheckpointResume:
                     explorer_config(**base, checkpoint_path=str(ck)),
                     windows=windows,
                     profiles=profiles,
-                    context=RunContext(cancel=token),
+                    cancel=token,
                 )
                 break  # ran to completion: past the last check point
-            except JobCancelled:
+            except ShutdownRequested:
                 pass
             if not ck.exists():
                 continue  # tripped before the first checkpoint flush
@@ -345,10 +345,10 @@ class TestLazyHeapCheckpoint:
                     explorer_config(**base, checkpoint_path=str(ck)),
                     windows=windows,
                     profiles=profiles,
-                    context=RunContext(cancel=TripAfter(trip)),
+                    cancel=TripAfter(trip),
                 )
                 break
-            except JobCancelled:
+            except ShutdownRequested:
                 pass
             if not ck.exists():
                 continue
