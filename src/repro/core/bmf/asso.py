@@ -20,7 +20,8 @@ The greedy selection is **prefix-stable in f**: each level's choice depends
 only on the cover state left by the previous levels, never on the target
 degree, so the degree-``f`` result is the ``f``-prefix of the degree-
 ``(m-1)`` run at the same ``tau``.  :func:`_asso_descent` exploits that by
-running the greedy descent *once* per ``tau`` and snapshotting every level;
+running the greedy descent *once* per ``tau`` and snapshotting every level
+(and a sweep skips a ``tau`` whose candidate set repeats an earlier one's);
 :func:`asso` and :func:`asso_ladder` are both thin views of the same
 descent, which is what makes ladder-profiled results byte-identical to the
 per-degree path (see DESIGN.md "BMF kernel").
@@ -40,7 +41,7 @@ above that width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,27 +192,27 @@ def _prepare_descent(M: np.ndarray, w: np.ndarray) -> _DescentPrep:
 def _asso_descent(
     M: np.ndarray,
     f_max: int,
-    tau: float,
+    candidates: np.ndarray,
     w: np.ndarray,
     bonus: float,
     penalty: float,
-    prep: Optional[_DescentPrep] = None,
+    prep: _DescentPrep,
 ) -> _Descent:
     """Run the greedy cover descent once, recording every level.
 
+    ``candidates`` is the deduplicated association matrix of one ``tau``
+    (:func:`association_candidates` with ``dedup=True``); together with
+    ``M``, ``w`` and the cover weights it fully determines the descent.
     The packed path keeps three synchronized cover views: per-row bitmasks
     (for gain scoring), packed cover columns (for the per-level error
     popcounts), and the ``B``/``C`` snapshots themselves.
     """
     n, m = M.shape
-    if prep is None:
-        prep = _prepare_descent(M, w)
     B = np.zeros((n, f_max), dtype=bool)
     C = np.zeros((f_max, m), dtype=bool)
     errors = np.empty(f_max + 1, dtype=np.float64)
     errors[0] = weighted_counts_error(M.sum(axis=0, dtype=np.int64), w)
 
-    candidates = association_candidates(M, tau, dedup=True, conf=prep.conf)
     if candidates.size == 0:
         errors[1:] = errors[0]
         return _Descent(B, C, errors)
@@ -256,6 +257,32 @@ def _asso_descent(
     return _Descent(B, C, errors)
 
 
+def _distinct_descents(
+    M: np.ndarray,
+    f_max: int,
+    taus: Sequence[float],
+    w: np.ndarray,
+    bonus: float,
+    penalty: float,
+) -> Iterator[Tuple[float, _Descent]]:
+    """One descent per distinct candidate set of a threshold sweep.
+
+    Yields ``(tau, descent)`` in ``taus`` order, skipping every ``tau``
+    whose deduplicated candidates equal an earlier ``tau``'s: its descent
+    would repeat that one error for error, and under the sweep's
+    first-strictly-lower rule it could never win.
+    """
+    prep = _prepare_descent(M, w)
+    seen = set()
+    for tau in taus:
+        candidates = association_candidates(M, tau, dedup=True, conf=prep.conf)
+        key = (candidates.shape, candidates.tobytes())
+        if key in seen:
+            continue
+        seen.add(key)
+        yield tau, _asso_descent(M, f_max, candidates, w, bonus, penalty, prep)
+
+
 def _check_matrix_degree(M: np.ndarray, f: int) -> np.ndarray:
     M = np.asarray(M, dtype=bool)
     if M.ndim != 2:
@@ -287,9 +314,7 @@ def asso(
         :class:`AssoResult` with ``B`` (n × f), ``C`` (f × m) and the
         weighted error of ``M`` vs ``B ∘ C``.
     """
-    M = _check_matrix_degree(M, f)
-    w = check_weights(weights, M.shape[1])
-    return _asso_descent(M, f, tau, w, bonus, penalty).snapshot(f, tau)
+    return asso_sweep(M, f, (tau,), weights, bonus, penalty)
 
 
 def asso_sweep(
@@ -305,10 +330,9 @@ def asso_sweep(
         raise FactorizationError("empty threshold sweep")
     M = _check_matrix_degree(M, f)
     w = check_weights(weights, M.shape[1])
-    prep = _prepare_descent(M, w)
     best: Optional[AssoResult] = None
-    for tau in taus:
-        result = _asso_descent(M, f, tau, w, bonus, penalty, prep).snapshot(f, tau)
+    for tau, descent in _distinct_descents(M, f, taus, w, bonus, penalty):
+        result = descent.snapshot(f, tau)
         if best is None or result.error < best.error:
             best = result
     return best
@@ -324,19 +348,18 @@ def asso_ladder(
 ) -> Dict[int, AssoResult]:
     """Threshold-swept ASSO for **every** degree ``1 .. f_max`` at once.
 
-    One greedy descent per ``tau`` (instead of one per ``(tau, f)`` pair);
-    per degree the first strictly-lower-error threshold wins, exactly the
-    tie rule of :func:`asso_sweep`, so ``asso_ladder(M, F)[f]`` equals
-    ``asso_sweep(M, f)`` field-for-field for every ``f <= F``.
+    One greedy descent per distinct candidate set (instead of one per
+    ``(tau, f)`` pair); per degree the first strictly-lower-error
+    threshold wins, exactly the tie rule of :func:`asso_sweep`, so
+    ``asso_ladder(M, F)[f]`` equals ``asso_sweep(M, f)`` field-for-field
+    for every ``f <= F``.
     """
     M = _check_matrix_degree(M, f_max)
     if not taus:
         raise FactorizationError("empty threshold sweep")
     w = check_weights(weights, M.shape[1])
-    prep = _prepare_descent(M, w)
     best: Dict[int, AssoResult] = {}
-    for tau in taus:
-        descent = _asso_descent(M, f_max, tau, w, bonus, penalty, prep)
+    for tau, descent in _distinct_descents(M, f_max, taus, w, bonus, penalty):
         for f in range(1, f_max + 1):
             held = best.get(f)
             if held is None or float(descent.errors[f]) < held.error:

@@ -19,6 +19,8 @@ Two factorization families are profiled:
 The default ``hybrid`` selection keeps, per degree, the cone variant unless
 the general factorization is substantially more accurate — matching the
 paper's observed behaviour of smooth area reduction with occasional bumps.
+The choice reads factorization errors only, so only the chosen variant is
+area-costed.
 
 Profiling is dispatched through :mod:`repro.runtime`: each window becomes
 one self-contained :class:`WindowTask` (truth table + weights + standalone
@@ -339,19 +341,29 @@ def _cone_candidate(
     )
 
 
-def _pick_hybrid(
-    bmf_variant: Optional[CandidateVariant],
-    cone_variant: Optional[CandidateVariant],
+def _pick_variant(
+    costing: _VariantCosting,
+    p: ProfileParams,
+    task: WindowTask,
+    f: int,
+    bmf_result,
+    cone_result,
 ) -> CandidateVariant:
-    """The hybrid rule: cone unless general BMF is substantially better."""
-    if bmf_variant is None:
-        return cone_variant
-    if cone_variant is None:
-        return bmf_variant
-    take_bmf = bmf_variant.bmf_error < (
-        HYBRID_ERROR_FACTOR * cone_variant.bmf_error
+    """The hybrid rule, then the winner's candidate: only it is costed.
+
+    Cone unless general BMF is substantially more accurate.  The rule
+    reads factorization errors alone, so the losing factorization is never
+    synthesized; areas are pure functions of their keys, so skipping it
+    cannot change the winner's area.  Either result may be None when
+    ``selection`` profiles one family only.
+    """
+    take_bmf = cone_result is None or (
+        bmf_result is not None
+        and bmf_result.error < HYBRID_ERROR_FACTOR * cone_result.error
     )
-    return bmf_variant if take_bmf else cone_variant
+    if take_bmf:
+        return _bmf_candidate(costing, p, bmf_result)
+    return _cone_candidate(costing, p, task, f, cone_result)
 
 
 def _weight_rails(task: WindowTask) -> List[Optional[np.ndarray]]:
@@ -404,17 +416,9 @@ def profile_window_task(task: WindowTask) -> WindowTaskResult:
     for f in range(1, n_outputs):
         by_table: Dict[bytes, CandidateVariant] = {}
         for idx in range(len(rails)):
-            bmf_variant = (
-                _bmf_candidate(costing, p, bmf_ladders[idx][f])
-                if idx in bmf_ladders
-                else None
-            )
-            cone_variant = (
-                _cone_candidate(costing, p, task, f, cone_ladders[idx][f])
-                if idx in cone_ladders
-                else None
-            )
-            variant = _pick_hybrid(bmf_variant, cone_variant)
+            bmf_result = bmf_ladders[idx][f] if idx in bmf_ladders else None
+            cone_result = cone_ladders[idx][f] if idx in cone_ladders else None
+            variant = _pick_variant(costing, p, task, f, bmf_result, cone_result)
             key = variant.table.tobytes()
             held = by_table.get(key)
             # identical tables measure identically; keep the cheaper
@@ -430,7 +434,7 @@ def profile_window_task(task: WindowTask) -> WindowTaskResult:
 def profile_window_task_reference(task: WindowTask) -> WindowTaskResult:
     """The legacy per-degree worker: one greedy descent per (degree, rail).
 
-    Kept verbatim as the executable specification of
+    Kept as the executable specification of
     :func:`profile_window_task` — the kernel-equivalence tests and
     ``benchmarks/bench_bmf_kernel.py`` run both and assert byte-identical
     profiles, which is the cache-compatibility contract of DESIGN.md.
@@ -442,20 +446,20 @@ def profile_window_task_reference(task: WindowTask) -> WindowTaskResult:
 
     def build_variant(f: int, rail: Optional[np.ndarray]) -> CandidateVariant:
         nonlocal n_factorizations
-        bmf_variant = None
-        cone_variant = None
+        bmf_result = None
+        cone_result = None
         if p.selection in ("bmf", "hybrid"):
-            result = factorize(
+            bmf_result = factorize(
                 task.table, f, weights=rail, algebra=p.algebra,
                 method=p.method, taus=p.taus,
             )
             n_factorizations += 1
-            bmf_variant = _bmf_candidate(costing, p, result)
         if p.selection in ("cone", "hybrid"):
-            cs = column_select_bmf(task.table, f, weights=rail, algebra=p.algebra)
+            cone_result = column_select_bmf(
+                task.table, f, weights=rail, algebra=p.algebra
+            )
             n_factorizations += 1
-            cone_variant = _cone_candidate(costing, p, task, f, cs)
-        return _pick_hybrid(bmf_variant, cone_variant)
+        return _pick_variant(costing, p, task, f, bmf_result, cone_result)
 
     exact_area = costing.window_area(task.sub) if p.estimate_area else 0.0
     variants: Dict[int, List[CandidateVariant]] = {}

@@ -9,6 +9,8 @@ bit for bit on real circuit windows.  See DESIGN.md "BMF kernel".
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.core.bmf import (
     factorize_ladder,
     numeric_weights,
 )
+from repro.core.bmf.asso import DEFAULT_TAUS
 from repro.core.profile import (
     ProfileParams,
     WindowTask,
@@ -35,6 +38,9 @@ from repro.core.profile import (
 )
 from repro.errors import FactorizationError
 from repro.partition import decompose
+
+# The package re-exports the ``asso`` function under the module's name.
+asso_mod = importlib.import_module("repro.core.bmf.asso")
 
 
 def _matrix_and_weights(seed: int):
@@ -100,6 +106,46 @@ class TestAssoLadder:
         M = rng.random((8, 3)) < 0.5
         with pytest.raises(FactorizationError):
             asso_ladder(M, 2, taus=())
+
+    @pytest.fixture
+    def descents(self, monkeypatch):
+        """Count ``_asso_descent`` calls made after the fixture is set up."""
+        calls = []
+        descent = asso_mod._asso_descent
+
+        def counting_descent(*args, **kwargs):
+            calls.append(1)
+            return descent(*args, **kwargs)
+
+        monkeypatch.setattr(asso_mod, "_asso_descent", counting_descent)
+        return calls
+
+    def test_repeated_candidate_set_costs_one_descent(self, descents):
+        M, m, weights = _matrix_and_weights(0)
+        once = asso_ladder(M, m - 1, taus=(0.5,), weights=weights)
+        swept_once = asso_sweep(M, m - 1, taus=(0.5,), weights=weights)
+        descents.clear()
+        ladder = asso_ladder(M, m - 1, taus=(0.5, 0.5, 0.5), weights=weights)
+        assert len(descents) == 1
+        swept = asso_sweep(M, m - 1, taus=(0.5, 0.5, 0.5), weights=weights)
+        assert len(descents) == 2
+        for a, b in [(ladder[f], once[f]) for f in range(1, m)] + [
+            (swept, swept_once)
+        ]:
+            np.testing.assert_array_equal(a.B, b.B)
+            np.testing.assert_array_equal(a.C, b.C)
+            assert a.error == b.error
+            assert a.tau == b.tau
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_descent_per_distinct_candidate_set(self, descents, seed):
+        M, m, weights = _matrix_and_weights(seed)
+        distinct = {
+            association_candidates(M, tau, dedup=True).tobytes()
+            for tau in DEFAULT_TAUS
+        }
+        asso_ladder(M, m - 1, weights=weights)
+        assert len(descents) == len(distinct)
 
 
 class TestColumnSelectLadder:

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from repro.bench import butterfly, get_benchmark, ripple_adder
 from repro.circuit import CircuitBuilder
-from repro.core.bmf import bool_product
+from repro.core.bmf import bool_product, column_select_ladder, factorize_ladder
 from repro.core.profile import (
+    HYBRID_ERROR_FACTOR,
     SELECTIONS,
     WEIGHT_MODES,
     ProfileParams,
     WindowTask,
+    _VariantCosting,
     output_significance,
     profile_window_task,
     profile_windows,
@@ -186,7 +191,9 @@ class TestPlanMemo:
                 circuit, w, "significance", output_significance(circuit)
             ),
             w.subcircuit(circuit),
-            ProfileParams(),
+            # Under "hybrid" no BMF variant of this window wins, so only
+            # cone areas are costed and the oracle is never reached.
+            ProfileParams(selection="bmf"),
         )
         minimized, columns, reached, n_columns = [], set(), set(), [0]
         memos = set()
@@ -261,3 +268,99 @@ class TestPlanMemo:
         for _, payload, cost in plans.values():
             assert isinstance(payload, tuple)
             assert isinstance(cost, float)
+
+
+def _winner_keys(task):
+    """The hybrid rule's winner per (degree, rail), in costing order.
+
+    Keys name what the winner's area is computed from: ``B``/``C`` for a
+    general factorization, the kept columns and ``C`` for a cone.
+    """
+    n = task.table.shape[1]
+    rails = [None] if task.weights is None else [task.weights, None]
+    bmf = [factorize_ladder(task.table, n - 1, weights=r) for r in rails]
+    cone = [column_select_ladder(task.table, n - 1, weights=r) for r in rails]
+    keys = []
+    for f in range(1, n):
+        for b, c in zip(bmf, cone):
+            if b[f].error < HYBRID_ERROR_FACTOR * c[f].error:
+                keys.append(("bmf", b[f].B.tobytes(), b[f].C.tobytes()))
+            else:
+                keys.append(("cone", tuple(c[f].selected), c[f].C.tobytes()))
+    return keys
+
+
+class TestWinnerOnlyCosting:
+    def test_only_the_error_rule_winner_is_costed(self, monkeypatch):
+        circuit = get_benchmark("mult8").factory()
+        sig = output_significance(circuit)
+        tasks = (
+            WindowTask(
+                w.table(circuit),
+                window_weights(circuit, w, "significance", sig),
+                w.subcircuit(circuit),
+                ProfileParams(),
+            )
+            for w in decompose(circuit, 10, 10)
+        )
+        # A window where each family wins somewhere exercises both.
+        task, winners = next(
+            (t, keys)
+            for t in tasks
+            for keys in [_winner_keys(t)]
+            if {kind for kind, _, _ in keys} == {"bmf", "cone"}
+        )
+        costed = []
+        factored_area = _VariantCosting.factored_area
+        cone_area = _VariantCosting.cone_area
+
+        def record_factored(self, B, C, algebra):
+            costed.append(("bmf", B.tobytes(), C.tobytes()))
+            return factored_area(self, B, C, algebra)
+
+        def record_cone(self, sub, replacement):
+            costed.append(
+                ("cone", tuple(replacement.selected), replacement.C.tobytes())
+            )
+            return cone_area(self, sub, replacement)
+
+        monkeypatch.setattr(_VariantCosting, "factored_area", record_factored)
+        monkeypatch.setattr(_VariantCosting, "cone_area", record_cone)
+        result = profile_window_task(task)
+        assert costed == winners
+        # The exact window plus one synthesis per distinct winner.
+        assert result.n_syntheses == 1 + len(set(winners))
+
+
+#: sha256 of adder32's cold profiles under the explorer's defaults (10×10
+#: windows, significance weights, hybrid selection): ``exact_area`` and
+#: every variant's ``f``, ``area``, ``bmf_error``, ``kind``, ``table``,
+#: ``B`` and ``C``.  Recorded before the profiler stopped costing losing
+#: variants and repeating ASSO thresholds; a faster oracle or
+#: factorization must reproduce it.
+ADDER32_PROFILE_SHA256 = (
+    "be9b72d03e6c924bcc08f906c686b71ad47faee024fd3dab9dfc544ff1d7836f"
+)
+
+
+def _profile_digest(profiles) -> str:
+    h = hashlib.sha256()
+    for p in profiles:
+        h.update(struct.pack("<d", p.exact_area))
+        for f in sorted(p.variants):
+            for v in p.variants[f]:
+                h.update(struct.pack("<qdd", v.f, v.area, v.bmf_error))
+                h.update(v.kind.encode())
+                for a in (v.table, v.B, v.C):
+                    a = np.ascontiguousarray(a, dtype=bool)
+                    h.update(repr(a.shape).encode())
+                    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_adder32_profile_bytes_pinned():
+    circuit = get_benchmark("adder32").factory()
+    profiles = profile_windows(
+        circuit, decompose(circuit, 10, 10), weight_mode="significance"
+    )
+    assert _profile_digest(profiles) == ADDER32_PROFILE_SHA256

@@ -18,6 +18,7 @@ import pickle
 import time
 import warnings
 from contextlib import contextmanager
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -57,12 +58,24 @@ SHARD_COUNTS = (1, 2, 3)
 FAST = RetryPolicy(max_retries=2, backoff=0.0)
 
 
+#: The RuntimeWarnings recoveries emit: a discarded (broken or hung) pool
+#: and a shard falling back in-process.  A retry on a healthy pool and a
+#: task's in-process fallback are silent; only the counters record them.
+POOL_DISCARDED = "pool compromised"
+SHARD_FALLBACK = "exhausted pool attempts"
+
+
 @contextmanager
-def quiet():
-    """Silence the expected RuntimeWarnings of injected recoveries."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+def expect_warning(match: Optional[str]):
+    """Assert the RuntimeWarning a recovery emits (``match``), or none."""
+    if match is not None:
+        with pytest.warns(RuntimeWarning, match=match):
+            yield
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         yield
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +159,7 @@ class TestSupervisedTasks:
     def test_injected_task_fault_retries_byte_identical(self):
         serial = [abs(x) for x in (-1, -2, -3, -4)]
         stats = RuntimeStats()
-        with quiet():
+        with expect_warning(None):
             out = supervised_map(
                 abs, [-1, -2, -3, -4], jobs=2, policy=FAST,
                 faults=FaultPlan.parse("task:index=1,attempt=0"), stats=stats,
@@ -157,7 +170,7 @@ class TestSupervisedTasks:
 
     def test_retry_exhaustion_falls_back_in_process(self):
         stats = RuntimeStats()
-        with quiet():
+        with expect_warning(None):
             out = supervised_map(
                 abs, [-5, -6], jobs=2, policy=FAST,
                 faults=FaultPlan.parse("task:index=0,attempt=*"), stats=stats,
@@ -169,7 +182,7 @@ class TestSupervisedTasks:
     def test_run_tasks_threads_policy_and_faults(self):
         baseline, _ = run_tasks(list(range(-8, 0)), abs, jobs=1)
         stats = RuntimeStats()
-        with quiet():
+        with expect_warning(None):
             chaotic, _ = run_tasks(
                 list(range(-8, 0)), abs, jobs=2, stats=stats, policy=FAST,
                 faults=FaultPlan.parse("task:index=3,attempt=0"),
@@ -257,9 +270,10 @@ def reference_run(butterfly_profiled):
     return trajectory_key(result)
 
 
-def _chaos_explore(butterfly_profiled, **overrides):
+def _chaos_explore(butterfly_profiled, warns, **overrides):
+    """Explore under ``overrides``, asserting the recovery's warning."""
     circuit, windows, profiles = butterfly_profiled
-    with quiet():
+    with expect_warning(warns):
         result = explore(
             circuit,
             ExplorerConfig(**BASE, **overrides),
@@ -278,7 +292,7 @@ class TestChaosMatrix:
         in-process, where no pool exists to crash."""
         spec = "crash:shard=%d,attempt=0,scan=0" % (min(1, shard_jobs - 1),)
         key, stats = _chaos_explore(
-            butterfly_profiled, shard_jobs=shard_jobs, faults=spec,
+            butterfly_profiled, None, shard_jobs=shard_jobs, faults=spec,
             shard_retries=2,
         )
         assert key == reference_run
@@ -294,7 +308,8 @@ class TestChaosMatrix:
         self, shard_jobs, butterfly_profiled, reference_run
     ):
         key, stats = _chaos_explore(
-            butterfly_profiled, shard_jobs=shard_jobs, faults="pool:scan=1",
+            butterfly_profiled, None if shard_jobs == 1 else POOL_DISCARDED,
+            shard_jobs=shard_jobs, faults="pool:scan=1",
         )
         assert key == reference_run
         if shard_jobs == 1:
@@ -313,7 +328,8 @@ class TestChaosMatrix:
         full retry budget and then re-runs in-process — with the other
         shards' pool outcomes kept."""
         key, stats = _chaos_explore(
-            butterfly_profiled, shard_jobs=shard_jobs,
+            butterfly_profiled, None if shard_jobs == 1 else SHARD_FALLBACK,
+            shard_jobs=shard_jobs,
             faults="crash:shard=0,attempt=*,scan=0", shard_retries=2,
         )
         assert key == reference_run
@@ -333,7 +349,7 @@ class TestChaosMatrix:
         an identical trajectory."""
         t0 = time.time()
         key, stats = _chaos_explore(
-            butterfly_profiled, shard_jobs=2, shard_timeout=1.0,
+            butterfly_profiled, POOL_DISCARDED, shard_jobs=2, shard_timeout=1.0,
             faults="hang:shard=0,attempt=0,scan=0,seconds=30",
         )
         elapsed = time.time() - t0
@@ -346,7 +362,7 @@ class TestChaosMatrix:
         self, butterfly_profiled, reference_run
     ):
         key, stats = _chaos_explore(
-            butterfly_profiled, shard_jobs=2,
+            butterfly_profiled, POOL_DISCARDED, shard_jobs=2,
             faults="crash:shard=1,attempt=0,scan=0;pool:scan=1",
         )
         assert key == reference_run
@@ -355,7 +371,7 @@ class TestChaosMatrix:
 
     def test_resilience_counters_surface_in_summary(self, butterfly_profiled):
         _, stats = _chaos_explore(
-            butterfly_profiled, shard_jobs=2,
+            butterfly_profiled, None, shard_jobs=2,
             faults="crash:shard=1,attempt=0,scan=0",
         )
         assert "recovered:" in stats.summary()
@@ -421,7 +437,7 @@ class TestShardFailureAttribution:
         stats = RuntimeStats()
         executor = ProcessShardExecutor(context, 2, policy=FAST, stats=stats)
         try:
-            with quiet(), pytest.raises(ShardFailure) as exc_info:
+            with expect_warning(None), pytest.raises(ShardFailure) as exc_info:
                 executor.run([bad])
             message = str(exc_info.value)
             assert "shard 0" in message
@@ -435,7 +451,7 @@ class TestShardFailureAttribution:
         """supervised_map holds the same line: a task that raises in its
         worker fails the batch at once, unretried."""
         stats = RuntimeStats()
-        with quiet(), pytest.raises(ShardFailure) as exc_info:
+        with expect_warning(None), pytest.raises(ShardFailure) as exc_info:
             supervised_map(
                 _raise_value_error, [0, 1], jobs=2, policy=FAST, stats=stats
             )
