@@ -21,7 +21,7 @@ at the repository root so the perf trajectory accumulates across PRs:
   paper's actual Monte-Carlo scale (10^6 patterns by default for the
   mode), recording wall time, throughput, peak RSS, and the peak
   per-process sample-matrix bytes, asserted against the configured chunk
-  budget (``(2 + cache_chunks) × 8 × n_nodes × chunk_words``).  At smoke
+  budget (``2 × 8 × n_nodes × chunk_words``).  At smoke
   scale the streamed trajectory is additionally asserted byte-identical
   to resident execution.  ``--shard-jobs`` fans the chunk loop across
   worker processes (smoke included — the CI leg runs ``--smoke
@@ -245,12 +245,8 @@ CHUNK_WORDS_STREAMING = 1024
 ITERATIONS_STREAMING = 4
 CHUNK_WORDS_SMOKE = 2
 
-#: Sharded-scaling defaults: worker counts swept and the cone-epoch
-#: cache capacity (4 slices keeps the per-process bound, (2 + 4) x 8 x
-#: n_nodes x chunk_words, well under the resident matrix at 10^6
-#: patterns while still amortizing commit-time base passes).
+#: Sharded-scaling defaults: the worker counts swept.
 SCALING_JOBS = (1, 2, 4)
-SCALING_CACHE_CHUNKS = 4
 MIN_SHARD_SPEEDUP = 1.5
 
 
@@ -293,7 +289,7 @@ def _assert_fault_free(stats, leg: str) -> None:
 
 def _run_streaming_once(
     circuit, windows, profiles, n_samples, chunk_words, max_iterations,
-    shard_jobs=1, cache_chunks=0,
+    shard_jobs=1,
 ):
     import time
 
@@ -307,7 +303,6 @@ def _run_streaming_once(
         strategy="full",
         chunk_words=chunk_words,
         shard_jobs=shard_jobs if chunk_words is not None else None,
-        chunk_cache_chunks=cache_chunks if chunk_words is not None else 0,
     )
     t0 = time.perf_counter()
     result = explore(circuit, config, windows=windows, profiles=profiles)
@@ -316,7 +311,7 @@ def _run_streaming_once(
 
 def _streaming(
     circuit, windows, profiles, n_samples, chunk_words, max_iterations,
-    verify_resident, shard_jobs=1, cache_chunks=0,
+    verify_resident, shard_jobs=1,
 ):
     """Chunked explore() at scale: wall, throughput, memory vs. budget.
 
@@ -329,11 +324,11 @@ def _streaming(
     """
     wall_s, chunked = _run_streaming_once(
         circuit, windows, profiles, n_samples, chunk_words, max_iterations,
-        shard_jobs=shard_jobs, cache_chunks=cache_chunks,
+        shard_jobs=shard_jobs,
     )
     stats = chunked.runtime_stats
     _assert_fault_free(stats, "streaming")
-    budget_bytes = (2 + cache_chunks) * 8 * circuit.n_nodes * chunk_words
+    budget_bytes = 2 * 8 * circuit.n_nodes * chunk_words
     resident_bytes = 8 * circuit.n_nodes * (
         (n_samples + 63) // 64
     )
@@ -345,14 +340,11 @@ def _streaming(
         "n_samples": n_samples,
         "chunk_words": chunk_words,
         "shard_jobs": stats.shard_jobs,
-        "cache_chunks": cache_chunks,
         "iterations_run": len(chunked.trajectory) - 1,
         "n_evaluations": chunked.n_evaluations,
         "n_chunk_passes": stats.n_chunk_passes,
         "n_shard_tasks": stats.n_shard_tasks,
         "n_stacked_blocks": stats.n_stacked_blocks,
-        "chunk_cache_hits": stats.n_chunk_cache_hits,
-        "chunk_cache_misses": stats.n_chunk_cache_misses,
         "wall_s": round(wall_s, 3),
         "candidate_samples_per_sec": round(
             chunked.n_evaluations * n_samples / wall_s
@@ -392,7 +384,6 @@ def _scaling(circuit, windows, profiles, n_samples, chunk_words, jobs_list):
         wall_s, result = _run_streaming_once(
             circuit, windows, profiles, n_samples, chunk_words,
             ITERATIONS_STREAMING, shard_jobs=jobs,
-            cache_chunks=SCALING_CACHE_CHUNKS,
         )
         stats = result.runtime_stats
         _assert_fault_free(stats, f"scaling at {jobs} workers")
@@ -411,7 +402,6 @@ def _scaling(circuit, windows, profiles, n_samples, chunk_words, jobs_list):
             ),
             "n_shard_tasks": stats.n_shard_tasks,
             "n_chunk_passes": stats.n_chunk_passes,
-            "chunk_cache_hits": stats.n_chunk_cache_hits,
             "peak_sample_matrix_mb_per_process": round(
                 stats.peak_sample_matrix_bytes / 1e6, 3
             ),
@@ -420,7 +410,6 @@ def _scaling(circuit, windows, profiles, n_samples, chunk_words, jobs_list):
     section = {
         "n_samples": n_samples,
         "chunk_words": chunk_words,
-        "cache_chunks": SCALING_CACHE_CHUNKS,
         "usable_cores": cores,
         "rows": rows,
     }
@@ -444,7 +433,7 @@ def _merge_section(section_name: str, section: dict, write: bool) -> None:
 
 def run_streaming(
     n_samples: int, chunk_words: int, shard_jobs: int = 1,
-    cache_chunks: int = 0, write: bool = True,
+    write: bool = True,
 ) -> dict:
     """The ``--samples`` mode: streaming section only, merged into the
     committed JSON (the full-run sections are left untouched)."""
@@ -458,7 +447,6 @@ def run_streaming(
         ITERATIONS_STREAMING,
         verify_resident=False,
         shard_jobs=shard_jobs,
-        cache_chunks=cache_chunks,
     )
     _merge_section("streaming", section, write)
     return section

@@ -9,11 +9,17 @@ paper's mult8 benchmark:
 * cold-cache vs warm-cache wall time — the warm run must perform **zero**
   factorizations and zero variant syntheses (asserted below).
 
+No faults are injected, so the serial, parallel and cold runs must also
+report zero task retries, task fallbacks and pool rebuilds: a recovery
+event there is a bug the retry path hid.  Under ``REPRO_FAULTS`` recovery
+events are expected and the check is skipped.
+
 Environment knobs are shared with the rest of the harness (see conftest).
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 from repro.bench import get_benchmark
@@ -22,6 +28,19 @@ from repro.partition import decompose
 from repro.runtime import ProfileCache, RuntimeStats, resolve_jobs
 
 from conftest import WINDOW, print_header
+
+
+def _assert_fault_free(stats, leg: str) -> None:
+    """Without an injected fault plan, any recovery event is a bug that
+    the retry/fallback path would otherwise hide."""
+    if os.environ.get("REPRO_FAULTS"):
+        return
+    events = {
+        "task retries": stats.n_task_retries,
+        "task fallbacks": stats.n_task_fallbacks,
+        "pool rebuilds": stats.n_pool_rebuilds,
+    }
+    assert not any(events.values()), f"{leg}: resilience events {events}"
 
 
 def test_runtime_scaling(benchmark, tmp_path):
@@ -58,6 +77,11 @@ def test_runtime_scaling(benchmark, tmp_path):
             f"{label:24s} {t:8.2f} {speedup:7.1f}x  "
             f"{s.n_factorizations} factorizations, {s.n_syntheses} syntheses"
         )
+
+    for label, s in (
+        ("serial", s_serial), ("parallel", s_parallel), ("cold", s_cold)
+    ):
+        _assert_fault_free(s, label)
 
     # Warm-cache wall-time reduction and zero re-work are hard guarantees;
     # parallel speedup depends on the machine's core count.

@@ -3,10 +3,9 @@
 The engines document two invariants that plain runs only *assume*
 (DESIGN.md "Static contracts"):
 
-* **cache aliasing** — arrays handed out by :class:`ChunkBaseCache`, the
-  preview memo, seed/index caches, and :class:`ProfileCache` payloads are
-  shared state; callers must treat them as read-only and ``.copy()``
-  before mutating.
+* **cache aliasing** — arrays handed out by the preview memo, seed/index
+  caches, and :class:`ProfileCache` payloads are shared state; callers
+  must treat them as read-only and ``.copy()`` before mutating.
 * **tail-bit mask** — packed arrays crossing engine boundaries as window
   or seed values have their tail bits (beyond ``n_samples``) masked to
   zero, so valid-bit comparisons and canonical partial sums see no
@@ -59,9 +58,8 @@ def freeze(arr: np.ndarray) -> np.ndarray:
 def frozen_view(arr: np.ndarray) -> np.ndarray:
     """A read-only view of ``arr``; the base stays writable.
 
-    Use for caches with a sanctioned in-place repair path (e.g.
-    ``ChunkBaseCache``: ``get`` hands out frozen views while the parent
-    evaluator repairs the writable base via ``peek``).
+    Use to hand out an array callers must not write without freezing
+    the owner's copy (e.g. ``IncrementalEvaluator.exact_outputs``).
     """
     view = arr.view()
     view.flags.writeable = False

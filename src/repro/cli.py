@@ -61,7 +61,6 @@ def _config(args) -> ExplorerConfig:
         seed=args.seed,
         jobs=args.jobs,
         shard_jobs=args.shard_jobs,
-        chunk_cache_chunks=args.chunk_cache_chunks,
         cache_dir=args.cache_dir,
         engine=args.engine,
         chunk_words=args.chunk_words,
@@ -133,11 +132,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "--jobs; 0 = all cores; requires --chunk-words or "
                         "--chunk-budget-mb; trajectories stay byte-identical "
                         "for any worker count)")
-    p.add_argument("--chunk-cache-chunks", type=int, default=0,
-                   help="cone-epoch chunk-cache capacity: cached per-chunk committed "
-                        "base slices reused across iterations (0 disables; "
-                        "each slice costs up to 8*n_nodes*chunk_words bytes "
-                        "per process)")
     p.add_argument("--cache-dir",
                    help="persistent profiling cache directory; warm runs "
                         "skip factorization and variant synthesis")

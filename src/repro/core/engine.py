@@ -996,7 +996,6 @@ def make_evaluator(
     stats: Optional[RuntimeStats] = None,
     chunk_words: Optional[int] = None,
     shard_jobs: int = 1,
-    cache_chunks: int = 0,
     sanitize: Optional[bool] = None,
     policy=None,
     faults=None,
@@ -1008,12 +1007,10 @@ def make_evaluator(
     the pattern axis is processed in word-aligned chunks of at most that
     many packed words, bounding sample-matrix memory by the chunk budget
     instead of the total pattern count.  ``shard_jobs`` fans the
-    streaming chunk loop across worker processes (``1`` = in-process)
-    and ``cache_chunks`` bounds the cone-epoch base-slice cache — both
-    meaningful only with ``chunk_words`` set.  Trajectory floats are
-    bit-identical to resident execution for any chunk size, shard count
-    and cache capacity (DESIGN.md "Streaming execution" / "Parallel
-    streaming").
+    streaming chunk loop across worker processes (``1`` = in-process;
+    meaningful only with ``chunk_words`` set).  Trajectory floats are
+    bit-identical to resident execution for any chunk size and shard
+    count (DESIGN.md "Streaming execution" / "Parallel streaming").
 
     ``sanitize`` enables the runtime contract sanitizer — frozen
     cache-held arrays and tail-bit assertions at engine boundaries
@@ -1046,8 +1043,8 @@ def make_evaluator(
         return StreamingEvaluator(
             circuit, windows, input_words, n_samples,
             chunk_words=chunk_words, stats=stats,
-            shard_jobs=shard_jobs, cache_chunks=cache_chunks,
-            sanitize=sanitize, policy=policy, faults=faults, cancel=cancel,
+            shard_jobs=shard_jobs, sanitize=sanitize,
+            policy=policy, faults=faults, cancel=cancel,
         )
     cls = CompiledEvaluator if engine == "compiled" else IncrementalEvaluator
     return cls(

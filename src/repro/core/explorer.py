@@ -134,13 +134,6 @@ class ExplorerConfig:
             Only meaningful with streaming execution (``chunk_words`` or
             ``chunk_budget_mb``); sharded trajectories are byte-identical
             to serial streaming for every worker count.
-        chunk_cache_chunks: Capacity of the streaming engine's cone-epoch
-            base-slice cache (cached per-chunk committed base states; a
-            commit invalidates exactly the chunks whose valid bits it
-            changed).  ``0`` (default) disables cross-iteration chunk
-            caching.  Each cached slice costs up to ``8 × n_nodes ×
-            chunk_words`` bytes per process — the auto budget accounts
-            for it (see :func:`repro.core.streaming.auto_chunk_words`).
         cache_dir: Directory for the persistent profiling cache (None
             disables caching).  Warm runs skip all BMF factorization and
             variant synthesis.
@@ -162,8 +155,8 @@ class ExplorerConfig:
             megabytes (resident execution when the whole matrix already
             fits).  Ignored when ``chunk_words`` is set explicitly.
         sanitize: Runtime contract sanitizer (DESIGN.md "Static
-            contracts"): freeze arrays handed out by the chunk cache,
-            preview memo, and profile cache; assert the tail-bit mask at
+            contracts"): freeze arrays handed out by the preview memo
+            and profile cache; assert the tail-bit mask at
             engine boundaries; audit shard payloads at submit time.
             ``None`` (default) defers to the ``REPRO_SANITIZE``
             environment variable.  Trajectories are byte-identical with
@@ -215,7 +208,6 @@ class ExplorerConfig:
     espresso: EspressoOptions = EspressoOptions()
     jobs: int = 1
     shard_jobs: Optional[int] = None
-    chunk_cache_chunks: int = 0
     cache_dir: Optional[str] = None
     engine: str = "compiled"
     chunk_words: Optional[int] = None
@@ -253,10 +245,6 @@ class ExplorerConfig:
             raise ExplorationError(
                 f"chunk_budget_mb must be positive, got {self.chunk_budget_mb}"
             )
-        if self.chunk_cache_chunks < 0:
-            raise ExplorationError(
-                f"chunk_cache_chunks must be >= 0, got {self.chunk_cache_chunks}"
-            )
         if self.engine == "reference" and (
             self.chunk_words is not None or self.chunk_budget_mb is not None
         ):
@@ -266,12 +254,10 @@ class ExplorerConfig:
         streaming = (
             self.chunk_words is not None or self.chunk_budget_mb is not None
         )
-        if not streaming and (
-            self.shard_jobs is not None or self.chunk_cache_chunks > 0
-        ):
+        if not streaming and self.shard_jobs is not None:
             raise ExplorationError(
-                "shard_jobs / chunk_cache_chunks require streaming "
-                "execution (set chunk_words or chunk_budget_mb)"
+                "shard_jobs requires streaming execution (set chunk_words "
+                "or chunk_budget_mb)"
             )
         if self.shard_retries < 0:
             raise ExplorationError(
@@ -526,7 +512,6 @@ def explore(
             int(config.chunk_budget_mb * 1e6),
             words_for(config.n_samples),
             jobs=shard_jobs,
-            cache_chunks=config.chunk_cache_chunks,
         )
     evaluator = make_evaluator(
         circuit,
@@ -537,7 +522,6 @@ def explore(
         stats=runtime_stats,
         chunk_words=chunk_words,
         shard_jobs=shard_jobs,
-        cache_chunks=config.chunk_cache_chunks,
         sanitize=sanitize,
         policy=retry_policy,
         faults=fault_plan,

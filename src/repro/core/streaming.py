@@ -20,14 +20,14 @@ What stays resident (all independent of the node count):
   :meth:`repro.core.qor.QoREvaluator.rebase` consumes);
 * the committed window tables and the compiled schedules (pattern-free).
 
-Per chunk, a scan (a) rebuilds — or serves from the bounded cone-epoch
-cache — the committed base state for the chunk's input slice, (b)
-gathers every requested window's candidate seeds through per-chunk
-input-index / stacked-seed caches shared across that window's
-candidates, (c) sweeps the candidates through **block-stacked** cone
-executions (candidates stacked along the word axis, the same layout the
-resident ``preview_scan`` uses, capped so the stacked matrix stays
-inside the chunk budget), and (d) folds the dirtied output rows into
+Per chunk, a scan (a) rebuilds the committed base state for the chunk's
+input slice (one base pass per chunk per scan or commit), (b) gathers
+every requested window's candidate seeds through per-chunk input-index /
+stacked-seed caches shared across that window's candidates, (c) sweeps
+the candidates through **block-stacked** cone executions (candidates
+stacked along the word axis, the same layout the resident
+``preview_scan`` uses, capped so the stacked matrix stays inside the
+chunk budget), and (d) folds the dirtied output rows into
 per-candidate accumulators — canonical per-packed-word partial slices
 for value metrics, exact integer mismatch deltas for hamming.  Step (d)
 decodes the chunk's committed word integers (or counts its committed
@@ -45,19 +45,6 @@ tasks executed by per-process :class:`ShardWorker`\\ s; the returned
 accumulators merge in shard order — dirty-row unions, disjoint partial
 slices, integer delta sums — so merged results are byte-identical to
 serial streaming *by construction*, not by floating-point luck.
-
-**Cone-epoch chunk cache**: a commit leaves most chunks' base values
-untouched on every valid bit (its cone seed often matches the old state
-on a chunk's patterns).  The engine therefore keeps a bounded cache of
-per-chunk base slices tagged with the commit *epoch* they were computed
-at; each commit bumps the global epoch and records, per chunk, whether
-its sweep actually changed valid bits.  A cached slice is served while
-its epoch is at least the chunk's last-dirtying epoch — so commits
-outside a chunk's dirty cone stop forcing base-pass recomputation
-across iterations.  Parent-side entries of dirtied chunks are repaired
-in place from the commit sweep (exactly how the resident engine folds
-overlays into its value cache); worker-side entries invalidate through
-the epoch watermarks shipped with every shard task.
 
 Determinism contract (DESIGN.md "Streaming execution"): chunked
 execution is byte-identical to resident execution on every trajectory
@@ -84,7 +71,6 @@ whole-axis reductions, never per-chunk state).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,8 +78,6 @@ import numpy as np
 from ..analysis.sanitize import (
     assert_tail_clean,
     freeze,
-    frozen_view,
-    sanitize_enabled,
 )
 from ..circuit.netlist import Circuit
 from ..circuit.simulate import (
@@ -134,18 +118,16 @@ def auto_chunk_words(
     budget_bytes: int,
     total_words: int,
     jobs: int = 1,
-    cache_chunks: int = 0,
 ) -> Optional[int]:
     """Chunk size (packed words) fitting a sample-matrix byte budget.
 
     The streaming engine's peak sample-matrix working set **per process**
-    is one chunk of base state, one concurrent (possibly block-stacked)
-    sweep working set, and up to ``cache_chunks`` cached base slices —
-    at most ``(2 + cache_chunks) × 8 × n_nodes`` bytes per chunk word.
+    is one chunk of base state and one concurrent (possibly block-stacked)
+    sweep working set — at most ``2 × 8 × n_nodes`` bytes per chunk word.
     With ``jobs`` shard workers each process holds its own working set
     concurrently, so the budget divides across them::
 
-        chunk_words = budget_bytes // (jobs × (2 + cache_chunks) × 8 × n_nodes)
+        chunk_words = budget_bytes // (jobs × 2 × 8 × n_nodes)
 
     Returns ``None`` when a single-process run's budget already fits the
     resident matrix (``8 × n_nodes × total_words`` bytes): chunking would
@@ -155,10 +137,9 @@ def auto_chunk_words(
     engine shards, so a multi-worker request always chunks.
     """
     jobs = max(int(jobs), 1)
-    cache_chunks = max(int(cache_chunks), 0)
     if jobs == 1 and 8 * max(n_nodes, 1) * total_words <= budget_bytes:
         return None
-    per_word = (2 + cache_chunks) * 8 * max(n_nodes, 1) * jobs
+    per_word = 2 * 8 * max(n_nodes, 1) * jobs
     chunk = max(1, int(budget_bytes // per_word))
     if jobs > 1:
         # A generous budget must not collapse the plan below the worker
@@ -168,110 +149,6 @@ def auto_chunk_words(
     return chunk
 
 
-class ChunkBaseCache:
-    """Bounded cone-epoch cache of per-chunk committed base-state slices.
-
-    Entries are keyed by chunk word start and tagged with the commit
-    epoch they are valid *as of*; :meth:`get` serves an entry only while
-    its epoch is at least the chunk's last-dirtying epoch (the caller
-    passes the watermark), evicting stale entries on sight.
-
-    Admission is *pinned*, not LRU: a new chunk is admitted only while a
-    slot is free (stale-entry eviction frees slots).  Scan and commit
-    passes walk the chunk plan cyclically, and under cyclic access LRU
-    rotation is pathological — with ``capacity < n_chunks`` every pass
-    evicts exactly the chunks the next pass needs first, yielding zero
-    hits; pinning the first ``capacity`` admitted chunks guarantees
-    ``capacity`` hits per pass instead (the Belady-optimal bounded
-    policy for a uniform cycle).
-
-    ``nbytes`` tracks the resident cache footprint for the sample-matrix
-    accounting — each entry is at most one full chunk of base state,
-    which is what the ``(2 + cache_chunks)``-per-word budget formula
-    charges for.
-    """
-
-    def __init__(self, capacity: int, sanitize: bool = False) -> None:
-        if capacity < 1:
-            raise SimulationError(
-                f"ChunkBaseCache capacity must be >= 1, got {capacity}"
-            )
-        self.capacity = int(capacity)
-        self._entries: "OrderedDict[int, List]" = OrderedDict()
-        self.nbytes = 0
-        #: Sanitize mode: ``get`` hands out read-only *views* so a caller
-        #: mutating a served slice raises at the write site, while the
-        #: writable base stays reachable through ``peek`` — the commit
-        #: path's sanctioned in-place repair (``_fold_cache_entry``).
-        self._sanitize = bool(sanitize)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, start: int, min_epoch: int) -> Optional[np.ndarray]:
-        entry = self._entries.get(start)
-        if entry is None:
-            return None
-        if entry[0] < min_epoch:
-            del self._entries[start]
-            self.nbytes -= entry[1].nbytes
-            return None
-        if self._sanitize:
-            return frozen_view(entry[1])
-        # Hot-path hand-out under the read-only contract: a copy per hit
-        # would defeat the cache; sanitize mode serves frozen views.
-        return entry[1]  # contract-ok: cache-copy -- read-only contract, frozen view under sanitize
-
-    def put(self, start: int, epoch: int, values: np.ndarray) -> None:
-        entry = self._entries.get(start)
-        if entry is not None:
-            self.nbytes += values.nbytes - entry[1].nbytes
-            entry[0] = epoch
-            entry[1] = values
-            return
-        if len(self._entries) >= self.capacity:
-            return  # full: later chunks stream through uncached
-        self._entries[start] = [epoch, values]
-        self.nbytes += values.nbytes
-
-    def peek(self, start: int) -> Optional[np.ndarray]:
-        """The cached slice regardless of epoch (commit folding repairs
-        stale values in place rather than recomputing them)."""
-        entry = self._entries.get(start)
-        # The one sanctioned writable hand-out: the owning evaluator's
-        # commit folding writes cached slices in place (by design —
-        # recomputing them is the cost the cache exists to avoid).
-        return None if entry is None else entry[1]  # contract-ok: cache-copy -- sanctioned in-place repair path (commit folding)
-
-    def drop_outside(self, keep: set) -> None:
-        """Evict entries whose chunk start is not in ``keep``.
-
-        Re-pins the cache to a new chunk range: pool scheduling gives
-        shard workers no stable shard assignment, so a worker handed a
-        different range must free its pinned slots for the chunks it is
-        actually about to walk — otherwise a full cache of unreachable
-        chunks yields zero hits forever while still charging its share
-        of the memory budget.
-        """
-        for start in [s for s in self._entries if s not in keep]:
-            _, values = self._entries.pop(start)
-            self.nbytes -= values.nbytes
-
-    def retag(self, start: int, epoch: int) -> None:
-        entry = self._entries.get(start)
-        if entry is not None:
-            entry[0] = epoch
-
-    def holds_array(self, values: np.ndarray) -> bool:
-        # Sanitize mode serves frozen *views* of cached bases, so memory
-        # accounting must also recognize a served view — numpy collapses
-        # view chains, so compare storage, not object identity.
-        return any(
-            entry[1] is values or np.shares_memory(entry[1], values)
-            for entry in self._entries.values()
-        )
-
-
 class StreamingEvaluator(CompiledEvaluator):
     """Chunked :class:`CompiledEvaluator`: bounded-memory candidate scans.
 
@@ -279,17 +156,13 @@ class StreamingEvaluator(CompiledEvaluator):
         circuit / windows / input_words / n_samples / stats: As for
             :class:`CompiledEvaluator`.
         chunk_words: Maximum packed words per pattern-axis chunk (≥ 1).
-            Peak sample-matrix memory **per process** is ``≤ (2 +
-            cache_chunks) × 8 × n_nodes × chunk_words`` bytes (base state
-            + stacked sweep working set + cached base slices), recorded
-            in ``stats.peak_sample_matrix_bytes``.
+            Peak sample-matrix memory **per process** is ``≤ 2 × 8 ×
+            n_nodes × chunk_words`` bytes (base state + stacked sweep
+            working set), recorded in ``stats.peak_sample_matrix_bytes``.
         shard_jobs: Worker processes for chunk-sharded scans (``0`` = all
             cores through :func:`repro.runtime.parallel.effective_jobs`,
             ``1`` = in-process execution).  Sharded trajectories are
             byte-identical to serial streaming for any worker count.
-        cache_chunks: Capacity of the cone-epoch base-slice cache (``0``
-            disables cross-iteration chunk caching).  Each shard worker
-            keeps its own cache of the same capacity.
         exact_outputs: Precomputed packed exact output rows; skips the
             initial full-axis simulation (the shard-worker fast path —
             workers receive the parent's exact rows in their context).
@@ -315,7 +188,6 @@ class StreamingEvaluator(CompiledEvaluator):
         chunk_words: int,
         stats: Optional[RuntimeStats] = None,
         shard_jobs: int = 1,
-        cache_chunks: int = 0,
         exact_outputs: Optional[np.ndarray] = None,
         sanitize: Optional[bool] = None,
         policy=None,
@@ -326,27 +198,8 @@ class StreamingEvaluator(CompiledEvaluator):
             raise SimulationError(
                 f"chunk_words must be >= 1, got {chunk_words}"
             )
-        if cache_chunks < 0:
-            raise SimulationError(
-                f"cache_chunks must be >= 0, got {cache_chunks}"
-            )
-        # Resolved here (not just in the base __init__) because the
-        # chunk cache below is built before super().__init__ runs.
-        self._sanitize = sanitize_enabled(sanitize)
         self._chunk_words = int(chunk_words)
         self._shard_jobs = effective_jobs(shard_jobs)
-        self._cache_chunks = int(cache_chunks)
-        self._base_cache = (
-            ChunkBaseCache(cache_chunks, sanitize=self._sanitize)
-            if cache_chunks > 0
-            else None
-        )
-        #: Commit epoch: bumped by every commit; cache entries and the
-        #: per-chunk dirty watermarks below are expressed in it.
-        self._epoch = 0
-        #: chunk word start -> epoch of the last commit that changed the
-        #: chunk's valid bits (absent = never dirtied).
-        self._chunk_epoch: Dict[int, int] = {}
         self._executor = None
         self._executor_ready = False
         # Supervision knobs for the shard executor: the retry/timeout
@@ -360,7 +213,7 @@ class StreamingEvaluator(CompiledEvaluator):
         self._precomputed_exact = exact_outputs
         super().__init__(
             circuit, windows, input_words, n_samples, stats=stats,
-            sanitize=self._sanitize,
+            sanitize=sanitize,
         )
         self._chunks = [
             c for c in plan_chunks(n_samples, self._chunk_words) if c.n_valid
@@ -433,7 +286,6 @@ class StreamingEvaluator(CompiledEvaluator):
                 n_samples=self.n,
                 chunk_words=self._chunk_words,
                 exact_outputs=self._exact_outputs,
-                cache_chunks=self._cache_chunks,
                 sanitize=self._sanitize,
             )
             self._executor = make_shard_executor(
@@ -469,37 +321,6 @@ class StreamingEvaluator(CompiledEvaluator):
         self._no_resident("preview_scan")
 
     # -- chunked base state --------------------------------------------
-    def _base_values(self, chunk) -> np.ndarray:
-        """Committed-state value matrix for one chunk.
-
-        Served from the cone-epoch cache when a slice computed at or
-        after the chunk's last-dirtying epoch is resident; otherwise
-        recomputed from scratch (and cached).  Cached and fresh slices
-        agree on every valid bit — a cache hit can shift gate *tails*
-        only, which the tail-bit invariant permits and no consumer reads.
-        """
-        cache = self._base_cache
-        if cache is not None:
-            cached = cache.get(chunk.start, self._chunk_epoch.get(chunk.start, 0))
-            if cached is not None:
-                if self._stats is not None:
-                    self._stats.n_chunk_cache_hits += 1
-                    self._stats.note_sample_matrix(cache.nbytes)
-                # Cache hand-out under its read-only contract (a frozen
-                # view when the sanitizer is on).
-                return cached  # contract-ok: cache-copy -- ChunkBaseCache read-only contract
-            if self._stats is not None:
-                self._stats.n_chunk_cache_misses += 1
-        values = self._compute_base(chunk)
-        if cache is not None:
-            cache.put(chunk.start, self._epoch, values)
-            if self._sanitize:
-                # The fresh slice is now cache-held: hand out a frozen
-                # view so this caller is bound by the same contract as
-                # later cache hits.
-                return frozen_view(values)
-        return values
-
     def _compute_base(self, chunk) -> np.ndarray:
         """Rebuild one chunk's committed base state from scratch.
 
@@ -539,12 +360,7 @@ class StreamingEvaluator(CompiledEvaluator):
         stats = self._stats
         if stats is None:
             return
-        held = local.nbytes + base.nbytes
-        if self._base_cache is not None:
-            held = local.nbytes + self._base_cache.nbytes
-            if not self._base_cache.holds_array(base):
-                held += base.nbytes
-        stats.note_sample_matrix(held)
+        stats.note_sample_matrix(local.nbytes + base.nbytes)
 
     # -- block-stacked chunked cone sweeps ------------------------------
     def _block_capacity(self, cone: ConeSchedule, chunk_words: int) -> int:
@@ -554,7 +370,7 @@ class StreamingEvaluator(CompiledEvaluator):
         chunk words`` packed words; capping blocks at
         ``(n_nodes × chunk_words) // (n_slots × cw)`` keeps it no larger
         than one full chunk of base state, so the documented per-process
-        peak of ``(2 + cache_chunks) × 8 × n_nodes × chunk_words`` bytes
+        peak of ``2 × 8 × n_nodes × chunk_words`` bytes
         holds with stacking enabled.  Always ≥ 1 (``n_slots ≤ n_nodes``
         and ``cw ≤ chunk_words``), and never beyond the engine-wide
         :data:`~repro.core.engine.MAX_SCAN_BLOCKS`.
@@ -677,14 +493,14 @@ class StreamingEvaluator(CompiledEvaluator):
         """One chunk's full scan work, folded into the accumulators.
 
         This is the self-contained unit a shard task executes: base
-        state (cache-aware), per-window seed gathers, block-stacked cone
+        state, per-window seed gathers, block-stacked cone
         sweeps, and per-candidate accumulation — ``accs`` entries are the
         mergeable accumulators of :func:`repro.runtime.executor.
         new_accumulator`.  Only ``qor``'s pattern-independent state is
         read (exact word integers, relative denominators, word specs), so
         the same code runs in the parent and in shard workers.
         """
-        base = self._base_values(chunk)
+        base = self._compute_base(chunk)
         base_out = base[self._out_nodes_arr]
         cw = chunk.n_words
         # The chunk's committed word integers (value metrics) or per-row
@@ -753,21 +569,13 @@ class StreamingEvaluator(CompiledEvaluator):
                             )
                         )
 
-    def _sync_scan_state(
-        self,
-        committed: Dict[int, np.ndarray],
-        epoch: int,
-        chunk_epochs: Dict[int, int],
-    ) -> None:
-        """Adopt a parent's committed/epoch state (shard-worker entry).
+    def _sync_scan_state(self, committed: Dict[int, np.ndarray]) -> None:
+        """Adopt a parent's committed state (shard-worker entry).
 
         Mirrors :meth:`commit`'s invalidation without replaying the
         commit sweeps: newly committed windows drop the schedules that
-        had inlined them, and the shipped epoch watermarks govern chunk
-        cache validity — stale worker-side entries simply recompute
-        (workers cannot fold repairs; they never ran the commit).  Each
-        worker serves one parent evaluator, whose committed set only
-        grows.
+        had inlined them.  Each worker serves one parent evaluator, whose
+        committed set only grows.
         """
         newly = [k for k in committed if k not in self._committed]
         changed = newly or any(
@@ -783,8 +591,6 @@ class StreamingEvaluator(CompiledEvaluator):
             for widx in list(self._cones):
                 if self._cones[widx].step_windows & fresh:
                     del self._cones[widx]
-        self._epoch = epoch
-        self._chunk_epoch = dict(chunk_epochs)
 
     # -- memoized error replay -----------------------------------------
     def _memo_errors(
@@ -849,8 +655,7 @@ class StreamingEvaluator(CompiledEvaluator):
         otherwise — and the per-shard accumulators merge in shard order
         (byte-identical either way; see the module docstring).  Memory
         per process: one chunk of base state plus one stacked sweep
-        working set plus the bounded chunk cache; accumulators are
-        O(outputs), never O(patterns).
+        working set; accumulators are O(outputs), never O(patterns).
         """
         hamming = qor.spec.metric == "hamming"
         results: List = [None] * len(requests)
@@ -931,14 +736,11 @@ class StreamingEvaluator(CompiledEvaluator):
                     for (_, index, checked, _) in todo
                 )
                 committed = tuple(self._committed.items())
-                chunk_epochs = tuple(self._chunk_epoch.items())
                 shards = [
                     ScanShard(
                         chunks=chs,
                         requests=requests,
                         committed=committed,
-                        epoch=self._epoch,
-                        chunk_epochs=chunk_epochs,
                         metric=qor.spec.metric,
                     )
                     for chs in shard_chunks
@@ -975,8 +777,6 @@ class StreamingEvaluator(CompiledEvaluator):
                     merge_accumulator(acc, add)
             if stats is not None:
                 stats.n_chunk_passes += outcome.n_chunk_passes
-                stats.n_chunk_cache_hits += outcome.n_cache_hits
-                stats.n_chunk_cache_misses += outcome.n_cache_misses
                 stats.n_sweep_units += outcome.n_sweep_units
                 stats.n_stacked_blocks += outcome.n_stacked_blocks
                 stats.note_sample_matrix(outcome.peak_bytes)
@@ -993,23 +793,16 @@ class StreamingEvaluator(CompiledEvaluator):
         only), memoized scans whose cone state or affected output words
         the commit changed (a recommit of the same window always
         invalidates its own memo — a new table is a different function
-        even when it matches the old one on the current samples), and —
-        via the cone-epoch watermarks — cached base slices of exactly the
-        chunks whose valid bits the commit changed.  Parent-side cache
-        entries of dirtied chunks are repaired in place from the sweep
-        (the chunk-cache analogue of the resident engine's value-cache
-        fold), so even a dirtying commit costs no extra base pass for
-        resident entries.
+        even when it matches the old one on the current samples).
         """
         w = self._window_by_index[index]
         table = self._check_table(w, table)
         cone = self._cone(index)
         first_commit = index not in self._committed
-        new_epoch = self._epoch + 1
         changed_nodes: set = set()
         changed_rows: set = set()
         for chunk in self._chunks:
-            base = self._base_values(chunk)
+            base = self._compute_base(chunk)
             idx = decode_rows(
                 base[self._win_input_ids[index]], chunk.n_words * WORD_BITS
             )
@@ -1027,10 +820,6 @@ class StreamingEvaluator(CompiledEvaluator):
             for row, vals in self._dirty_out_rows(cone, local, neq):
                 self._out_words[row, chunk.start : chunk.stop] = vals
                 changed_rows.add(row)
-            if neq.any():
-                self._chunk_epoch[chunk.start] = new_epoch
-                self._fold_cache_entry(chunk.start, cone, local, neq, new_epoch)
-        self._epoch = new_epoch
         self._committed[index] = table
         invalid_nodes = changed_nodes | set(w.members) | set(w.outputs)
         changed_words = {
@@ -1054,29 +843,6 @@ class StreamingEvaluator(CompiledEvaluator):
                 if index in self._cones[widx].step_windows:
                     del self._cones[widx]
 
-    def _fold_cache_entry(
-        self,
-        start: int,
-        cone: ConeSchedule,
-        local: np.ndarray,
-        neq: np.ndarray,
-        epoch: int,
-    ) -> None:
-        """Repair a cached base slice with a commit sweep's changed rows.
-
-        Only valid-bit-changed recorded nodes are rewritten (exactly the
-        rows the resident engine folds into its value cache); the entry
-        is then retagged to the committing epoch, keeping it servable.
-        """
-        if self._base_cache is None:
-            return
-        values = self._base_cache.peek(start)
-        if values is None:
-            return
-        for i in np.nonzero(neq)[0]:
-            values[cone.recorded_ids[i]] = local[cone.recorded_slots[i]]
-        self._base_cache.retag(start, epoch)
-
 
 class ShardWorker:
     """Per-process execution state behind the shard executor.
@@ -1084,10 +850,9 @@ class ShardWorker:
     Built once per worker from a pickled
     :class:`~repro.runtime.executor.StreamContext` (pool initializer);
     holds a full :class:`StreamingEvaluator` — compiled schedules, cone
-    programs, its own cone-epoch chunk cache — plus per-metric
-    :class:`~repro.core.qor.QoREvaluator`\\ s, all of which persist
-    across tasks so repeat scans amortize compilation and stay
-    cache-warm.  Each task syncs the parent's committed/epoch state and
+    programs — plus per-metric :class:`~repro.core.qor.QoREvaluator`\\ s,
+    all of which persist across tasks so repeat scans amortize
+    compilation.  Each task syncs the parent's committed state and
     runs :meth:`StreamingEvaluator._scan_chunk_into` over its chunk
     range — literally the same code path the serial engine runs, which
     is what makes sharded outcomes byte-identical to serial streaming.
@@ -1103,7 +868,6 @@ class ShardWorker:
             chunk_words=context.chunk_words,
             stats=self.stats,
             shard_jobs=1,
-            cache_chunks=context.cache_chunks,
             exact_outputs=context.exact_outputs,
             sanitize=getattr(context, "sanitize", False),
         )
@@ -1122,13 +886,7 @@ class ShardWorker:
 
     def run(self, shard: ScanShard) -> ShardOutcome:
         ev = self.evaluator
-        ev._sync_scan_state(
-            dict(shard.committed), shard.epoch, dict(shard.chunk_epochs)
-        )
-        if ev._base_cache is not None:
-            # Pool scheduling may hand this worker a different shard than
-            # last time; re-pin the cache to the range it will now walk.
-            ev._base_cache.drop_outside({c.start for c in shard.chunks})
+        ev._sync_scan_state(dict(shard.committed))
         qor = self._qor(shard.metric)
         hamming = shard.metric == "hamming"
         todo = []
@@ -1143,8 +901,6 @@ class ShardWorker:
         stats = self.stats
         before = (
             stats.n_chunk_passes,
-            stats.n_chunk_cache_hits,
-            stats.n_chunk_cache_misses,
             stats.n_sweep_units,
             stats.n_stacked_blocks,
         )
@@ -1153,9 +909,7 @@ class ShardWorker:
         return ShardOutcome(
             accumulators=accs,
             n_chunk_passes=stats.n_chunk_passes - before[0],
-            n_cache_hits=stats.n_chunk_cache_hits - before[1],
-            n_cache_misses=stats.n_chunk_cache_misses - before[2],
-            n_sweep_units=stats.n_sweep_units - before[3],
-            n_stacked_blocks=stats.n_stacked_blocks - before[4],
+            n_sweep_units=stats.n_sweep_units - before[1],
+            n_stacked_blocks=stats.n_stacked_blocks - before[2],
             peak_bytes=stats.peak_sample_matrix_bytes,
         )

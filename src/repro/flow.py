@@ -100,9 +100,7 @@ class FlowResult:
                 lines.append(
                     f"  sharding: {stats.n_shard_tasks} shard tasks on "
                     f"{stats.shard_jobs} worker(s), "
-                    f"{stats.n_stacked_blocks} stacked candidate blocks, "
-                    f"chunk cache {stats.n_chunk_cache_hits} hit / "
-                    f"{stats.n_chunk_cache_misses} miss"
+                    f"{stats.n_stacked_blocks} stacked candidate blocks"
                 )
         return "\n".join(lines)
 

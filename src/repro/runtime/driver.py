@@ -75,16 +75,16 @@ class RuntimeStats:
         n_stacked_blocks: Candidate blocks executed through block-stacked
             cone sweeps (candidates stacked along the word axis within a
             chunk's budget; one block = one candidate in one pass).
-        n_chunk_cache_hits / n_chunk_cache_misses: Cone-epoch base-slice
-            cache lookups — a hit serves a chunk's committed base state
-            from the bounded cone-epoch cache instead of re-running the base pass.
+        n_chunk_cache_hits / n_chunk_cache_misses: Always ``0``: every
+            chunk gets one base pass.  Kept only for the benchmark's
+            tracer, which reads them.
         chunk_words: Chunk size (packed words) of the streaming engine's
             pattern-axis plan; ``0`` means resident (unchunked) execution.
         peak_sample_matrix_bytes: Largest packed sample-value matrix held
             at any point *per process* — the resident engines record
             their full ``(n_nodes, W)`` cache, the streaming engine its
             per-chunk base state plus the widest concurrent sweep working
-            set plus any cached base slices.  This is the number the
+            set.  This is the number the
             (per-worker) chunk budget bounds; total footprint across a
             sharded run is ~``shard_jobs`` times it.
         jobs: Resolved worker count of the last run.
@@ -171,9 +171,7 @@ class RuntimeStats:
             text += (
                 f", {self.n_shard_tasks} shard tasks "
                 f"(shard-jobs={self.shard_jobs}, "
-                f"{self.n_stacked_blocks} stacked blocks, "
-                f"chunk cache {self.n_chunk_cache_hits} hit / "
-                f"{self.n_chunk_cache_misses} miss)"
+                f"{self.n_stacked_blocks} stacked blocks)"
             )
         resilience = self.resilience_summary()
         if resilience:

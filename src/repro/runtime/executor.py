@@ -21,9 +21,9 @@ sharded runs byte-identical to serial streaming:
 
 Workers are initialized once per process with a pickled
 :class:`StreamContext` (circuit, windows, stimulus, exact outputs) and
-keep their evaluator machinery — compiled schedules, cone-epoch chunk
-caches — alive across tasks; each task ships only the small per-scan
-state (committed tables, candidate tables, epoch watermarks).
+keep their evaluator machinery — compiled schedules and cone programs
+— alive across tasks; each task ships only the small per-scan state
+(committed tables and candidate tables).
 
 The caller owns the *total* fallback: :func:`make_shard_executor`
 returns ``None`` when sharding is pointless (one job) or unavailable
@@ -79,7 +79,6 @@ class StreamContext:
         exact_outputs: Packed exact output rows ``(n_outputs, W)`` —
             lets workers build their QoR evaluators without re-simulating
             the whole circuit.
-        cache_chunks: Cone-epoch base-slice cache capacity per worker.
         sanitize: Propagates the runtime sanitizer (frozen cache arrays,
             tail-bit assertions — see ``repro.analysis.sanitize``) into
             worker evaluators, and enables the submit-time payload audit.
@@ -91,7 +90,6 @@ class StreamContext:
     n_samples: int
     chunk_words: int
     exact_outputs: np.ndarray
-    cache_chunks: int = 0
     sanitize: bool = False
 
 
@@ -106,18 +104,12 @@ class ScanShard:
             non-memoized requests, identical in every shard.
         committed: The committed substitution map at scan time (small:
             tables only, no pattern-sized state).
-        epoch: The parent's commit epoch (tags freshly cached slices).
-        chunk_epochs: ``(chunk start, last-dirtying epoch)`` watermarks;
-            a worker-cached base slice for a chunk is valid iff its
-            stored epoch is >= the chunk's watermark.
         metric: QoR metric name for this scan's accumulation.
     """
 
     chunks: Tuple
     requests: Tuple[Tuple[int, Tuple[np.ndarray, ...]], ...]
     committed: Tuple[Tuple[int, np.ndarray], ...]
-    epoch: int
-    chunk_epochs: Tuple[Tuple[int, int], ...]
     metric: str
 
 
@@ -135,8 +127,6 @@ class ShardOutcome:
 
     accumulators: List[List[dict]]
     n_chunk_passes: int = 0
-    n_cache_hits: int = 0
-    n_cache_misses: int = 0
     n_sweep_units: int = 0
     n_stacked_blocks: int = 0
     peak_bytes: int = 0
@@ -186,10 +176,8 @@ def plan_shards(items: Sequence[T], n_shards: int) -> List[Tuple[T, ...]]:
 
     Deterministic: sizes differ by at most one, larger shards first.
     Contiguity keeps each shard's chunks adjacent on the pattern axis,
-    and shard *ranges* are stable across scans while the chunk plan is
-    unchanged — pool scheduling still assigns tasks to whichever worker
-    is free, so workers re-pin their chunk caches to the range they
-    actually receive (see ``ChunkBaseCache.drop_outside``).
+    so a shard's result covers one slice of the pattern axis and the
+    shard-order merge reproduces the serial chunk order.
     """
     items = list(items)
     n = effective_jobs(n_shards, len(items))
@@ -274,8 +262,8 @@ class ProcessShardExecutor(ShardExecutor):
     """Supervised process-pool backend with persistent worker state.
 
     The pool lives as long as the executor (one pool per exploration
-    run, not per scan), so workers amortize schedule compilation and
-    keep their cone-epoch chunk caches warm across iterations.
+    run, not per scan), so workers amortize schedule compilation across
+    iterations.
 
     Each ``run`` dispatches per-shard futures through a
     :class:`~repro.runtime.parallel.PoolSupervisor`: a crashed or

@@ -351,8 +351,6 @@ def make_shard(**overrides) -> ScanShard:
         chunks=(),
         requests=((0, (np.zeros(2, dtype=np.uint64),)),),
         committed=(),
-        epoch=0,
-        chunk_epochs=((0, 0),),
         metric="mred",
     )
     base.update(overrides)

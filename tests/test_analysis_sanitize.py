@@ -26,7 +26,6 @@ from repro.circuit import random_input_words
 from repro.core.engine import make_evaluator
 from repro.core.explorer import ExplorerConfig, explore
 from repro.core.incremental import IncrementalEvaluator
-from repro.core.streaming import ChunkBaseCache
 from repro.errors import ContractViolation
 from repro.partition import decompose
 from repro.runtime.cache import ProfileCache
@@ -102,28 +101,6 @@ def test_assert_tail_clean():
 # Cache hand-outs (the satellite regression: mutating a cache-returned
 # array must raise under the sanitizer instead of corrupting later hits).
 # ---------------------------------------------------------------------------
-
-
-def test_chunk_base_cache_get_is_read_only_under_sanitize():
-    cache = ChunkBaseCache(capacity=2, sanitize=True)
-    values = np.arange(6, dtype=np.uint64).reshape(2, 3)
-    cache.put(0, epoch=1, values=values)
-    served = cache.get(0, min_epoch=0)
-    with pytest.raises(ValueError):
-        served[0, 0] = 7
-    # The sanctioned repair path (commit folding) keeps a writable base…
-    peeked = cache.peek(0)
-    peeked[0, 0] = 7
-    assert served[0, 0] == 7
-    # …and memory accounting still recognizes the served view.
-    assert cache.holds_array(served)
-    assert cache.holds_array(peeked)
-
-
-def test_chunk_base_cache_stays_writable_without_sanitize():
-    cache = ChunkBaseCache(capacity=2, sanitize=False)
-    cache.put(0, epoch=1, values=np.arange(4, dtype=np.uint64))
-    cache.get(0, min_epoch=0)[0] = 9  # legal: sanitize off, no tripwire
 
 
 def test_profile_cache_payload_frozen_under_sanitize(tmp_path):

@@ -1,12 +1,11 @@
 """Sharded streaming executor vs. serial streaming vs. resident execution.
 
 The contract under test (DESIGN.md "Parallel streaming"): fanning the
-streaming engine's chunk loop across shard workers — and/or caching
-per-chunk base slices across iterations — changes **nothing** observable:
-per-candidate error floats, dirty-row sets, committed outputs, and whole
-exploration trajectories are byte-identical to serial streaming (and
-therefore to resident execution) for every shard count and cache
-capacity, including mid-run commits that invalidate cached chunk epochs.
+streaming engine's chunk loop across shard workers changes **nothing**
+observable: per-candidate error floats, dirty-row sets, committed
+outputs, and whole exploration trajectories are byte-identical to serial
+streaming (and therefore to resident execution) for every shard count,
+including across mid-run commits.
 Shard counts sweep the shapes that break naive fan-out: one shard, two,
 a prime count, and more shards than chunks.
 """
@@ -24,12 +23,11 @@ from repro.core.explorer import ExplorerConfig, explore
 from repro.core.profile import profile_windows
 from repro.core.qor import QoREvaluator, QoRSpec
 from repro.core.streaming import (
-    ChunkBaseCache,
     ShardWorker,
     StreamingEvaluator,
     auto_chunk_words,
 )
-from repro.errors import ExplorationError, SimulationError
+from repro.errors import ExplorationError
 from repro.partition import decompose
 from repro.runtime import RuntimeStats, effective_jobs
 from repro.runtime.executor import (
@@ -100,12 +98,6 @@ class TestAutoChunkWordsBudgetPerWorker:
         assert auto_chunk_words(100, budget, 64, jobs=4) == 2
         assert auto_chunk_words(100, budget, 64, jobs=16) == 1  # floor
 
-    def test_cache_slices_count_against_the_budget(self):
-        budget = 16 * 100 * 8
-        # Each cached slice is one more chunk of base state per process.
-        assert auto_chunk_words(100, budget, 64, cache_chunks=2) == 4
-        assert auto_chunk_words(100, budget, 64, jobs=2, cache_chunks=2) == 2
-
     def test_multi_worker_never_falls_back_to_resident(self):
         # Budget covers the resident matrix, but only the streaming
         # engine shards — a multi-worker request always chunks.
@@ -119,60 +111,6 @@ class TestAutoChunkWordsBudgetPerWorker:
         assert auto_chunk_words(100, 10**12, 64, jobs=4) == 16
         assert auto_chunk_words(100, 10**12, 64, jobs=2) == 32
         assert auto_chunk_words(100, 10**12, 7, jobs=4) == 2
-
-
-class TestChunkBaseCache:
-    def test_pinned_admission_and_bytes(self):
-        """Admission pins the first `capacity` chunks: under the cyclic
-        chunk walks of scan/commit passes LRU rotation would yield zero
-        hits whenever capacity < n_chunks, so a full cache refuses new
-        chunks instead of evicting pinned ones."""
-        cache = ChunkBaseCache(2)
-        a, b, c = (np.zeros((4, 2), dtype=np.uint64) for _ in range(3))
-        cache.put(0, 0, a)
-        cache.put(2, 0, b)
-        cache.put(4, 0, c)  # full: streamed through, not admitted
-        assert cache.get(4, 0) is None
-        assert cache.get(0, 0) is a and cache.get(2, 0) is b
-        assert cache.nbytes == a.nbytes + b.nbytes
-        assert cache.holds_array(a) and not cache.holds_array(c)
-        # Refreshing an admitted chunk replaces its slice in place.
-        cache.put(0, 1, c)
-        assert cache.get(0, 1) is c
-        assert cache.nbytes == b.nbytes + c.nbytes
-
-    def test_epoch_watermark_invalidates(self):
-        cache = ChunkBaseCache(2)
-        a = np.zeros((4, 2), dtype=np.uint64)
-        cache.put(0, 3, a)
-        assert cache.get(0, 3) is a
-        assert cache.get(0, 4) is None  # dirtied after computation
-        assert len(cache) == 0  # stale entries evict on sight
-
-    def test_retag_keeps_entry_servable(self):
-        cache = ChunkBaseCache(1)
-        a = np.zeros((4, 2), dtype=np.uint64)
-        cache.put(0, 0, a)
-        cache.retag(0, 5)
-        assert cache.get(0, 5) is a
-
-    def test_drop_outside_repins_to_new_range(self):
-        """A worker handed a different shard range evicts unreachable
-        chunks so its slots serve the range it actually walks."""
-        cache = ChunkBaseCache(2)
-        a, b = (np.zeros((4, 2), dtype=np.uint64) for _ in range(2))
-        cache.put(0, 0, a)
-        cache.put(2, 0, b)
-        cache.drop_outside({2, 4})
-        assert cache.get(0, 0) is None and cache.get(2, 0) is b
-        assert cache.nbytes == b.nbytes
-        c = np.zeros((4, 2), dtype=np.uint64)
-        cache.put(4, 0, c)  # freed slot admits the new range's chunk
-        assert cache.get(4, 0) is c
-
-    def test_invalid_capacity(self):
-        with pytest.raises(SimulationError):
-            ChunkBaseCache(0)
 
 
 def _random_circuit(rng, n_inputs=6, n_gates=40, n_outputs=5):
@@ -210,7 +148,6 @@ def _shard_scan_in_process(stream, requests, metric="mre"):
         n_samples=stream.n,
         chunk_words=stream._chunk_words,
         exact_outputs=stream.exact_outputs,
-        cache_chunks=stream._cache_chunks,
     )
     results = {}
     for n_shards in SHARD_COUNTS[1:]:
@@ -228,8 +165,6 @@ def _shard_scan_in_process(stream, requests, metric="mre"):
                         for i, ts in requests
                     ),
                     committed=tuple(stream._committed.items()),
-                    epoch=stream._epoch,
-                    chunk_epochs=tuple(stream._chunk_epoch.items()),
                     metric=metric,
                 )
             )
@@ -245,7 +180,7 @@ class TestShardTaskIdentity:
         """ShardWorker outcomes, merged across every shard split, yield
         the exact floats and dirty rows of the serial streaming scan and
         the resident delta-QoR path — including after a commit that
-        invalidates cached chunk epochs."""
+        reshapes the committed state the workers must sync."""
         circuit = _random_circuit(rng)
         windows = decompose(circuit, 5, 5)
         n = 300  # words_for = 5 -> chunk_words=2 gives 3 chunks
@@ -285,7 +220,7 @@ class TestShardTaskIdentity:
                             for wpos, slices in acc["slices"].items()
                         }
                         assert err == q_str.evaluate_spliced(payload), n_shards
-            # Mid-run commit: dirties chunk epochs, reshapes schedules.
+            # Mid-run commit: changes the committed set, reshapes schedules.
             w = windows[int(rng.integers(0, len(windows)))]
             table = rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
             res.commit(w.index, table)
@@ -329,7 +264,7 @@ class TestShardedTrajectoryIdentity:
         """Full explore() runs agree between serial streaming and every
         process-sharded configuration, bit for bit — commits interleave
         with sharded scans on every iteration, so this also exercises
-        cross-task committed-state sync and epoch invalidation."""
+        cross-task committed-state sync."""
         circuit, windows, profiles = butterfly_profiled
         n = 700  # words_for = 11; chunk_words=3 -> 4 chunks
         base = dict(
@@ -359,56 +294,30 @@ class TestShardedTrajectoryIdentity:
         assert stats.shard_jobs == shard_jobs
         assert stats.n_shard_tasks > 0
 
-    def test_cone_epoch_cache_preserves_trajectory(self, butterfly_profiled):
-        """Cross-iteration chunk caching (serial and sharded) must not
-        move a single trajectory float while cutting base-pass work."""
-        circuit, windows, profiles = butterfly_profiled
-        n = 700
-        base = dict(n_samples=n, max_inputs=8, max_outputs=8, chunk_words=3)
-        plain = explore(
-            circuit, ExplorerConfig(**base), windows=windows, profiles=profiles
-        )
-        cached = explore(
-            circuit,
-            ExplorerConfig(chunk_cache_chunks=4, **base),
-            windows=windows,
-            profiles=profiles,
-        )
-        assert trajectory_key(cached) == trajectory_key(plain)
-        stats = cached.runtime_stats
-        assert stats.n_chunk_cache_hits > 0
-        # The cache exists to cut base passes: with every chunk resident
-        # it must beat the cache-off run by a wide margin.
-        assert stats.n_chunk_passes < plain.runtime_stats.n_chunk_passes
-        both = explore(
-            circuit,
-            ExplorerConfig(shard_jobs=2, chunk_cache_chunks=4, **base),
-            windows=windows,
-            profiles=profiles,
-        )
-        assert trajectory_key(both) == trajectory_key(plain)
-
     def test_cached_memory_stays_within_documented_bound(
         self, butterfly_profiled
     ):
         """Peak per-process sample-matrix bytes obey the
-        (2 + cache_chunks) x 8 x n_nodes x chunk_words bound."""
+        2 x 8 x n_nodes x chunk_words bound, serial and sharded (the
+        parent records the largest worker's per-process peak)."""
         circuit, windows, profiles = butterfly_profiled
         n = 1024
-        cw, cache = 2, 3
-        result = explore(
-            circuit,
-            ExplorerConfig(
-                n_samples=n, max_inputs=8, max_outputs=8,
-                chunk_words=cw, chunk_cache_chunks=cache,
-            ),
-            windows=windows,
-            profiles=profiles,
-        )
-        stats = result.runtime_stats
-        assert 0 < stats.peak_sample_matrix_bytes <= (
-            (2 + cache) * 8 * circuit.n_nodes * cw
-        )
+        cw = 2
+        for shard_jobs in (1, 2):
+            result = explore(
+                circuit,
+                ExplorerConfig(
+                    n_samples=n, max_inputs=8, max_outputs=8,
+                    chunk_words=cw, shard_jobs=shard_jobs,
+                ),
+                windows=windows,
+                profiles=profiles,
+            )
+            stats = result.runtime_stats
+            assert stats.shard_jobs == shard_jobs
+            assert 0 < stats.peak_sample_matrix_bytes <= (
+                2 * 8 * circuit.n_nodes * cw
+            ), shard_jobs
 
     def test_auto_budget_divides_across_shards_end_to_end(
         self, butterfly_profiled
@@ -445,11 +354,7 @@ class TestConfigAndPlumbing:
     def test_shard_knobs_require_streaming(self):
         with pytest.raises(ExplorationError):
             ExplorerConfig(shard_jobs=2)
-        with pytest.raises(ExplorationError):
-            ExplorerConfig(chunk_cache_chunks=2)
-        with pytest.raises(ExplorationError):
-            ExplorerConfig(chunk_words=2, chunk_cache_chunks=-1)
-        ExplorerConfig(chunk_words=2, shard_jobs=0, chunk_cache_chunks=2)
+        ExplorerConfig(chunk_words=2, shard_jobs=0)
 
     def test_jobs_governs_sharding_by_default(self, rng):
         """CLI-level contract: --jobs flows into shard scans unless
@@ -478,19 +383,14 @@ class TestConfigAndPlumbing:
         words = random_input_words(circuit.n_inputs, 128, rng)
         ev = make_evaluator(
             circuit, windows, words, 128, engine="compiled",
-            chunk_words=1, shard_jobs=2, cache_chunks=3,
+            chunk_words=1, shard_jobs=2,
         )
         try:
             assert isinstance(ev, StreamingEvaluator)
             assert ev._shard_jobs == 2
-            assert ev._base_cache is not None
-            assert ev._base_cache.capacity == 3
+            assert ev._chunk_words == 1
         finally:
             ev.close()
-        with pytest.raises(SimulationError):
-            StreamingEvaluator(
-                circuit, windows, words, 128, chunk_words=1, cache_chunks=-1
-            )
 
     def test_worker_exact_outputs_fast_path(self, rng):
         circuit = ripple_adder(4)
@@ -506,23 +406,34 @@ class TestConfigAndPlumbing:
     def test_summary_reports_sharding(self):
         stats = RuntimeStats(
             n_shard_tasks=6, shard_jobs=3, n_stacked_blocks=40,
-            n_chunk_cache_hits=10, n_chunk_cache_misses=2,
         )
         text = stats.summary()
         assert "6 shard tasks" in text
         assert "shard-jobs=3" in text
         assert "40 stacked blocks" in text
-        assert "chunk cache 10 hit / 2 miss" in text
+        assert "chunk cache" not in text
 
     def test_cli_exposes_shard_flags(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
             ["run", "--bench", "mult8", "--chunk-words", "8",
-             "--shard-jobs", "2", "--chunk-cache-chunks", "4"]
+             "--shard-jobs", "2"]
         )
         assert args.shard_jobs == 2
-        assert args.chunk_cache_chunks == 4
         assert build_parser().parse_args(
             ["run", "--bench", "mult8"]
         ).shard_jobs is None
+
+    def test_chunk_cache_flag_is_gone(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["run", "--bench", "mult8", "--chunk-cache-chunks", "4"]
+            )
+        assert exc.value.code == 2  # argparse usage error
+
+    def test_chunk_cache_config_field_is_gone(self):
+        with pytest.raises(TypeError):
+            ExplorerConfig(chunk_words=2, chunk_cache_chunks=4)

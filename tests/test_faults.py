@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from repro.bench import butterfly
+from repro.bench import butterfly, ripple_adder
 from repro.circuit import random_input_words
-from repro.core.explorer import ExplorerConfig, explore
+from repro.core.explorer import ExplorerConfig, _search_fingerprint, explore
 from repro.core.profile import profile_windows
 from repro.errors import (
     CheckpointError,
@@ -430,8 +430,6 @@ class TestShardFailureAttribution:
             chunks=((0, 3),),
             requests=((9999, (np.zeros((2, 2), dtype=np.uint8),)),),
             committed=(),
-            epoch=0,
-            chunk_epochs=(),
             metric="mre",
         )
         stats = RuntimeStats()
@@ -590,6 +588,21 @@ class TestCheckpointResume:
             profiles=profiles,
         )
         assert resumed.trajectory[-1].iteration == 4
+
+    def test_fingerprint_is_pinned(self):
+        """Checkpoints written by earlier versions must keep resuming: a
+        config field added to or dropped from the fingerprint changes
+        these digests and fails here instead of silently refusing resume.
+        Execution knobs (here ``chunk_words``) never bind it."""
+        pinned = (
+            "98c8b3734b1643028555fe29769d439d73b82e6b628b4a641954ad1f24fb83a3"
+        )
+        circuit = ripple_adder(4)
+        assert _search_fingerprint(circuit, ExplorerConfig()) == pinned
+        assert (
+            _search_fingerprint(circuit, ExplorerConfig(chunk_words=2))
+            == pinned
+        )
 
     def test_corrupt_checkpoint_raises(self, tmp_path):
         path = tmp_path / "garbage.ckpt"
