@@ -34,6 +34,12 @@ def _load_circuit(args):
     raise SystemExit("provide --bench NAME or --blif FILE")
 
 
+#: Searcher schedule flags, named after their ExplorerConfig fields.
+_SEARCHER_FLAGS = (
+    "anneal_t0", "anneal_alpha", "anneal_stall", "ranker_epsilon", "ranker_lr",
+)
+
+
 def _config(args) -> ExplorerConfig:
     # Checkpoint flag coherence: --checkpoint-every and --resume only
     # mean something relative to a checkpoint path.  Accepting them
@@ -75,13 +81,13 @@ def _config(args) -> ExplorerConfig:
         ),
         resume=args.resume,
         max_evaluations=args.max_evaluations,
-        anneal_t0=args.anneal_t0,
-        anneal_alpha=args.anneal_alpha,
-        anneal_stall=args.anneal_stall,
-        bo_init=args.bo_init,
-        bo_lengthscale=args.bo_lengthscale,
-        ranker_epsilon=args.ranker_epsilon,
-        ranker_lr=args.ranker_lr,
+        # Unset searcher flags fall through to the ExplorerConfig
+        # defaults, so each default has one source.
+        **{
+            name: getattr(args, name)
+            for name in _SEARCHER_FLAGS
+            if getattr(args, name) is not None
+        },
     )
 
 
@@ -96,26 +102,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="Monte-Carlo samples during exploration")
     p.add_argument("--strategy", choices=list(STRATEGIES), default="lazy",
                    help="candidate selection: greedy sweeps (full/lazy) or "
-                        "the stochastic portfolio (anneal/bo/ranker); every "
+                        "the stochastic portfolio (anneal/ranker); every "
                         "strategy is seed-deterministic and replayable")
     p.add_argument("--max-evaluations", type=int, default=None,
                    help="hard cap on candidate evaluations — the "
                         "equal-budget knob for comparing strategies")
-    p.add_argument("--anneal-t0", type=float, default=0.05,
+    # Searcher flags default to None: ExplorerConfig owns the defaults.
+    p.add_argument("--anneal-t0", type=float,
                    help="annealing initial temperature")
-    p.add_argument("--anneal-alpha", type=float, default=0.97,
+    p.add_argument("--anneal-alpha", type=float,
                    help="annealing geometric cooling factor per move")
-    p.add_argument("--anneal-stall", type=int, default=24,
+    p.add_argument("--anneal-stall", type=int,
                    help="consecutive rejections that stop the annealing walk")
-    p.add_argument("--bo-init", type=int, default=6,
-                   help="random warm-up proposals before the BO surrogate "
-                        "takes over")
-    p.add_argument("--bo-lengthscale", type=float, default=0.25,
-                   help="RBF kernel lengthscale over the normalized degree "
-                        "vector")
-    p.add_argument("--ranker-epsilon", type=float, default=0.15,
+    p.add_argument("--ranker-epsilon", type=float,
                    help="move-ranker epsilon-greedy exploration rate")
-    p.add_argument("--ranker-lr", type=float, default=0.5,
+    p.add_argument("--ranker-lr", type=float,
                    help="move-ranker online logistic learning rate")
     # "significance" is the paper's WQoR flow (§3.2) and the ExplorerConfig
     # default; "uniform" is Figure 4's control arm.

@@ -71,6 +71,7 @@ from ..analysis.sanitize import assert_tail_clean, freeze
 from ..errors import SimulationError
 from ..runtime import RuntimeStats
 from .incremental import IncrementalEvaluator
+from .qor import QoREvaluator
 
 #: Evaluation engines selectable via ``ExplorerConfig.engine``.
 ENGINES = ("compiled", "reference")
@@ -856,6 +857,32 @@ class CompiledEvaluator(IncrementalEvaluator):
             self._run_scan_chunk(todo[start:stop], blocks, results)
             start = stop
         return results
+
+    def scan_errors(
+        self,
+        requests: Sequence[Tuple[int, Sequence[np.ndarray]]],
+        qor: QoREvaluator,
+    ) -> List[List[Tuple[float, Tuple[int, ...]]]]:
+        """Per request, per candidate: ``(error, dirtied output rows)``.
+
+        One request takes the window's cone path
+        (:meth:`preview_batch_delta`); several take the stacked
+        :meth:`preview_scan`.  Each candidate is scored by
+        ``qor.evaluate_delta`` over its dirty rows, so ``qor`` must be
+        rebased on :meth:`current_outputs`.  Errors are bit-identical to
+        the reference oracle's and rows are reported sorted.
+        """
+        if len(requests) == 1:
+            scans = [self.preview_batch_delta(*requests[0])]
+        else:
+            scans = self.preview_scan(requests)
+        return [
+            [
+                (qor.evaluate_delta(out, rows), tuple(sorted(rows)))
+                for out, rows in per_window
+            ]
+            for per_window in scans
+        ]
 
     def _run_scan_chunk(self, chunk, n_blocks: int, results: List) -> None:
         if not n_blocks:

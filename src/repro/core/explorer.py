@@ -20,13 +20,16 @@ Two greedy candidate-selection strategies are provided here:
 
 Beyond greedy, ``strategy`` also selects the stochastic portfolio in
 :mod:`repro.core.search` — ``"anneal"`` (simulated annealing over
-(window, degree) moves), ``"bo"`` (GP surrogate + expected improvement
-over the degree vector) and ``"ranker"`` (online logistic move-ranking).
-All of them drive the same memoized preview machinery one move at a
-time, draw every random number from the run's single seeded generator,
+(window, degree) moves) and ``"ranker"`` (online logistic move-ranking).
+They draw every random number from the run's single seeded generator
 and checkpoint their internal state, so the byte-identical replay
 discipline (across engines, chunk sizes, shard counts, and
 checkpoint/resume interruption points) extends to them unchanged.
+
+Every strategy runs in one loop and differs only in its select step.
+Every engine scores candidates through one call,
+``scan_errors(requests, qor)``, which returns each candidate's error and
+dirtied output rows, so the loop never dispatches on engine type.
 """
 
 from __future__ import annotations
@@ -62,15 +65,18 @@ from ..synth.espresso import EspressoOptions
 from ..synth.library import LIB65, Library
 from ..circuit.simulate import words_for
 from .bmf.asso import DEFAULT_TAUS
-from .engine import ENGINES, CompiledEvaluator, make_evaluator
+from .engine import ENGINES, make_evaluator
 from .profile import WindowProfile, profile_windows
 from .qor import QoREvaluator, QoRSpec
 from .search import SEARCHER_STRATEGIES, make_searcher
-from .streaming import StreamingEvaluator, auto_chunk_words
+from .streaming import auto_chunk_words
 
 #: Candidate selection strategies: the greedy sweeps implemented here
 #: plus the stochastic portfolio in :mod:`repro.core.search`.
 STRATEGIES = ("full", "lazy") + SEARCHER_STRATEGIES
+
+#: Select-step verdict for a searcher move that was scored but rejected.
+_REJECTED = object()
 
 
 @dataclass(frozen=True)
@@ -103,15 +109,12 @@ class ExplorerConfig:
             strategy-portfolio benchmark pivots on.  Like the other stop
             conditions it is excluded from the checkpoint fingerprint.
         strategy: Candidate selection — ``full`` / ``lazy`` greedy, or
-            one of the stochastic searchers (``anneal`` / ``bo`` /
-            ``ranker``; see :mod:`repro.core.search`).
+            one of the stochastic searchers (``anneal`` / ``ranker``;
+            see :mod:`repro.core.search`).
         anneal_t0 / anneal_alpha / anneal_stall: Simulated-annealing
             schedule: initial temperature, geometric decay per proposed
             move, and the consecutive-rejection count that stops the
             walk.
-        bo_init / bo_lengthscale: BO surrogate warm-up (uniform random
-            proposals before the GP takes over) and RBF kernel
-            lengthscale over the normalized degree vector.
         ranker_epsilon / ranker_lr: Move-ranker exploration rate
             (epsilon-greedy) and online logistic learning rate.
         tie_epsilon / tie_epsilon_scale: Measured errors within
@@ -223,8 +226,6 @@ class ExplorerConfig:
     anneal_t0: float = 0.2
     anneal_alpha: float = 0.97
     anneal_stall: int = 24
-    bo_init: int = 6
-    bo_lengthscale: float = 0.25
     ranker_epsilon: float = 0.15
     ranker_lr: float = 0.5
 
@@ -286,14 +287,6 @@ class ExplorerConfig:
         if self.anneal_stall < 1:
             raise ExplorationError(
                 f"anneal_stall must be >= 1, got {self.anneal_stall}"
-            )
-        if self.bo_init < 1:
-            raise ExplorationError(
-                f"bo_init must be >= 1, got {self.bo_init}"
-            )
-        if self.bo_lengthscale <= 0:
-            raise ExplorationError(
-                f"bo_lengthscale must be positive, got {self.bo_lengthscale}"
             )
         if not 0 <= self.ranker_epsilon <= 1:
             raise ExplorationError(
@@ -571,8 +564,10 @@ def _search_fingerprint(circuit: Circuit, config: ExplorerConfig) -> str:
         config.anneal_t0,
         config.anneal_alpha,
         config.anneal_stall,
-        config.bo_init,
-        config.bo_lengthscale,
+        # The retired bo strategy's last defaults, kept so checkpoints
+        # written before its removal still fingerprint-match.
+        6,
+        0.25,
         config.ranker_epsilon,
         config.ranker_lr,
         config.refine_passes,
@@ -604,24 +599,26 @@ def _run_exploration(
     profiles: List[WindowProfile],
     evaluator,
     runtime_stats: RuntimeStats,
-    rng=None,
+    rng: np.random.Generator,
     cancel: Optional[CancelToken] = None,
 ) -> ExplorationResult:
-    """Algorithm 1's greedy loop over a constructed evaluation engine."""
+    """Algorithm 1's search loop over a constructed evaluation engine.
+
+    Every engine scores candidates through one call,
+    ``evaluator.scan_errors(requests, qor_eval)``, so the loop never
+    dispatches on engine type.  The strategies differ only in their
+    select step; committing, rebasing the QoR state, trajectory
+    recording and checkpointing are shared.
+    """
     profile_by_index = {p.window.index: p for p in profiles}
     qor_eval = QoREvaluator(
         circuit, evaluator.exact_outputs, config.n_samples, config.qor,
         sanitize=sanitize_enabled(config.sanitize),
     )
-    # The compiled engine reports exactly which output rows each candidate
-    # dirtied, so QoR evaluation only recomputes the words those rows feed
-    # (bit-identical to a full evaluation — see DESIGN.md).  The streaming
-    # engine goes one step further: it folds the same canonical QoR
-    # accumulation into its chunk loop and returns error floats directly.
-    streaming = isinstance(evaluator, StreamingEvaluator)
-    delta_qor = isinstance(evaluator, CompiledEvaluator)
-    if delta_qor:
-        qor_eval.rebase(evaluator.exact_outputs)
+    # scan_errors scores against the committed outputs, so the QoR state
+    # is rebased here and after every commit (DESIGN.md "Exploration
+    # engine").
+    qor_eval.rebase(evaluator.exact_outputs)
 
     fs: Dict[int, int] = {p.window.index: p.max_degree for p in profiles}
     result = ExplorationResult(
@@ -642,59 +639,36 @@ def _run_exploration(
     def active(idx: int) -> bool:
         return fs[idx] > 1 and (fs[idx] - 1) in profile_by_index[idx].variants
 
-    def score_previews(variants, previews) -> List[Tuple[float, "CandidateVariant"]]:
-        """(error, variant) per candidate, via the engine's QoR path."""
-        scored = []
-        if streaming:
-            for variant, (err, _dirty_rows) in zip(variants, previews):
-                result.n_evaluations += 1
-                scored.append((err, variant))
-        elif delta_qor:
-            for variant, (out, dirty_rows) in zip(variants, previews):
-                result.n_evaluations += 1
-                scored.append(
-                    (qor_eval.evaluate_delta(out, dirty_rows), variant)
-                )
-        else:
-            for variant, out in zip(variants, previews):
-                result.n_evaluations += 1
-                scored.append((qor_eval.evaluate(out), variant))
-        return scored
+    def scan(idxs: Sequence[int]) -> List[Tuple[float, "CandidateVariant"]]:
+        """Best (error, variant) of each window's next-degree candidates.
 
-    def pick_best(
-        variants, previews, current: float
-    ) -> Tuple[float, "CandidateVariant"]:
-        """Best (error, variant) among one window's candidate previews.
-
-        Candidates whose measured error is within the tie tolerance of the
-        best count as equivalent and resolve by estimated area (see
-        :class:`ExplorerConfig`).
+        All requested windows go through one ``scan_errors`` call.
+        Candidates whose measured error is within the tie tolerance of a
+        window's best count as equivalent and resolve by estimated area
+        (see :class:`ExplorerConfig`).
         """
-        scored = score_previews(variants, previews)
-        best_err = min(err for err, _ in scored)
-        eps = max(config.tie_epsilon, config.tie_epsilon_scale * current)
-        tied = [(err, v) for err, v in scored if err <= best_err + eps]
-        err, variant = min(tied, key=lambda ev: (ev[1].area, ev[0]))
-        return err, variant
-
-    def preview_error(
-        idx: int, current: float
-    ) -> Tuple[float, "CandidateVariant"]:
-        """Evaluate one window's next-degree candidates and pick the best.
-
-        All of the window's candidates run through one batched evaluator
-        pass (shared input unpack / stacked seed gather — or one chunked
-        scan on the streaming engine).
-        """
-        variants = profile_by_index[idx].variants[fs[idx] - 1]
-        tables = [v.table for v in variants]
-        if streaming:
-            previews = evaluator.scan_errors([(idx, tables)], qor_eval)[0]
-        elif delta_qor:
-            previews = evaluator.preview_batch_delta(idx, tables)
-        else:
-            previews = evaluator.preview_batch(idx, tables)
-        return pick_best(variants, previews, current)
+        per_window = [
+            profile_by_index[idx].variants[fs[idx] - 1] for idx in idxs
+        ]
+        scans = evaluator.scan_errors(
+            [
+                (idx, [v.table for v in variants])
+                for idx, variants in zip(idxs, per_window)
+            ],
+            qor_eval,
+        )
+        eps = max(config.tie_epsilon, config.tie_epsilon_scale * current_qor)
+        picks = []
+        for variants, scored in zip(per_window, scans):
+            result.n_evaluations += len(variants)
+            best_err = min(err for err, _ in scored)
+            tied = [
+                (err, v)
+                for (err, _), v in zip(scored, variants)
+                if err <= best_err + eps
+            ]
+            picks.append(min(tied, key=lambda ev: (ev[1].area, ev[0])))
+        return picks
 
     iteration = 0
     current_qor = 0.0
@@ -710,10 +684,6 @@ def _run_exploration(
 
     searcher = None
     if config.strategy in SEARCHER_STRATEGIES:
-        if rng is None:
-            # explore() always threads its post-stimulus generator in;
-            # this fallback only serves direct _run_exploration callers.
-            rng = np.random.default_rng(config.seed)
         searcher = make_searcher(config, profiles, rng)
 
     fingerprint: Optional[str] = None
@@ -732,15 +702,14 @@ def _run_exploration(
             evaluator.commit(widx, variant.table)
             fs[widx] = f
             result.chosen[(widx, f)] = variant
-        if delta_qor and len(ckpt.trajectory) > 1:
-            qor_eval.rebase(evaluator.current_outputs())
+        qor_eval.rebase(evaluator.current_outputs())
         trajectory[:] = [TrajectoryPoint(*point) for point in ckpt.trajectory]
         iteration = ckpt.iteration
         current_qor = ckpt.current_qor
         result.n_evaluations = ckpt.n_evaluations
         heap = list(ckpt.heap)
         counter = ckpt.counter
-        if rng is not None and ckpt.rng_state is not None:
+        if ckpt.rng_state is not None:
             rng.bit_generator.state = ckpt.rng_state
         if searcher is not None and ckpt.searcher_state is not None:
             searcher.load_state_dict(ckpt.searcher_state)
@@ -770,9 +739,7 @@ def _run_exploration(
                 ],
                 heap=list(heap),
                 counter=counter,
-                rng_state=(
-                    rng.bit_generator.state if rng is not None else None
-                ),
+                rng_state=rng.bit_generator.state,
                 searcher_state=(
                     searcher.state_dict() if searcher is not None else None
                 ),
@@ -794,125 +761,73 @@ def _run_exploration(
             return True
         return False
 
-    def greedy_loop() -> None:
-        nonlocal iteration, current_qor, counter
-        while True:
-            _check_cancel(cancel)
-            if stop_reached():
-                break
+    # -- select steps: each returns (window, error, variant) to commit,
+    # None to stop, or _REJECTED for a searcher move that cost
+    # evaluations but commits nothing.
+    def select_full():
+        """Algorithm 1 verbatim: one scan over every active window."""
+        idxs = [idx for idx in fs if active(idx)]
+        if not idxs:
+            return None
+        best = None
+        for idx, (err, variant) in zip(idxs, scan(idxs)):
+            if best is None or err < best[1]:
+                best = (idx, err, variant)
+        return best
 
-            chosen: Optional[int] = None
-            chosen_error: Optional[float] = None
-            chosen_variant = None
-            if config.strategy == "full":
-                candidates = [idx for idx in fs if active(idx)]
-                if not candidates:
-                    break
-                if delta_qor:
-                    # One stacked pass evaluates the whole iteration's scan:
-                    # every window's candidates share a single wide execution
-                    # of the quotient schedule (resident: CompiledEvaluator.
-                    # preview_scan; streaming: one chunked pass sharing each
-                    # chunk's base state); scoring order matches the serial
-                    # loop.
-                    per_window = [
-                        profile_by_index[idx].variants[fs[idx] - 1]
-                        for idx in candidates
-                    ]
-                    requests = [
-                        (idx, [v.table for v in variants])
-                        for idx, variants in zip(candidates, per_window)
-                    ]
-                    if streaming:
-                        scans = evaluator.scan_errors(requests, qor_eval)
-                    else:
-                        scans = evaluator.preview_scan(requests)
-                    for idx, variants, previews in zip(
-                        candidates, per_window, scans
-                    ):
-                        err, variant = pick_best(variants, previews, current_qor)
-                        if chosen_error is None or err < chosen_error:
-                            chosen, chosen_error, chosen_variant = (
-                                idx, err, variant,
-                            )
-                else:
-                    for idx in candidates:
-                        err, variant = preview_error(idx, current_qor)
-                        if chosen_error is None or err < chosen_error:
-                            chosen, chosen_error, chosen_variant = (
-                                idx, err, variant,
-                            )
-            else:
-                while heap:
-                    # Peek, don't pop: cancellation can surface *inside*
-                    # the preview (streaming scans check the token at
-                    # chunk boundaries), and the exception handler below
-                    # flushes the heap into the checkpoint.  The entry
-                    # only comes off once its fresh error is in hand, so
-                    # an interrupted selection resumes with the heap
-                    # complete and replays the identical pop sequence.
-                    _, _, idx = heap[0]
-                    if not active(idx):
-                        heapq.heappop(heap)
-                        continue
-                    fresh, variant = preview_error(idx, current_qor)
-                    heapq.heappop(heap)
-                    if not heap or fresh <= heap[0][0]:
-                        chosen, chosen_error, chosen_variant = idx, fresh, variant
-                        break
-                    heapq.heappush(heap, (fresh, counter, idx))
-                    counter += 1
-                if chosen is None:
-                    break
-
-            evaluator.commit(chosen, chosen_variant.table)
-            if delta_qor:
-                qor_eval.rebase(evaluator.current_outputs())
-            fs[chosen] -= 1
-            result.chosen[(chosen, fs[chosen])] = chosen_variant
-            current_qor = chosen_error
-            iteration += 1
-            trajectory.append(
-                TrajectoryPoint(
-                    iteration,
-                    chosen,
-                    fs[chosen],
-                    current_qor,
-                    _estimated_area(profiles, fs, result.chosen),
-                    tuple(fs[p.window.index] for p in profiles),
-                    strategy=config.strategy,
-                    seed=config.seed,
-                )
-            )
-            if config.strategy == "lazy" and active(chosen):
-                heapq.heappush(heap, (current_qor, counter, chosen))
-                counter += 1
-            if (
-                config.checkpoint_path
-                and iteration % config.checkpoint_every == 0
-            ):
-                write_checkpoint()
-
-    def searcher_loop() -> None:
-        # One proposed move per step: the searcher picks a window, the
-        # engine previews it through the same memoized machinery the
-        # greedy loop uses, and the searcher decides commit/reject.
-        # Rejected moves consume evaluations (the budget is spent on
-        # previews) but commit nothing and advance no iteration.
-        nonlocal iteration, current_qor
-        while True:
-            _check_cancel(cancel)
-            if stop_reached():
-                break
-            idx = searcher.propose(fs, active, current_qor)
-            if idx is None:
-                break
-            err, variant = preview_error(idx, current_qor)
-            if not searcher.observe(idx, err, current_qor, fs):
+    def select_lazy():
+        nonlocal counter
+        while heap:
+            # Peek, don't pop: cancellation can surface *inside* the
+            # scan (streaming scans check the token at chunk
+            # boundaries), and the exception handler below flushes the
+            # heap into the checkpoint.  The entry only comes off once
+            # its fresh error is in hand, so an interrupted selection
+            # resumes with the heap complete and replays the identical
+            # pop sequence.
+            _, _, idx = heap[0]
+            if not active(idx):
+                heapq.heappop(heap)
                 continue
+            [(fresh, variant)] = scan([idx])
+            heapq.heappop(heap)
+            if not heap or fresh <= heap[0][0]:
+                return idx, fresh, variant
+            heapq.heappush(heap, (fresh, counter, idx))
+            counter += 1
+        return None
+
+    def select_searcher():
+        # The searcher picks a window and decides commit/reject; a
+        # rejected move spends its evaluations but advances nothing.
+        idx = searcher.propose(fs, active, current_qor)
+        if idx is None:
+            return None
+        [(err, variant)] = scan([idx])
+        if not searcher.observe(idx, err, current_qor, fs):
+            return _REJECTED
+        return idx, err, variant
+
+    if searcher is not None:
+        select = select_searcher
+    elif config.strategy == "lazy":
+        select = select_lazy
+    else:
+        select = select_full
+
+    try:
+        while True:
+            _check_cancel(cancel)
+            if stop_reached():
+                break
+            move = select()
+            if move is None:
+                break
+            if move is _REJECTED:
+                continue
+            idx, err, variant = move
             evaluator.commit(idx, variant.table)
-            if delta_qor:
-                qor_eval.rebase(evaluator.current_outputs())
+            qor_eval.rebase(evaluator.current_outputs())
             fs[idx] -= 1
             result.chosen[(idx, fs[idx])] = variant
             current_qor = err
@@ -927,29 +842,28 @@ def _run_exploration(
                     tuple(fs[p.window.index] for p in profiles),
                     strategy=config.strategy,
                     seed=config.seed,
-                    move_id=searcher.last_move_id,
+                    move_id=(
+                        searcher.last_move_id if searcher is not None else -1
+                    ),
                 )
             )
+            if config.strategy == "lazy" and active(idx):
+                heapq.heappush(heap, (current_qor, counter, idx))
+                counter += 1
             if (
                 config.checkpoint_path
                 and iteration % config.checkpoint_every == 0
             ):
                 write_checkpoint()
-
-    try:
-        if searcher is not None:
-            searcher_loop()
-        else:
-            greedy_loop()
     except ShutdownRequested:
         # Cancellation surfaces only at safe boundaries — the loop top,
-        # or inside a preview scan, which mutates no committed state —
-        # so the committed trajectory is always consistent; flush it
-        # and let the verdict propagate.  The lazy heap (peeked, not
-        # popped, across previews) and any pending searcher proposal
-        # (carried in searcher_state) are both checkpoint-complete at
-        # these boundaries, so resuming continues the search
-        # byte-identically to an uninterrupted run.
+        # or inside a scan, which mutates no committed state — so the
+        # committed trajectory is always consistent; flush it and let the
+        # verdict propagate.  The lazy heap (peeked, not popped, across
+        # scans) and any pending searcher proposal (carried in
+        # searcher_state) are both checkpoint-complete at these
+        # boundaries, so resuming continues the search byte-identically
+        # to an uninterrupted run.
         if config.checkpoint_path:
             write_checkpoint()
         raise

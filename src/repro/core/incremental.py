@@ -14,8 +14,9 @@ of the whole circuit:
   cache untouched;
 * :meth:`preview_batch` evaluates *all* candidate tables of one window in a
   single pass — the window's packed input index vector is built once and
-  shared across the candidates, which is the hot path of the explorer's
-  per-iteration candidate scan.
+  shared across the candidates;
+* :meth:`scan_errors` scores those previews — the one call the explorer
+  makes, which every engine implements with identical results.
 
 Evaluation sweeps follow the *quotient* topological order (see
 :mod:`repro.partition.plan`): once a window is substituted, its outputs
@@ -31,7 +32,7 @@ the valid bits, so tail garbage can never spuriously mark a node dirty.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from ..circuit.simulate import (
 from ..partition.plan import quotient_graph
 from ..partition.windows import Window
 from ..runtime import RuntimeStats
+from .qor import QoREvaluator
 
 
 class IncrementalEvaluator:
@@ -281,6 +283,34 @@ class IncrementalEvaluator:
         """Outputs if window ``index`` used ``table`` (committed state
         otherwise); the cache is not modified."""
         return self.preview_batch(index, [table])[0]
+
+    def scan_errors(
+        self,
+        requests: Sequence[Tuple[int, Sequence[np.ndarray]]],
+        qor: QoREvaluator,
+    ) -> List[List[Tuple[float, Tuple[int, ...]]]]:
+        """Per request, per candidate: ``(error, dirtied output rows)``.
+
+        The explorer's one scoring call, here in its oracle form: every
+        candidate is a full :meth:`preview_batch` output scored by a full
+        :meth:`QoREvaluator.evaluate <repro.core.qor.QoREvaluator.evaluate>`.
+        A row is reported, in sorted order, iff its valid bits differ
+        from :meth:`current_outputs`.  The compiled and streaming engines
+        return the same pairs bit for bit.
+        """
+        current = self.current_outputs()
+        results = []
+        for index, tables in requests:
+            per_window = []
+            for out in self.preview_batch(index, tables):
+                rows = tuple(
+                    row
+                    for row in range(current.shape[0])
+                    if not self._valid_equal(out[row], current[row])
+                )
+                per_window.append((qor.evaluate(out), rows))
+            results.append(per_window)
+        return results
 
     def commit(self, index: int, table: np.ndarray) -> None:
         """Permanently substitute window ``index`` with ``table``."""

@@ -3,9 +3,10 @@
 ``ExplorerConfig.strategy`` selects either one of the paper-faithful
 greedy sweeps (``full`` / ``lazy``, implemented directly in
 :mod:`repro.core.explorer`) or one of the stochastic searchers here —
-all of which share the memoized ``preview_scan`` / ``evaluate_delta``
-machinery and the byte-identical replay discipline (seeded RNG,
-checkpointed searcher state; see :mod:`repro.core.search.base`).
+all of which run in the explorer's one loop, score through the engine's
+``scan_errors`` call, and share the byte-identical replay discipline
+(seeded RNG, checkpointed searcher state; see
+:mod:`repro.core.search.base`).
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ from ...errors import ExplorationError
 from .anneal import AnnealSearcher
 from .base import Searcher
 from .ranker import RankerSearcher
-from .surrogate import SurrogateSearcher
 
 #: Stochastic strategies provided by this package, in registry order.
-SEARCHER_STRATEGIES = ("anneal", "bo", "ranker")
+SEARCHER_STRATEGIES = ("anneal", "ranker")
 
 _REGISTRY = {
     AnnealSearcher.strategy: AnnealSearcher,
-    SurrogateSearcher.strategy: SurrogateSearcher,
     RankerSearcher.strategy: RankerSearcher,
 }
 
@@ -48,6 +47,5 @@ __all__ = [
     "RankerSearcher",
     "SEARCHER_STRATEGIES",
     "Searcher",
-    "SurrogateSearcher",
     "make_searcher",
 ]

@@ -2,14 +2,14 @@
 
 A searcher owns *which* (window, degree) decrement to try next and
 *whether* to keep it; the exploration loop owns everything else
-(previewing through the memoized ``preview_scan`` / ``evaluate_delta``
-machinery, committing, trajectory recording, checkpoints).  The driver
-cycle in :func:`repro.core.explorer._run_exploration` is::
+(scoring through the engine's ``scan_errors``, committing, trajectory
+recording, checkpoints).  A searcher is the select step of the one loop
+in :func:`repro.core.explorer._run_exploration`::
 
     idx = searcher.propose(fs, active, current_qor)   # may draw RNG
-    err, variant = preview_error(idx, current_qor)    # engine, no RNG
+    err, variant = best of scan_errors([(idx, tables)], qor)  # no RNG
     if searcher.observe(idx, err, current_qor, fs):   # may draw RNG
-        commit the move
+        commit the move       # else: rejected, evaluations spent
 
 Determinism and replay contract (DESIGN.md "Search strategies"):
 

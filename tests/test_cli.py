@@ -31,6 +31,36 @@ class TestParser:
         assert args.weights == "significance"
         assert args.weights == ExplorerConfig().weight_mode
 
+    def test_bare_run_uses_config_searcher_defaults(self):
+        # Regression: --anneal-t0 defaulted to 0.05 while ExplorerConfig
+        # (and BENCH_search.json) used 0.2, so the CLI ran a different
+        # annealing schedule than the Python API.
+        from repro.cli import _config
+        from repro.core.explorer import ExplorerConfig
+
+        config = _config(build_parser().parse_args(["run", "--bench", "but"]))
+        default = ExplorerConfig()
+        for name in ("anneal_t0", "anneal_alpha", "anneal_stall",
+                     "ranker_epsilon", "ranker_lr"):
+            assert getattr(config, name) == getattr(default, name), name
+
+    def test_searcher_flags_override_defaults(self):
+        from repro.cli import _config
+
+        config = _config(build_parser().parse_args(
+            ["run", "--bench", "but", "--anneal-t0", "0.05",
+             "--ranker-lr", "0.25"]
+        ))
+        assert config.anneal_t0 == 0.05 and config.ranker_lr == 0.25
+
+    @pytest.mark.parametrize("argv", [["--strategy", "bo"],
+                                      ["--bo-init", "6"],
+                                      ["--bo-lengthscale", "0.25"]])
+    def test_bo_strategy_and_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--bench", "but"] + argv)
+        assert "error" in capsys.readouterr().err
+
     def test_runtime_flags_parsed(self):
         args = build_parser().parse_args(
             ["run", "--bench", "mult8", "--jobs", "0", "--cache-dir", "/tmp/c"]

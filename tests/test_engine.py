@@ -7,6 +7,8 @@ interpreter, while touching only the candidate's cone."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,7 +41,7 @@ from repro.errors import ExplorationError, SimulationError
 from repro.partition import decompose
 from repro.runtime import RuntimeStats
 
-from explore_fixtures import trajectory_key
+from explore_fixtures import explorer_config, trajectory_key
 
 
 def _random_circuit(rng, n_inputs=6, n_gates=40, n_outputs=5):
@@ -380,20 +382,26 @@ class TestStreamingScanMatchesDelta:
     def test_mult8_scan_floats_equal_resident_delta(
         self, mult8_windows, seed, n, chunk_words
     ):
-        """Streaming scan_errors (per-chunk dirty-row patches) returns the
-        resident evaluate_delta floats bit for bit on a mult8 scan, across
-        a commit."""
+        """Every engine's scan_errors returns the same (error, dirty rows)
+        pairs on a mult8 scan, across commits and rebases: the reference
+        oracle, the compiled engine with one request per call (cone path)
+        and with the whole scan in one call (stacked path), and streaming
+        (per-chunk dirty-row patches).  The floats are the resident
+        evaluate_delta floats bit for bit."""
         circuit, windows = mult8_windows
         rng = np.random.default_rng(seed)
         words = random_input_words(circuit.n_inputs, n, rng)
+        ref = IncrementalEvaluator(circuit, windows, words, n)
         res = CompiledEvaluator(circuit, windows, words, n)
+        one = CompiledEvaluator(circuit, windows, words, n)
         stream = StreamingEvaluator(
             circuit, windows, words, n, chunk_words=chunk_words
         )
-        q_res = QoREvaluator(circuit, res.exact_outputs, n)
-        q_str = QoREvaluator(circuit, stream.exact_outputs, n)
-        q_res.rebase(res.exact_outputs)
-        q_str.rebase(stream.exact_outputs)
+        engines = (ref, res, one, stream)
+        qors = [QoREvaluator(circuit, e.exact_outputs, n) for e in engines]
+        for e, q in zip(engines, qors):
+            q.rebase(e.exact_outputs)
+        q_ref, q_res, q_one, q_str = qors
         for _ in range(2):
             requests = [
                 (
@@ -406,6 +414,11 @@ class TestStreamingScanMatchesDelta:
                 for w in windows
             ]
             scanned = stream.scan_errors(requests, q_str)
+            assert res.scan_errors(requests, q_res) == scanned
+            assert ref.scan_errors(requests, q_ref) == scanned
+            assert [
+                one.scan_errors([request], q_one)[0] for request in requests
+            ] == scanned
             for (index, tables), got in zip(requests, scanned):
                 expect = res.preview_batch_delta(index, tables)
                 for (err, rows), (out, dirty) in zip(got, expect):
@@ -414,14 +427,68 @@ class TestStreamingScanMatchesDelta:
                     assert rows == tuple(sorted(dirty))
             w = windows[int(rng.integers(0, len(windows)))]
             table = requests[windows.index(w)][1][0]
-            res.commit(w.index, table)
-            stream.commit(w.index, table)
-            q_res.rebase(res.current_outputs())
-            q_str.rebase(stream.current_outputs())
+            for e, q in zip(engines, qors):
+                e.commit(w.index, table)
+                q.rebase(e.current_outputs())
         stream.close()
 
 
+#: sha256 over the trajectory rows (:func:`_trajectory_digest`) and
+#: ``n_evaluations`` of butterfly_profiled runs at the shared
+#: explorer_config defaults, per strategy.  Recorded on the compiled
+#: engine before the explorer's greedy and searcher loops were folded
+#: into one; the engine-identity tests cannot catch a loop change that
+#: shifts every engine the same way, these can.
+PINNED_TRAJECTORIES = {
+    "full": (
+        "d723d25641ad00189dfad50d6bf912d128b646e45bb8d015c434ca2d5fc69f85",
+        32,
+    ),
+    "lazy": (
+        "af02b4f50930be7430c7dfb16463c7f3f39d2ff00ea2546f6d4815c169e3500c",
+        27,
+    ),
+    "anneal": (
+        "45f931fcacba5f075dfad3792660bf78dc8a722a8ca29ca050903f7d7234022f",
+        55,
+    ),
+    "ranker": (
+        "d73cebceae87ceaaa5f2ea68ab4ca0e4b517f311062b860626a6a9f503d98255",
+        15,
+    ),
+}
+
+
+def _trajectory_digest(result) -> str:
+    h = hashlib.sha256()
+    for row in trajectory_key(result):
+        h.update(repr(row).encode())
+    return h.hexdigest()
+
+
 class TestExploreTrajectoryIdentity:
+    @pytest.mark.parametrize("strategy", sorted(PINNED_TRAJECTORIES))
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(), id="resident"),
+            pytest.param(dict(chunk_words=1), id="streaming"),
+        ],
+    )
+    def test_trajectories_pinned(
+        self, strategy, overrides, butterfly_profiled
+    ):
+        circuit, windows, profiles = butterfly_profiled
+        result = explore(
+            circuit,
+            explorer_config(strategy=strategy, **overrides),
+            windows=windows,
+            profiles=profiles,
+        )
+        assert (
+            _trajectory_digest(result), result.n_evaluations
+        ) == PINNED_TRAJECTORIES[strategy]
+
     @pytest.mark.parametrize("strategy", ["full", "lazy"])
     def test_trajectories_byte_identical(self, strategy, butterfly_profiled):
         """Full explore() runs agree between engines, bit for bit."""

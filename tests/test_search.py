@@ -1,6 +1,6 @@
 """Seeded-replay harness for the search-strategy portfolio.
 
-The stochastic searchers (anneal / bo / ranker) extend the repo's
+The stochastic searchers (anneal / ranker) extend the repo's
 byte-identical determinism discipline: for a fixed seed the trajectory —
 including the ``strategy`` / ``seed`` / ``move_id`` replay fields — must
 be identical across engines (compiled resident, streaming, sharded,
@@ -381,9 +381,14 @@ class TestSearcherUnit:
         with pytest.raises(ExplorationError):
             ExplorerConfig(ranker_epsilon=1.5)
         with pytest.raises(ExplorationError):
-            ExplorerConfig(bo_init=0)
-        with pytest.raises(ExplorationError):
             ExplorerConfig(max_evaluations=0)
+
+    def test_bo_strategy_is_gone(self):
+        assert "bo" not in SEARCHER_STRATEGIES
+        with pytest.raises(ExplorationError, match="unknown strategy"):
+            ExplorerConfig(strategy="bo")
+        with pytest.raises(TypeError):
+            ExplorerConfig(bo_init=6)
 
     def test_max_evaluations_caps_every_strategy(self, butterfly_profiled):
         circuit, windows, profiles = butterfly_profiled
