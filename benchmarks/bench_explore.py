@@ -14,6 +14,11 @@ at the repository root so the perf trajectory accumulates across PRs:
 * **sweep units touched** — quotient-plan units visited per preview: the
   full plan on the reference path vs. the candidate's cone on the compiled
   path (``RuntimeStats.n_sweep_units``).
+* **scan gate words** — gate node rows × packed words the compiled
+  engine's cone-sparse stacked scan evaluated
+  (``RuntimeStats.n_scan_gate_words``), against the dense count
+  ``Σ gates × blocks × W`` a scan running every gate on every block would
+  evaluate; every run (``--smoke`` included) asserts it stays below.
 * **end-to-end explore()** — Algorithm 1 at paper window budgets, wall
   time per engine, with the trajectories asserted byte-identical
   (qor floats, areas, window choices, degree vectors — all of it).
@@ -144,6 +149,12 @@ def _preview_throughput(circuit, windows, profiles, n_samples, iterations):
     n_previews = 0
     ref_units0, comp_units0 = ref_stats.n_sweep_units, comp_stats.n_sweep_units
     memo0 = comp_stats.n_preview_cache_hits
+    gate_words0 = comp_stats.n_scan_gate_words
+    # The dense count: every gate row the scan's schedule holds (gates
+    # outside committed windows) on every scanned block.
+    n_gates = sum(1 for node in circuit.nodes if node.op.is_gate)
+    n_members = {w.index: len(w.members) for w in windows}
+    dense_gate_words = 0
     for _ in range(iterations):
         scan = []
         for index, f in fs.items():
@@ -157,8 +168,15 @@ def _preview_throughput(circuit, windows, profiles, n_samples, iterations):
             ref.preview_batch(index, tables) for index, tables in scan
         ]
         t1 = time.perf_counter()
+        blocks0 = comp_stats.n_preview_sweeps
         comp_outs = comp.preview_scan(scan)
         t2 = time.perf_counter()
+        scan_gates = n_gates - sum(n_members[i] for i in comp.committed)
+        dense_gate_words += (
+            scan_gates
+            * (comp_stats.n_preview_sweeps - blocks0)
+            * ((n_samples + 63) // 64)
+        )
         ref_s += t1 - t0
         comp_s += t2 - t1
         # Byte-identity of every preview, then commit the greedy winner.
@@ -191,6 +209,8 @@ def _preview_throughput(circuit, windows, profiles, n_samples, iterations):
             "sweep_units_per_preview": round(
                 (comp_stats.n_sweep_units - comp_units0) / n_previews, 1
             ),
+            "scan_gate_words": comp_stats.n_scan_gate_words - gate_words0,
+            "dense_gate_words": dense_gate_words,
         },
         "preview_speedup": round(ref_s / comp_s, 3),
         "outputs_byte_identical": True,  # asserted above
@@ -232,6 +252,7 @@ def _explore_end_to_end(circuit, windows, profiles, n_samples, max_iterations):
         "compiled": {
             "wall_s": round(comp_s, 4),
             "sweep_units": comp.runtime_stats.n_sweep_units,
+            "scan_gate_words": comp.runtime_stats.n_scan_gate_words,
             "cones_compiled": comp.runtime_stats.n_cones_compiled,
         },
         "explore_speedup": round(ref_s / comp_s, 3),
@@ -514,6 +535,10 @@ def run(smoke: bool = False, write: bool = True, shard_jobs: int = 1) -> dict:
         prev["compiled"]["sweep_units_per_preview"]
         < prev["reference"]["sweep_units_per_preview"]
     ), "cone scheduling did not reduce sweep units"
+    assert (
+        0 < prev["compiled"]["scan_gate_words"]
+        < prev["compiled"]["dense_gate_words"]
+    ), "the stacked scan evaluated as many gate words as a dense scan"
     if not smoke:
         # Wall-clock is noisy on shared CI boxes; only the full local run
         # (the committed BENCH_explore.json) must clear the speedup bars.

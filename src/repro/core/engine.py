@@ -33,6 +33,15 @@ array ops:
   windows inside sweeps — decodes its index with
   :func:`~repro.circuit.simulate.decode_rows` and gathers with
   ``lookup_packed``; committed tables are transposed once, at commit.
+* **Block-stacked sweeps** — a window's candidates sweep its cone
+  together, stacked along the word axis
+  (:meth:`CompiledEvaluator._sweep_cone_blocks`, which commits and the
+  streaming engine's chunk scans run too).  A whole iteration's scan
+  (:meth:`CompiledEvaluator.preview_scan`) stacks every window's
+  candidates into passes over the whole-plan schedule and is
+  *cone-sparse*: each instruction runs only on the blocks whose window's
+  cone it touches, in one reused scratch matrix that a pass fills on
+  demand from the committed values (DESIGN.md "Cone-sparse scan").
 
 Determinism contract (see DESIGN.md "Exploration engine"): on every
 **valid bit** the engine is byte-identical to the interpreted reference —
@@ -66,6 +75,7 @@ from ..circuit.simulate import (
     lookup_packed,
     mask_tail_words,
     table_transpose,
+    tail_mask,
 )
 from ..analysis.sanitize import assert_tail_clean, freeze
 from ..errors import SimulationError
@@ -140,13 +150,41 @@ def gather_window_outputs(
 
     ``table_t`` is the window's transposed table
     (:func:`~repro.circuit.simulate.table_transpose`).  The table-gather
-    step of the resident cone sweeps and the streaming engine's chunk
-    base passes.  Output tails beyond ``n_valid`` are masked to zero
-    (tail-bit invariant: garbage indices in the tail would otherwise
-    read arbitrary table rows).
+    step of the streaming engine's chunk base passes.  Output tails
+    beyond ``n_valid`` are masked to zero (tail-bit invariant: garbage
+    indices in the tail would otherwise read arbitrary table rows).
     """
     idx = decode_rows(in_words, in_words.shape[1] * WORD_BITS)
     return mask_tail_words(lookup_packed(table_t, idx), n_valid)
+
+
+def _dirty_blocks(
+    stacked: np.ndarray, base: np.ndarray, tail: np.uint64
+) -> np.ndarray:
+    """Blocks of ``(rows, blocks, cw)`` ``stacked`` whose valid bits
+    differ from the ``(rows, cw)`` ``base`` rows."""
+    x = stacked ^ base[:, None, :]
+    x[..., -1] &= tail
+    return np.flatnonzero(x.any(axis=(0, 2)))
+
+
+def _gather_blocks(
+    table_t: np.ndarray,
+    values: np.ndarray,
+    in_rows: np.ndarray,
+    out_rows: np.ndarray,
+    blocks: np.ndarray,
+    cw: int,
+    tail: np.uint64,
+) -> None:
+    """Table-gather the ``cw``-word ``blocks`` of a block-stacked value
+    matrix: decode ``in_rows`` there and write the lookup into
+    ``out_rows``, each block's tail masked like any window output."""
+    cols = (blocks[:, None] * cw + np.arange(cw, dtype=np.int64)).ravel()
+    idx = decode_rows(values[np.ix_(in_rows, cols)], cols.size * WORD_BITS)
+    out = lookup_packed(table_t, idx)
+    out[:, cw - 1 :: cw] &= tail
+    values[np.ix_(out_rows, cols)] = out
 
 
 def stacked_seed_gather(
@@ -339,19 +377,43 @@ class IterationSchedule:
     *all* windows' candidates in one pass with candidates stacked along
     the word axis (block-columns), so the per-unit dispatch cost is paid
     once per iteration instead of once per candidate.
+
+    The remaining fields let a scan pass derive, in a few vectorized
+    ops, which blocks each instruction must run on (DESIGN.md
+    "Cone-sparse scan"): ``touches[i, k]`` is true when instruction
+    ``i`` writes a node in the downstream cone of the window at plan
+    rank ``k``; gate outputs and instruction reads are flat id arrays,
+    the reads sorted by node id for ``reduceat``.
     """
 
     instructions: List[ConeInstr]
-    source_ids: np.ndarray
     #: node id -> position of the instruction producing it (-1 for none);
     #: lets a scan map its seed overrides to instructions in O(#seeds).
     producer_of: np.ndarray
     n_units: int
+    touches: np.ndarray
+    #: Gate-instruction output ids and the position of their instruction.
+    gate_out_ids: np.ndarray
+    gate_out_instr: np.ndarray
+    #: Per instruction: gate rows it writes (0 for window gathers).
+    gate_rows: np.ndarray
+    #: Distinct node ids any instruction reads, the offset of each id's
+    #: run in ``read_instr``, and the reading instruction per read.
+    read_ids: np.ndarray
+    read_starts: np.ndarray
+    read_instr: np.ndarray
 
 
-#: Upper bound on candidate blocks stacked into one scan pass (bounds the
-#: stacked value matrix at n_nodes x MAX_SCAN_BLOCKS x W words).
+#: Upper bound on candidate blocks stacked into one pass (bounds the scan's
+#: scratch matrix at n_nodes x MAX_SCAN_BLOCKS x W words, and every
+#: block-stacked cone sweep at the same block count).
 MAX_SCAN_BLOCKS = 64
+
+#: Word the sanitizer writes over the scan scratch before every pass, so
+#: a read of an entry the pass did not write shows as a wrong value.
+_SCRATCH_POISON = np.uint64(0xA5A5_A5A5_A5A5_A5A5)
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -430,6 +492,24 @@ class CompiledEvaluator(IncrementalEvaluator):
         self._out_rows_by_nid: Dict[int, List[int]] = {}
         for row, nid in enumerate(circuit.output_nodes()):
             self._out_rows_by_nid.setdefault(nid, []).append(row)
+        # Window index -> its rank among the windows in plan order: the
+        # column order of the cone-membership matrix and the order a
+        # scan packs its blocks in.
+        self._plan_rank = {
+            key: rank
+            for rank, key in enumerate(
+                key for kind, key in self._plan if kind == "window"
+            )
+        }
+        self._cone_member: Optional[np.ndarray] = None
+        # The stacked scan's (n_nodes, blocks x W) scratch matrix: grown
+        # on demand, never initialized, dropped by close().
+        self._scan_buf: Optional[np.ndarray] = None
+
+    def close(self) -> None:
+        """Drop the scan scratch matrix (the engine holds nothing else
+        that outlives exploration)."""
+        self._scan_buf = None
 
     # -- schedule compilation ------------------------------------------
     def _cone(self, index: int) -> ConeSchedule:
@@ -549,57 +629,114 @@ class CompiledEvaluator(IncrementalEvaluator):
             self._touch_cache[index] = touch
         return touch  # contract-ok: cache-copy -- frozenset is immutable
 
-    # -- execution ------------------------------------------------------
-    def _rows_neq(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized valid-bit inequality over packed rows."""
-        x = a ^ b
-        x[:, -1] &= self._tail
-        return x.any(axis=1)
+    # -- block-stacked cone sweeps --------------------------------------
+    def _block_capacity(self, cone: ConeSchedule, chunk_words: int) -> int:
+        """Candidate blocks one stacked cone sweep may hold (hook).
 
-    def _apply_window_table(
-        self, instr: WindowInstr, local: np.ndarray
-    ) -> None:
-        if not self._rows_neq(
-            local[instr.in_slots], self._values[instr.in_ids]
-        ).any():
-            # Inputs clean and the table is the committed one the cache
-            # already reflects: outputs are the cached rows.
-            local[instr.out_slots] = self._values[instr.out_ids]
-            return
-        local[instr.out_slots] = gather_window_outputs(
-            self._table_t(instr.index), local[instr.in_slots], self.n
-        )
-
-    def _run_cone(
-        self, cone: ConeSchedule, seed: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Sweep the cone under root-output ``seed`` rows.
-
-        Returns ``None`` when the seed matches the committed state on
-        every valid bit (nothing can change), else ``(local, neq)``: the
-        local value matrix plus the bulk valid-bit dirty mask aligned
-        with ``cone.recorded_slots``.
+        Resident default: ``n_nodes // n_slots`` keeps the stacked local
+        matrix no larger than the resident value matrix; always ≥ 1 and
+        never beyond :data:`MAX_SCAN_BLOCKS`.  The streaming engine
+        overrides this with its chunk budget.
         """
-        stats = self._stats
-        if not self._rows_neq(seed, self._values[cone.root_out_ids]).any():
-            if stats is not None:
-                stats.n_sweep_units += 1
-            return None
-        if stats is not None:
-            stats.n_sweep_units += cone.n_units
-        local = np.empty((cone.n_slots, self._n_words), dtype=np.uint64)
+        cap = self.circuit.n_nodes // max(cone.n_slots, 1)
+        return int(max(1, min(cap, MAX_SCAN_BLOCKS)))
+
+    def _note_working_set(self, base: np.ndarray, local: np.ndarray) -> None:
+        """Record one sweep's sample-matrix bytes (hook; the resident
+        engine records its value matrix once, at construction)."""
+
+    def _sweep_cone_blocks(
+        self,
+        cone: ConeSchedule,
+        seeds: np.ndarray,
+        base: np.ndarray,
+        n_valid: int,
+    ) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
+        """Sweep stacked candidate seeds through one cone execution.
+
+        ``seeds`` is ``(B, m, cw)`` root-output rows and ``base`` the
+        committed value matrix the cone reads (the resident cache, or one
+        chunk of base state).  Candidates whose seed matches the base on
+        every valid bit are skipped (clean early exit); the rest are
+        stacked along the word axis — block-columns of one local value
+        matrix, window gathers restricted to the blocks whose inputs the
+        candidate actually dirtied — and swept in a single instruction
+        walk.
+
+        Returns one entry per input block: ``None`` for clean seeds, else
+        ``(local view, neq column)`` where the view is the block's
+        ``(n_slots, cw)`` slice and ``neq`` the bulk valid-bit dirty mask
+        over ``cone.recorded_slots``.  Per-block results are
+        byte-identical on every valid bit to a solo sweep of the same
+        candidate (bitwise ops are per-word; block tails never feed
+        valid bits).
+        """
+        cw = base.shape[1]
+        tail = tail_mask(n_valid)
+        n_blocks = seeds.shape[0]
+        x = seeds ^ base[cone.root_out_ids][None, :, :]
+        x[..., -1] &= tail
+        live = np.flatnonzero(x.any(axis=(1, 2)))
+        if self._stats is not None:
+            self._stats.n_sweep_units += cone.n_units * live.size + (
+                n_blocks - live.size
+            )
+        out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * n_blocks
+        if not live.size:
+            return out
+        nb = live.size
+        local = np.empty((cone.n_slots, nb * cw), dtype=np.uint64)
         if cone.boundary_slots.size:
-            local[cone.boundary_slots] = self._values[cone.boundary_ids]
-        local[cone.root_out_slots] = seed
+            local[cone.boundary_slots] = np.broadcast_to(
+                base[cone.boundary_ids][:, None, :],
+                (cone.boundary_ids.size, nb, cw),
+            ).reshape(cone.boundary_ids.size, nb * cw)
+        m = cone.root_out_slots.size
+        local[cone.root_out_slots] = (
+            seeds[live].transpose(1, 0, 2).reshape(m, nb * cw)
+        )
         for instr in cone.instructions:
             if isinstance(instr, WindowInstr):
-                self._apply_window_table(instr, local)
+                # Gather only the blocks whose candidate dirtied this
+                # window's inputs; every other block's outputs are the
+                # base rows (one broadcast fill).
+                dirty = _dirty_blocks(
+                    local[instr.in_slots].reshape(-1, nb, cw),
+                    base[instr.in_ids],
+                    tail,
+                )
+                mo = len(instr.out_slots)
+                local[instr.out_slots] = np.broadcast_to(
+                    base[instr.out_ids][:, None, :], (mo, nb, cw)
+                ).reshape(mo, nb * cw)
+                if dirty.size:
+                    _gather_blocks(
+                        self._table_t(instr.index), local,
+                        instr.in_slots, instr.out_slots, dirty, cw, tail,
+                    )
             else:
-                local[instr.out] = execute_batch(instr, local, self.n)
-        neq = self._rows_neq(
-            local[cone.recorded_slots], self._values[cone.recorded_ids]
-        )
-        return local, neq
+                local[instr.out] = execute_batch(instr, local, None)
+        self._note_working_set(base, local)
+        rec = local[cone.recorded_slots].reshape(-1, nb, cw) ^ base[
+            cone.recorded_ids
+        ][:, None, :]
+        rec[..., -1] &= tail
+        neq = rec.any(axis=2)
+        for j, b in enumerate(live.tolist()):
+            out[b] = (local[:, j * cw : (j + 1) * cw], neq[:, j])
+        return out
+
+    def _dirty_out_rows(
+        self, cone: ConeSchedule, local: np.ndarray, neq: np.ndarray
+    ) -> List[Tuple[int, np.ndarray]]:
+        """(output row, values) pairs a cone sweep dirtied."""
+        out: List[Tuple[int, np.ndarray]] = []
+        for j in np.nonzero(neq[cone.out_rec_idx])[0]:
+            i = int(cone.out_rec_idx[j])
+            vals = local[cone.recorded_slots[i]]
+            for row in cone.out_rows[j]:
+                out.append((row, vals))
+        return out
 
     def _table_t(self, index: int) -> np.ndarray:
         """Transposed lookup layout of window ``index``'s committed table.
@@ -713,11 +850,14 @@ class CompiledEvaluator(IncrementalEvaluator):
     ) -> List[Tuple[np.ndarray, Tuple[int, ...]]]:
         """Per candidate: (packed outputs, dirtied output rows).
 
-        All candidates share one stacked seed gather; each then sweeps
-        only its own compiled cone.  Outputs match :meth:`preview` on
-        every valid bit; the dirty-row sets are exact (a row is reported
-        iff its valid bits differ from the committed state), which is
-        what the delta-QoR path relies on.
+        All candidates share one stacked seed gather, then sweep the
+        window's compiled cone together, stacked along the word axis
+        (:meth:`_sweep_cone_blocks`, the same sweep the streaming engine
+        runs per chunk; at most :meth:`_block_capacity` blocks per
+        pass).  Outputs match :meth:`preview` on every valid bit; the
+        dirty-row sets are exact (a row is reported iff its valid bits
+        differ from the committed state), which is what the delta-QoR
+        path relies on.
         """
         memo = self._memo_lookup(index, tables)
         if memo is not None:
@@ -728,22 +868,21 @@ class CompiledEvaluator(IncrementalEvaluator):
             return []
         cone = self._cone(index)
         seeds = self._stacked_seeds(index, checked)
+        cap = self._block_capacity(cone, self._n_words)
         results: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-        for c in range(len(checked)):
-            swept = self._run_cone(cone, seeds[c])
-            if self._stats is not None:
-                self._stats.n_preview_sweeps += 1
-            out = self._values[self._out_nodes_arr]
-            rows: List[int] = []
-            if swept is not None:
-                local, neq = swept
-                for j in np.nonzero(neq[cone.out_rec_idx])[0]:
-                    i = int(cone.out_rec_idx[j])
-                    vals = local[cone.recorded_slots[i]]
-                    for row in cone.out_rows[j]:
+        for b0 in range(0, len(checked), cap):
+            for swept in self._sweep_cone_blocks(
+                cone, seeds[b0 : b0 + cap], self._values, self.n
+            ):
+                out = self._values[self._out_nodes_arr]
+                rows: List[int] = []
+                if swept is not None:
+                    for row, vals in self._dirty_out_rows(cone, *swept):
                         out[row] = vals
                         rows.append(row)
-            results.append((out, tuple(rows)))
+                results.append((out, tuple(rows)))
+        if self._stats is not None:
+            self._stats.n_preview_sweeps += len(checked)
         self._memo_store(index, tables, results)
         return results
 
@@ -753,6 +892,31 @@ class CompiledEvaluator(IncrementalEvaluator):
         return [out for out, _ in self.preview_batch_delta(index, tables)]
 
     # -- stacked iteration scans ----------------------------------------
+    def _cone_members(self) -> np.ndarray:
+        """Static ``(n_nodes, n_windows)`` cone membership, built once.
+
+        Entry ``[nid, k]`` is true when node ``nid`` lies in the
+        downstream cone of the window at plan rank ``k`` — a loose node
+        of the cone or a member of a window inside it (the root window's
+        own members excluded: a candidate seeds its outputs instead).
+        Independent of the committed set.
+        """
+        member = self._cone_member
+        if member is None:
+            member = np.zeros(
+                (self.circuit.n_nodes, len(self._plan_rank)), dtype=bool
+            )
+            for index, rank in self._plan_rank.items():
+                ids: List[int] = []
+                for kind, key in self._graph.cone(("window", index))[1:]:
+                    if kind == "node":
+                        ids.append(key)
+                    else:
+                        ids.extend(self._window_by_index[key].members)
+                member[ids, rank] = True
+            self._cone_member = member
+        return member
+
     def _iteration_schedule(self) -> IterationSchedule:
         sched = self._iter_sched
         if sched is not None:
@@ -760,7 +924,6 @@ class CompiledEvaluator(IncrementalEvaluator):
         circuit = self.circuit
         instructions: List[ConeInstr] = []
         pending: List[int] = []
-        sources: List[int] = []
         ident = lambda nid: nid  # noqa: E731 - slots are node ids
 
         def flush() -> None:
@@ -772,8 +935,6 @@ class CompiledEvaluator(IncrementalEvaluator):
             if kind == "node":
                 if circuit.node(key).op.is_gate:
                     pending.append(key)
-                else:
-                    sources.append(key)
                 continue
             w = self._window_by_index[key]
             if key in self._committed:
@@ -790,14 +951,53 @@ class CompiledEvaluator(IncrementalEvaluator):
             else:
                 pending.extend(w.members)
         flush()
+        n_instr = len(instructions)
+        positions = np.arange(n_instr, dtype=np.int64)
+        is_gate = np.array(
+            [isinstance(instr, GateBatch) for instr in instructions],
+            dtype=bool,
+        )
+        n_out = np.array(
+            [instr.out_ids.size for instr in instructions], dtype=np.int64
+        )
+        out_ids = np.concatenate(
+            [instr.out_ids for instr in instructions] + [_NO_IDS]
+        )
+        out_instr = np.repeat(positions, n_out)
         producer = np.full(circuit.n_nodes, -1, dtype=np.int64)
-        for i, instr in enumerate(instructions):
-            producer[instr.out_ids] = i
+        producer[out_ids] = out_instr
+        touches = np.zeros((n_instr, len(self._plan_rank)), dtype=bool)
+        if n_instr:
+            touches = np.logical_or.reduceat(
+                self._cone_members()[out_ids],
+                np.cumsum(n_out) - n_out,
+                axis=0,
+            )
+        reads = [
+            instr.fanins.ravel() if isinstance(instr, GateBatch)
+            else instr.in_ids
+            for instr in instructions
+        ]
+        read_flat = np.concatenate(reads + [_NO_IDS])
+        read_instr = np.repeat(
+            positions, [r.size for r in reads]
+        ).astype(np.int64)
+        order = np.argsort(read_flat, kind="stable")
+        read_ids, read_starts = np.unique(
+            read_flat[order], return_index=True
+        )
+        gate_out = is_gate[out_instr]
         sched = IterationSchedule(
             instructions,
-            np.array(sources, dtype=np.int64),
             producer,
             len(self._plan),
+            touches,
+            out_ids[gate_out],
+            out_instr[gate_out],
+            np.where(is_gate, n_out, 0),
+            read_ids,
+            read_starts,
+            read_instr[order],
         )
         self._iter_sched = sched
         return sched
@@ -817,13 +1017,17 @@ class CompiledEvaluator(IncrementalEvaluator):
             rows)`` exactly as :meth:`preview_batch_delta` would return
             them.
 
-        Memoized windows replay their cached sweeps; the rest are
-        evaluated in a single execution of the whole-plan schedule with
-        every candidate stacked along the word axis (its seed scattered
-        into its own block-column right after the producing instruction),
-        so the per-unit dispatch cost is paid once per pass instead of
-        once per candidate.  At most :data:`MAX_SCAN_BLOCKS` candidate
-        blocks stack into one pass; larger scans split into several.
+        Memoized windows replay their cached sweeps; the rest are sorted
+        by their window's plan position and packed into passes of at
+        most :data:`MAX_SCAN_BLOCKS` candidate blocks (a window with
+        more candidates gets a pass of its own).  A pass executes the
+        whole-plan schedule once with every candidate stacked along the
+        word axis (its seed scattered into its own block-column right
+        after the producing instruction), so the per-unit dispatch cost
+        is paid once per pass instead of once per candidate.  The pass
+        is cone-sparse: each instruction runs only on the contiguous
+        block range whose windows' cones it touches, and everything
+        else reads the committed values (DESIGN.md "Cone-sparse scan").
 
         Determinism: results are identical to per-window
         :meth:`preview_batch_delta` on every valid bit, and the reported
@@ -845,6 +1049,7 @@ class CompiledEvaluator(IncrementalEvaluator):
                 results[pos] = []
                 continue
             todo.append((pos, index, checked, tables))
+        todo.sort(key=lambda item: self._plan_rank[item[1]])
         start = 0
         while start < len(todo):
             stop, blocks = start, 0
@@ -884,90 +1089,158 @@ class CompiledEvaluator(IncrementalEvaluator):
             for per_window in scans
         ]
 
+    def _scan_scratch(self, n_blocks: int) -> np.ndarray:
+        """The ``(n_nodes, blocks, W)`` scan scratch, grown to hold
+        ``n_blocks`` blocks.  Never initialized: a pass writes every
+        entry it reads (under the sanitizer it is poisoned first)."""
+        buf = self._scan_buf
+        if buf is None or buf.shape[1] < n_blocks:
+            # Release the outgrown matrix before allocating its successor.
+            self._scan_buf = buf = None
+            buf = np.empty(
+                (self.circuit.n_nodes, n_blocks, self._n_words),
+                dtype=np.uint64,
+            )
+            self._scan_buf = buf
+        if self._sanitize:
+            buf.fill(_SCRATCH_POISON)
+        return buf
+
     def _run_scan_chunk(self, chunk, n_blocks: int, results: List) -> None:
-        if not n_blocks:
-            for pos, _, _, _ in chunk:
-                results[pos] = []
-            return
+        """One stacked pass over ``chunk``'s requests (in plan order).
+
+        Each instruction runs on its active block range ``[lo, hi)``:
+        the hull of the blocks whose window's cone it touches.  Each row
+        is *needed* over the hull of its readers' ranges (every block for
+        a primary output); wherever a row is needed but not computed, it
+        is copied from the committed values before the walk.  So every
+        entry the pass reads is written first, and the scratch carries
+        nothing over from earlier passes.
+        """
         values = self._values
         w_words = self._n_words
         sched = self._iteration_schedule()
+        n_nodes = self.circuit.n_nodes
+        buf = self._scan_scratch(n_blocks)
+        flat = buf.reshape(n_nodes, -1)
+        # Block range of each request, and the seed rows to scatter right
+        # after the instruction producing each root output.
+        ranks = np.array(
+            [self._plan_rank[index] for _, index, _, _ in chunk],
+            dtype=np.int64,
+        )
+        sizes = np.array([len(c) for _, _, c, _ in chunk], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        scatter: Dict[int, List[Tuple[int, int, int, np.ndarray]]] = {}
+        for (_, index, checked, _), b0, b1 in zip(
+            chunk, starts.tolist(), ends.tolist()
+        ):
+            seeds = self._stacked_seeds(index, checked)
+            outputs = self._window_by_index[index].outputs
+            for out_pos, gid in enumerate(outputs):
+                scatter.setdefault(int(sched.producer_of[gid]), []).append(
+                    (gid, b0, b1, seeds[:, out_pos])
+                )
+        # Active ranges: blocks are laid out in request order, so the
+        # blocks of the windows an instruction touches lie inside [start
+        # of the first, end of the last); plan order keeps that hull
+        # tight.  Inactive instructions get the empty range [n_blocks, 0).
+        sub = sched.touches[:, ranks]
+        hit = sub.any(axis=1)
+        lo = np.where(hit, starts[sub.argmax(axis=1)], n_blocks)
+        hi = np.where(
+            hit, ends[len(chunk) - 1 - sub[:, ::-1].argmax(axis=1)], 0
+        )
+        # Need ranges: hull of the readers' ranges; all of a primary output.
+        need_lo = np.full(n_nodes, n_blocks, dtype=np.int64)
+        need_hi = np.zeros(n_nodes, dtype=np.int64)
+        if sched.read_ids.size:
+            need_lo[sched.read_ids] = np.minimum.reduceat(
+                lo[sched.read_instr], sched.read_starts
+            )
+            need_hi[sched.read_ids] = np.maximum.reduceat(
+                hi[sched.read_instr], sched.read_starts
+            )
+        need_lo[self._out_nodes_arr] = 0
+        need_hi[self._out_nodes_arr] = n_blocks
+        # Computed ranges: gate rows of active instructions.  Window
+        # outputs count as not computed: the fill writes their committed
+        # rows and the gather overwrites the blocks with dirty inputs.
+        comp_lo = np.full(n_nodes, n_blocks, dtype=np.int64)
+        comp_hi = np.full(n_nodes, n_blocks, dtype=np.int64)
+        g_lo = lo[sched.gate_out_instr]
+        g_hi = hi[sched.gate_out_instr]
+        active = g_lo < g_hi
+        comp_lo[sched.gate_out_ids[active]] = g_lo[active]
+        comp_hi[sched.gate_out_ids[active]] = g_hi[active]
+        self._fill_committed(
+            buf,
+            np.concatenate([need_lo, np.maximum(need_lo, comp_hi)]),
+            np.concatenate([np.minimum(need_hi, comp_lo), need_hi]),
+        )
         if self._stats is not None:
             self._stats.n_preview_sweeps += n_blocks
             self._stats.n_sweep_units += sched.n_units
-        # Seeds per request; scatter[instruction] lists (gid, block, seed
-        # row) overrides applied right after the producing instruction.
-        scatter: Dict[int, List[Tuple[int, int, np.ndarray]]] = {}
-        spans: List[Tuple[int, int, Sequence, int, int]] = []
-        block = 0
-        for pos, index, checked, tables in chunk:
-            w = self._window_by_index[index]
-            seeds = self._stacked_seeds(index, checked)
-            for out_pos, gid in enumerate(w.outputs):
-                at = int(sched.producer_of[gid])
-                entry = scatter.setdefault(at, [])
-                for c in range(len(checked)):
-                    entry.append((gid, block + c, seeds[c, out_pos]))
-            spans.append((pos, index, tables, block, len(checked)))
-            block += len(checked)
-        stacked = np.empty(
-            (self.circuit.n_nodes, n_blocks * w_words), dtype=np.uint64
-        )
-        if sched.source_ids.size:
-            stacked[sched.source_ids] = np.broadcast_to(
-                values[sched.source_ids][:, None, :],
-                (sched.source_ids.size, n_blocks, w_words),
-            ).reshape(sched.source_ids.size, n_blocks * w_words)
-        word_span = np.arange(w_words, dtype=np.int64)
-        for instr_pos, instr in enumerate(sched.instructions):
-            if isinstance(instr, WindowInstr):
+            self._stats.n_scan_gate_words += (
+                int(sched.gate_rows @ np.maximum(hi - lo, 0)) * w_words
+            )
+        for pos, (instr, l, h) in enumerate(
+            zip(sched.instructions, lo.tolist(), hi.tolist())
+        ):
+            if l >= h:
+                pass  # no candidate's cone reaches it: skipped
+            elif isinstance(instr, WindowInstr):
                 # Gather only the blocks whose candidate dirtied this
-                # window's inputs — every other block's outputs are the
-                # committed rows (one broadcast fill).
-                x = stacked[instr.in_slots].reshape(
-                    -1, n_blocks, w_words
-                ) ^ values[instr.in_ids][:, None, :]
-                x[..., -1] &= self._tail
-                dirty_blocks = np.flatnonzero(x.any(axis=(0, 2)))
-                m = len(instr.out_slots)
-                stacked[instr.out_slots] = np.broadcast_to(
-                    values[instr.out_ids][:, None, :],
-                    (m, n_blocks, w_words),
-                ).reshape(m, n_blocks * w_words)
-                if dirty_blocks.size:
-                    cols = (
-                        dirty_blocks[:, None] * w_words + word_span
-                    ).ravel()
-                    sub = stacked[np.ix_(instr.in_slots, cols)]
-                    idx = decode_rows(sub, cols.size * WORD_BITS)
-                    stacked[np.ix_(instr.out_slots, cols)] = lookup_packed(
-                        self._table_t(instr.index), idx
+                # window's inputs; the rest hold the committed rows.
+                dirty = _dirty_blocks(
+                    buf[instr.in_ids, l:h], values[instr.in_ids], self._tail
+                )
+                if dirty.size:
+                    _gather_blocks(
+                        self._table_t(instr.index), flat,
+                        instr.in_ids, instr.out_ids, dirty + l, w_words,
+                        self._tail,
                     )
             else:
-                stacked[instr.out] = execute_batch(instr, stacked, None)
-            overrides = scatter.get(instr_pos)
-            if overrides:
-                for gid, blk, seed_row in overrides:
-                    stacked[gid, blk * w_words : (blk + 1) * w_words] = (
-                        seed_row
-                    )
+                flat[instr.out, l * w_words : h * w_words] = execute_batch(
+                    instr, flat[:, l * w_words : h * w_words], None
+                )
+            for gid, b0, b1, seed_rows in scatter.get(pos, ()):
+                buf[gid, b0:b1] = seed_rows
         # One block-masked compare yields every candidate's dirty rows.
-        out_stack = stacked[self._out_nodes_arr]
-        blocked = out_stack.reshape(
-            len(self._out_nodes_arr), n_blocks, w_words
-        ) ^ values[self._out_nodes_arr][:, None, :]
+        out_stack = buf[self._out_nodes_arr, :n_blocks]
+        blocked = out_stack ^ values[self._out_nodes_arr][:, None, :]
         blocked[..., -1] &= self._tail
         neq = blocked.any(axis=2)
-        for pos, index, tables, b0, n_cand in spans:
+        for (pos, index, _, tables), b0, b1 in zip(
+            chunk, starts.tolist(), ends.tolist()
+        ):
             per_window: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-            for c in range(n_cand):
-                rows = tuple(int(r) for r in np.nonzero(neq[:, b0 + c])[0])
-                out = np.ascontiguousarray(
-                    out_stack[:, (b0 + c) * w_words : (b0 + c + 1) * w_words]
-                )
+            for b in range(b0, b1):
+                rows = tuple(int(r) for r in np.nonzero(neq[:, b])[0])
+                out = np.ascontiguousarray(out_stack[:, b])
                 per_window.append((out, rows))
             results[pos] = per_window
             self._memo_store(index, tables, per_window)
+
+    def _fill_committed(
+        self, buf: np.ndarray, a: np.ndarray, b: np.ndarray
+    ) -> None:
+        """Copy committed rows into ``buf[row, a[i]:b[i]]``, ``row = i %
+        n_nodes``, one broadcast store per distinct block range."""
+        n_nodes = self.circuit.n_nodes
+        keep = np.flatnonzero(a < b)
+        if not keep.size:
+            return
+        key = a[keep] * (buf.shape[1] + 1) + b[keep]
+        order = np.argsort(key, kind="stable")
+        keep, key = keep[order], key[order]
+        bounds = np.flatnonzero(np.diff(key)) + 1
+        for group in np.split(keep, bounds):
+            rows = group % n_nodes
+            lo, hi = int(a[group[0]]), int(b[group[0]])
+            buf[rows, lo:hi] = self._values[rows][:, None, :]
 
     def commit(self, index: int, table: np.ndarray) -> None:
         w = self._window_by_index[index]
@@ -980,7 +1253,9 @@ class CompiledEvaluator(IncrementalEvaluator):
         if self._sanitize:
             assert_tail_clean(seed, self.n, "commit seed")
         cone = self._cone(index)
-        swept = self._run_cone(cone, seed)
+        swept = self._sweep_cone_blocks(
+            cone, seed[None], self._values, self.n
+        )[0]
         first_commit = index not in self._committed
         self._committed[index] = table
         self._table_t_cache[index] = (table, table_t)

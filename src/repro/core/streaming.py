@@ -25,8 +25,9 @@ input slice (one base pass per chunk per scan or commit), (b) gathers
 every requested window's candidate seeds through per-chunk input-index /
 stacked-seed caches shared across that window's candidates, (c) sweeps
 the candidates through **block-stacked** cone executions (candidates
-stacked along the word axis, the same layout the resident
-``preview_scan`` uses, capped so the stacked matrix stays inside the
+stacked along the word axis by the same
+:meth:`~repro.core.engine.CompiledEvaluator._sweep_cone_blocks` the
+resident cone path runs, capped so the stacked matrix stays inside the
 chunk budget), and (d) folds the dirtied output rows into
 per-candidate accumulators — canonical per-packed-word partial slices
 for value metrics, exact integer mismatch deltas for hamming.  Step (d)
@@ -84,10 +85,8 @@ from ..circuit.simulate import (
     _FULL_WORD,
     WORD_BITS,
     decode_rows,
-    lookup_packed,
     plan_chunks,
     simulate_outputs,
-    tail_mask,
     words_for,
 )
 from ..errors import SimulationError
@@ -299,6 +298,7 @@ class StreamingEvaluator(CompiledEvaluator):
 
     def close(self) -> None:
         """Shut down the shard worker pool (no-op when in-process)."""
+        super().close()
         if self._executor is not None:
             self._executor.close()
             self._executor = None
@@ -379,108 +379,6 @@ class StreamingEvaluator(CompiledEvaluator):
         cap = budget_words // max(cone.n_slots * chunk_words, 1)
         return int(max(1, min(cap, MAX_SCAN_BLOCKS)))
 
-    def _sweep_cone_blocks(
-        self,
-        cone: ConeSchedule,
-        seeds: np.ndarray,
-        base: np.ndarray,
-        n_valid: int,
-        record_blocks: bool = True,
-    ) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
-        """Sweep stacked candidate seeds through one cone execution.
-
-        ``seeds`` is ``(B, m, cw)``; candidates whose seed matches the
-        base on every valid bit are skipped (clean early exit), the rest
-        are stacked along the word axis — block-columns of one local
-        value matrix, window gathers restricted to the blocks whose
-        inputs the candidate actually dirtied, exactly like the resident
-        ``preview_scan`` — and swept in a single instruction walk.
-
-        Returns one entry per input block: ``None`` for clean seeds, else
-        ``(local view, neq column)`` where the view is the block's
-        ``(n_slots, cw)`` slice and ``neq`` the bulk valid-bit dirty mask
-        over ``cone.recorded_slots``.  Per-block results are
-        byte-identical on every valid bit to a solo sweep of the same
-        candidate (bitwise ops are per-word; block tails never feed
-        valid bits).
-        """
-        cw = base.shape[1]
-        tail = tail_mask(n_valid)
-        n_blocks = seeds.shape[0]
-        x = seeds ^ base[cone.root_out_ids][None, :, :]
-        x[..., -1] &= tail
-        live = np.flatnonzero(x.any(axis=(1, 2)))
-        stats = self._stats
-        if stats is not None:
-            stats.n_sweep_units += cone.n_units * live.size + (
-                n_blocks - live.size
-            )
-            if record_blocks:
-                # Commit sweeps reuse this code path with a single seed;
-                # the counter reports *candidate* blocks only.
-                stats.n_stacked_blocks += live.size
-        out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * n_blocks
-        if not live.size:
-            return out
-        nb = live.size
-        local = np.empty((cone.n_slots, nb * cw), dtype=np.uint64)
-        if cone.boundary_slots.size:
-            local[cone.boundary_slots] = np.broadcast_to(
-                base[cone.boundary_ids][:, None, :],
-                (cone.boundary_ids.size, nb, cw),
-            ).reshape(cone.boundary_ids.size, nb * cw)
-        m = cone.root_out_slots.size
-        local[cone.root_out_slots] = (
-            seeds[live].transpose(1, 0, 2).reshape(m, nb * cw)
-        )
-        word_span = np.arange(cw, dtype=np.int64)
-        for instr in cone.instructions:
-            if isinstance(instr, WindowInstr):
-                # Gather only the blocks whose candidate dirtied this
-                # window's inputs; every other block's outputs are the
-                # chunk base rows (one broadcast fill).
-                xi = local[instr.in_slots].reshape(-1, nb, cw) ^ base[
-                    instr.in_ids
-                ][:, None, :]
-                xi[..., -1] &= tail
-                dirty_blocks = np.flatnonzero(xi.any(axis=(0, 2)))
-                mo = len(instr.out_slots)
-                local[instr.out_slots] = np.broadcast_to(
-                    base[instr.out_ids][:, None, :], (mo, nb, cw)
-                ).reshape(mo, nb * cw)
-                if dirty_blocks.size:
-                    cols = (
-                        dirty_blocks[:, None] * cw + word_span
-                    ).ravel()
-                    sub = local[np.ix_(instr.in_slots, cols)]
-                    idx = decode_rows(sub, cols.size * WORD_BITS)
-                    local[np.ix_(instr.out_slots, cols)] = lookup_packed(
-                        self._table_t(instr.index), idx
-                    )
-            else:
-                local[instr.out] = execute_batch(instr, local, None)
-        self._note_working_set(base, local)
-        rec = local[cone.recorded_slots].reshape(-1, nb, cw) ^ base[
-            cone.recorded_ids
-        ][:, None, :]
-        rec[..., -1] &= tail
-        neq = rec.any(axis=2)
-        for j, b in enumerate(live.tolist()):
-            out[b] = (local[:, j * cw : (j + 1) * cw], neq[:, j])
-        return out
-
-    def _dirty_out_rows(
-        self, cone: ConeSchedule, local: np.ndarray, neq: np.ndarray
-    ) -> List[Tuple[int, np.ndarray]]:
-        """(output row, chunk values) pairs the sweep dirtied."""
-        out: List[Tuple[int, np.ndarray]] = []
-        for j in np.nonzero(neq[cone.out_rec_idx])[0]:
-            i = int(cone.out_rec_idx[j])
-            vals = local[cone.recorded_slots[i]]
-            for row in cone.out_rows[j]:
-                out.append((row, vals))
-        return out
-
     # -- the shard task body -------------------------------------------
     def _scan_chunk_into(
         self,
@@ -530,6 +428,10 @@ class StreamingEvaluator(CompiledEvaluator):
                 block = self._sweep_cone_blocks(
                     cone, seeds[b0 : b0 + cap], base, chunk.n_valid
                 )
+                if self._stats is not None:
+                    self._stats.n_stacked_blocks += sum(
+                        swept is not None for swept in block
+                    )
                 for off, swept in enumerate(block):
                     if swept is None:
                         continue
@@ -810,7 +712,7 @@ class StreamingEvaluator(CompiledEvaluator):
             if self._sanitize:
                 assert_tail_clean(seed, chunk.n_valid, "commit chunk seed")
             swept = self._sweep_cone_blocks(
-                cone, seed, base, chunk.n_valid, record_blocks=False
+                cone, seed, base, chunk.n_valid
             )[0]
             if swept is None:
                 continue

@@ -59,6 +59,12 @@ class RuntimeStats:
             full plan length per sweep on the reference engine, the cone
             length (or 1 on a clean-seed early exit) on the compiled one;
             the ratio between engines is the cone-scheduling win.
+        n_scan_gate_words: Gate node rows × packed words the resident
+            engine's stacked scan evaluated.  A dense pass would evaluate
+            every gate row on every block (``gates × blocks × W``); the
+            cone-sparse scan runs each instruction only on the blocks
+            whose window's cone it touches, and this counter shows the
+            difference.
         n_cones_compiled: Cone-schedule compilations performed by the
             engine — schedules specialize to the committed set and
             recompile when a window inside them is first committed, so
@@ -118,6 +124,7 @@ class RuntimeStats:
     n_preview_sweeps: int = 0
     n_preview_cache_hits: int = 0
     n_sweep_units: int = 0
+    n_scan_gate_words: int = 0
     n_cones_compiled: int = 0
     n_chunk_passes: int = 0
     n_shard_tasks: int = 0
@@ -154,6 +161,7 @@ class RuntimeStats:
             f"{self.n_preview_sweeps} preview sweeps "
             f"({self.n_preview_cache_hits} memoized, "
             f"{self.n_sweep_units} sweep units, "
+            f"{self.n_scan_gate_words} scan gate words, "
             f"{self.n_cones_compiled} cones)"
         )
         if self.peak_sample_matrix_bytes:

@@ -26,6 +26,7 @@ from repro.circuit.simulate import (
 )
 from repro.core.engine import (
     ENGINES,
+    MAX_SCAN_BLOCKS,
     CompiledEvaluator,
     GateBatch,
     execute_batch,
@@ -39,6 +40,7 @@ from repro.core.qor import QoREvaluator, QoRSpec
 from repro.core.streaming import StreamingEvaluator
 from repro.errors import ExplorationError, SimulationError
 from repro.partition import decompose
+from repro.partition.plan import quotient_graph
 from repro.runtime import RuntimeStats
 
 from explore_fixtures import explorer_config, trajectory_key
@@ -431,6 +433,163 @@ class TestStreamingScanMatchesDelta:
                 e.commit(w.index, table)
                 q.rebase(e.current_outputs())
         stream.close()
+
+
+def _random_tables(rng, w, count):
+    return [
+        rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
+        for _ in range(count)
+    ]
+
+
+def _assert_previews_match_reference(ref, previews, requests, n):
+    """Scan/preview pairs equal the reference on every valid bit, and the
+    dirty rows are exactly the rows whose valid bits changed."""
+    cur = unpack_bits(ref.current_outputs(), n)
+    for (index, tables), got in zip(requests, previews):
+        expect = ref.preview_batch(index, tables)
+        assert len(got) == len(expect)
+        for ref_out, (out, rows) in zip(expect, got):
+            bits = unpack_bits(ref_out, n)
+            np.testing.assert_array_equal(unpack_bits(out, n), bits)
+            changed = {
+                row
+                for row in range(cur.shape[0])
+                if not np.array_equal(bits[row], cur[row])
+            }
+            assert set(rows) == changed
+
+
+class TestConeSparseScan:
+    """The stacked scan's scratch matrix is reused across passes without
+    ever being initialized; every entry a pass reads must be one the pass
+    wrote, whatever the earlier passes left behind."""
+
+    def test_stale_scratch_matches_reference(self, mult8_windows):
+        circuit, windows = mult8_windows
+        n = 150  # not a multiple of 64: tail words exercised
+        rng = np.random.default_rng(11)
+        words = random_input_words(circuit.n_inputs, n, rng)
+        ref = IncrementalEvaluator(circuit, windows, words, n)
+        comp = CompiledEvaluator(circuit, windows, words, n)
+        shuffled = CompiledEvaluator(circuit, windows, words, n)
+        big = windows[len(windows) // 2]
+        # Blocks per scan: 3 per window (more than MAX_SCAN_BLOCKS, so
+        # several passes), then 1 per window on half the windows
+        # (shrink), then a window with more candidates than one pass
+        # holds next to 2 per window (grow).
+        rounds = [
+            [(w.index, 3) for w in windows],
+            [(w.index, 1) for w in windows[::2]],
+            [(w.index, 2) for w in windows if w is not big]
+            + [(big.index, MAX_SCAN_BLOCKS + 6)],
+        ]
+        assert sum(c for _, c in rounds[0]) > MAX_SCAN_BLOCKS
+        by_index = {w.index: w for w in windows}
+        for round_ in rounds:
+            requests = [
+                (index, _random_tables(rng, by_index[index], count))
+                for index, count in round_
+            ]
+            scans = comp.preview_scan(requests)
+            _assert_previews_match_reference(ref, scans, requests, n)
+            order = rng.permutation(len(requests))
+            permuted = shuffled.preview_scan([requests[i] for i in order])
+            for pos, got in zip(order, permuted):
+                for (out, rows), (want, want_rows) in zip(got, scans[pos]):
+                    np.testing.assert_array_equal(
+                        unpack_bits(out, n), unpack_bits(want, n)
+                    )
+                    assert rows == want_rows
+            index, tables = requests[int(rng.integers(0, len(requests)))]
+            for e in (ref, comp, shuffled):
+                e.commit(index, tables[0])
+
+    def test_close_drops_scratch_and_rescan_is_identical(self, rng):
+        circuit = mult8()
+        windows = decompose(circuit, 8, 8)
+        n = 100
+        words = random_input_words(circuit.n_inputs, n, rng)
+        comp = CompiledEvaluator(circuit, windows, words, n)
+        requests = [(w.index, _random_tables(rng, w, 2)) for w in windows]
+        first = comp.preview_scan(requests)
+        assert comp._scan_buf is not None
+        comp.close()
+        assert comp._scan_buf is None
+        # Fresh table identities: the memo cannot serve the second scan.
+        again = comp.preview_scan(
+            [(i, [t.copy() for t in ts]) for i, ts in requests]
+        )
+        for got, want in zip(again, first):
+            for (out, rows), (want_out, want_rows) in zip(got, want):
+                np.testing.assert_array_equal(out, want_out)
+                assert rows == want_rows
+
+    def test_gate_words_below_dense(self, rng):
+        """The scan evaluates fewer gate words than a dense pass would."""
+        circuit = mult8()
+        windows = decompose(circuit, 8, 8)
+        n = 128
+        words = random_input_words(circuit.n_inputs, n, rng)
+        stats = RuntimeStats()
+        comp = CompiledEvaluator(circuit, windows, words, n, stats=stats)
+        requests = [(w.index, _random_tables(rng, w, 2)) for w in windows]
+        comp.preview_scan(requests)
+        n_gates = sum(1 for node in circuit.nodes if node.op.is_gate)
+        dense = n_gates * stats.n_preview_sweeps * (n // 64)
+        assert 0 < stats.n_scan_gate_words < dense
+        assert "scan gate words" in stats.summary()
+
+
+class TestStackedConeSweep:
+    def test_preview_batch_delta_matches_reference(self, mult8_windows):
+        """preview_batch_delta sweeps a window's candidates stacked in one
+        cone pass: clean seeds (the current table) and dirty ones mixed,
+        more candidates than one pass holds, and commits (one whose seed
+        equals the committed state) in between."""
+        circuit, windows = mult8_windows
+        n = 150
+        rng = np.random.default_rng(5)
+        words = random_input_words(circuit.n_inputs, n, rng)
+        ref = IncrementalEvaluator(circuit, windows, words, n)
+        stats = RuntimeStats()
+        comp = CompiledEvaluator(circuit, windows, words, n, stats=stats)
+        graph = quotient_graph(circuit, windows)
+        current = {w.index: w.table(circuit) for w in windows}
+        for w in windows[:8]:
+            exact = current[w.index]
+            # Random tables with the first output complemented: dirty
+            # seeds on every sample, whatever the rest of the table is.
+            noisy = _random_tables(rng, w, 3)
+            for t in noisy:
+                t[:, 0] = ~exact[:, 0]
+            tables = [exact.copy(), ~exact, *noisy, exact.copy(), ~exact]
+            units0 = stats.n_sweep_units
+            sweeps0 = stats.n_preview_sweeps
+            got = comp.preview_batch_delta(w.index, tables)
+            _assert_previews_match_reference(
+                ref, [got], [(w.index, tables)], n
+            )
+            assert got[0][1] == () and got[5][1] == ()
+            assert stats.n_preview_sweeps - sweeps0 == len(tables)
+            # Clean seeds cost one unit each, dirty ones their whole cone.
+            cone_units = len(graph.cone(("window", w.index)))
+            assert stats.n_sweep_units - units0 == 2 + 5 * cone_units
+            # Commit the current table again (a clean seed: nothing
+            # changes) or a complemented one, alternately.
+            table = exact.copy() if w.index % 2 else ~exact
+            units0 = stats.n_sweep_units
+            ref.commit(w.index, table)
+            comp.commit(w.index, table)
+            current[w.index] = table
+            assert stats.n_sweep_units - units0 == (
+                1 if w.index % 2 else cone_units
+            )
+            np.testing.assert_array_equal(
+                unpack_bits(comp.current_outputs(), n),
+                unpack_bits(ref.current_outputs(), n),
+            )
+        assert stats.n_stacked_blocks == 0
 
 
 #: sha256 over the trajectory rows (:func:`_trajectory_digest`) and
