@@ -177,14 +177,20 @@ def _gather_blocks(
     cw: int,
     tail: np.uint64,
 ) -> None:
-    """Table-gather the ``cw``-word ``blocks`` of a block-stacked value
-    matrix: decode ``in_rows`` there and write the lookup into
+    """Table-gather the ``cw``-word ``blocks`` (sorted) of a block-stacked
+    value matrix: decode ``in_rows`` there and write the lookup into
     ``out_rows``, each block's tail masked like any window output."""
-    cols = (blocks[:, None] * cw + np.arange(cw, dtype=np.int64)).ravel()
-    idx = decode_rows(values[np.ix_(in_rows, cols)], cols.size * WORD_BITS)
+    b0, b1 = int(blocks[0]), int(blocks[-1]) + 1
+    if b1 - b0 == blocks.size:
+        cols = slice(b0 * cw, b1 * cw)
+        ins, outs = (in_rows, cols), (out_rows, cols)
+    else:
+        cols = (blocks[:, None] * cw + np.arange(cw, dtype=np.int64)).ravel()
+        ins, outs = np.ix_(in_rows, cols), np.ix_(out_rows, cols)
+    idx = decode_rows(values[ins], blocks.size * cw * WORD_BITS)
     out = lookup_packed(table_t, idx)
     out[:, cw - 1 :: cw] &= tail
-    values[np.ix_(out_rows, cols)] = out
+    values[outs] = out
 
 
 def stacked_seed_gather(
@@ -705,10 +711,11 @@ class CompiledEvaluator(IncrementalEvaluator):
                     base[instr.in_ids],
                     tail,
                 )
-                mo = len(instr.out_slots)
-                local[instr.out_slots] = np.broadcast_to(
-                    base[instr.out_ids][:, None, :], (mo, nb, cw)
-                ).reshape(mo, nb * cw)
+                if dirty.size < nb:
+                    mo = len(instr.out_slots)
+                    local[instr.out_slots] = np.broadcast_to(
+                        base[instr.out_ids][:, None, :], (mo, nb, cw)
+                    ).reshape(mo, nb * cw)
                 if dirty.size:
                     _gather_blocks(
                         self._table_t(instr.index), local,
