@@ -1215,19 +1215,20 @@ class CompiledEvaluator(IncrementalEvaluator):
                 )
             for gid, b0, b1, seed_rows in scatter.get(pos, ()):
                 buf[gid, b0:b1] = seed_rows
-        # One block-masked compare yields every candidate's dirty rows.
-        out_stack = buf[self._out_nodes_arr, :n_blocks]
-        blocked = out_stack ^ values[self._out_nodes_arr][:, None, :]
+        # One block-masked compare yields every candidate's dirty rows;
+        # each candidate's outputs are one block of a (blocks, outputs,
+        # W) copy.
+        outs = buf[self._out_nodes_arr, :n_blocks].transpose(1, 0, 2).copy()
+        blocked = outs ^ values[self._out_nodes_arr]
         blocked[..., -1] &= self._tail
         neq = blocked.any(axis=2)
         for (pos, index, _, tables), b0, b1 in zip(
             chunk, starts.tolist(), ends.tolist()
         ):
-            per_window: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-            for b in range(b0, b1):
-                rows = tuple(int(r) for r in np.nonzero(neq[:, b])[0])
-                out = np.ascontiguousarray(out_stack[:, b])
-                per_window.append((out, rows))
+            per_window = [
+                (outs[b], tuple(np.flatnonzero(neq[b]).tolist()))
+                for b in range(b0, b1)
+            ]
             results[pos] = per_window
             self._memo_store(index, tables, per_window)
 
@@ -1236,18 +1237,21 @@ class CompiledEvaluator(IncrementalEvaluator):
     ) -> None:
         """Copy committed rows into ``buf[row, a[i]:b[i]]``, ``row = i %
         n_nodes``, one broadcast store per distinct block range."""
-        n_nodes = self.circuit.n_nodes
         keep = np.flatnonzero(a < b)
         if not keep.size:
             return
-        key = a[keep] * (buf.shape[1] + 1) + b[keep]
-        order = np.argsort(key, kind="stable")
-        keep, key = keep[order], key[order]
-        bounds = np.flatnonzero(np.diff(key)) + 1
-        for group in np.split(keep, bounds):
-            rows = group % n_nodes
-            lo, hi = int(a[group[0]]), int(b[group[0]])
-            buf[rows, lo:hi] = self._values[rows][:, None, :]
+        keep = keep[np.argsort(a[keep] * (buf.shape[1] + 1) + b[keep])]
+        lo, hi = a[keep], b[keep]
+        starts = np.flatnonzero(
+            np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1)
+        )
+        rows = keep % self.circuit.n_nodes
+        vals = self._values[rows][:, None, :]
+        ends = starts[1:].tolist() + [rows.size]
+        for s, e, l, h in zip(
+            starts.tolist(), ends, lo[starts].tolist(), hi[starts].tolist()
+        ):
+            buf[rows[s:e], l:h] = vals[s:e]
 
     def commit(self, index: int, table: np.ndarray) -> None:
         w = self._window_by_index[index]
