@@ -459,11 +459,14 @@ class CompiledEvaluator(IncrementalEvaluator):
     recompiles at most once per window it contains).
 
     Memory: this engine is *resident* — it holds the full
-    ``(n_nodes, words_for(n_samples))`` value matrix.  For pattern counts
-    where that matrix is the bottleneck, use the streaming subclass
-    (:class:`repro.core.streaming.StreamingEvaluator`, selected via
-    ``chunk_words``), which bounds sample-matrix memory by a chunk budget
-    and stays trajectory-identical.
+    ``(n_nodes, words_for(n_samples))`` value matrix and, from its first
+    stacked scan until :meth:`close`, the scan's scratch matrix: one
+    value-matrix copy per block of the widest pass (at most
+    :data:`MAX_SCAN_BLOCKS`, unless one window brings more candidates).
+    For pattern counts where that matrix is the bottleneck, use the
+    streaming subclass (:class:`repro.core.streaming.StreamingEvaluator`,
+    selected via ``chunk_words``), which bounds sample-matrix memory by a
+    chunk budget and stays trajectory-identical.
     """
 
     def __init__(
@@ -1192,12 +1195,12 @@ class CompiledEvaluator(IncrementalEvaluator):
             self._stats.n_scan_gate_words += (
                 int(sched.gate_rows @ np.maximum(hi - lo, 0)) * w_words
             )
+        # An instruction no candidate's cone reaches (l >= h) is skipped;
+        # the seeds its outputs carry are still scattered after it.
         for pos, (instr, l, h) in enumerate(
             zip(sched.instructions, lo.tolist(), hi.tolist())
         ):
-            if l >= h:
-                pass  # no candidate's cone reaches it: skipped
-            elif isinstance(instr, WindowInstr):
+            if l < h and isinstance(instr, WindowInstr):
                 # Gather only the blocks whose candidate dirtied this
                 # window's inputs; the rest hold the committed rows.
                 dirty = _dirty_blocks(
@@ -1209,7 +1212,7 @@ class CompiledEvaluator(IncrementalEvaluator):
                         instr.in_ids, instr.out_ids, dirty + l, w_words,
                         self._tail,
                     )
-            else:
+            elif l < h:
                 flat[instr.out, l * w_words : h * w_words] = execute_batch(
                     instr, flat[:, l * w_words : h * w_words], None
                 )
