@@ -1,47 +1,43 @@
-"""Compiled exploration engine: cone schedules + SoA gate programs.
+"""Compiled exploration engine: one scan pass over SoA gate programs.
 
 Algorithm 1's inner loop evaluates every candidate substitution against the
 whole sample set; :class:`~repro.core.incremental.IncrementalEvaluator`
 already prunes that to the candidate's downstream cone, but it still *walks
 the entire quotient plan in interpreted Python* per candidate, paying one
 ``any(dirty[f] ...)`` + one numpy dispatch per touched node.  This module
-compiles the evaluation so a candidate sweep costs a handful of vectorized
-array ops:
+compiles the evaluation so a sweep costs a handful of vectorized array
+ops per instruction, shared by every candidate of a pass:
 
-* **Static cone schedules** — each window's transitive fanout restricted to
-  the quotient plan (:meth:`~repro.partition.plan.QuotientGraph.cone`) is
-  extracted once per decomposition; a sweep touches only the cone's units
-  instead of all of them.  The window's packed input-index vector is cached
-  and invalidated on commit instead of being re-decoded per preview.
-* **Structure-of-arrays gate programs** — cone gates grouped by
+* **Structure-of-arrays gate programs** — gates grouped by
   (level, op, arity) with fanin index matrices, executed as gathered-row
-  bitwise ufunc reductions over a local packed value matrix.  Windows not
-  yet substituted are *inlined* into the surrounding levelization (wide
-  levels span window boundaries — crucial for shallow-but-wide datapaths);
-  substituted windows become single table-gather instructions.  A cone
-  program is therefore specialized to the committed set and lazily
-  recompiled when a window inside it is first committed — the committed
-  set only grows, so total recompiles are bounded by the number of
-  (cone, window) incidences, not by the iteration count.  The same
-  compiler serves whole-circuit simulation (:func:`simulate_full_compiled`
-  behind :func:`repro.circuit.simulate.simulate_full`).
+  bitwise ufunc reductions over a packed value matrix.  Windows not yet
+  substituted are *inlined* into the surrounding levelization (wide
+  levels span window boundaries — crucial for shallow-but-wide
+  datapaths); substituted windows become single table-gather
+  instructions.  The whole-plan :class:`IterationSchedule` is therefore
+  specialized to the committed set and recompiled after a window's first
+  commit — the committed set only grows, so at most once per window.
+  The same compiler serves whole-circuit simulation
+  (:func:`simulate_full_compiled` behind
+  :func:`repro.circuit.simulate.simulate_full`).
 * **Stacked candidate gather** — all candidate tables of one window are
-  pushed through the shared input index in a single transposed-table
-  lookup (:func:`~repro.circuit.simulate.lookup_packed`), and dirty
-  tracking happens in one bulk valid-bit compare per sweep instead of per
-  node.  Every table lookup in the engines — seeds, commits, committed
-  windows inside sweeps — decodes its index with
+  pushed through the window's shared input index (cached, invalidated on
+  commit) in a single transposed-table lookup
+  (:func:`~repro.circuit.simulate.lookup_packed`), and dirty tracking
+  happens in one bulk valid-bit compare per pass instead of per node.
+  Every table lookup in the engines — seeds, commits, committed windows
+  inside passes — decodes its index with
   :func:`~repro.circuit.simulate.decode_rows` and gathers with
   ``lookup_packed``; committed tables are transposed once, at commit.
-* **Block-stacked sweeps** — a window's candidates sweep its cone
-  together, stacked along the word axis
-  (:meth:`CompiledEvaluator._sweep_cone_blocks`, which commits and the
-  streaming engine's chunk scans run too).  A whole iteration's scan
-  (:meth:`CompiledEvaluator.preview_scan`) stacks every window's
-  candidates into passes over the whole-plan schedule and is
-  *cone-sparse*: each instruction runs only on the blocks whose window's
-  cone it touches, in one reused scratch matrix that a pass fills on
-  demand from the committed values (DESIGN.md "Cone-sparse scan").
+* **One cone-sparse scan pass** — every sweep is a pass of
+  :meth:`CompiledEvaluator._run_scan_chunk`: a scan stacks its
+  candidates along the word axis (block-columns) in plan order and runs
+  the schedule once, each instruction only on the blocks whose window's
+  cone it touches, in one reused scratch matrix that the pass fills on
+  demand from the committed values (DESIGN.md "Cone-sparse scan").  A
+  one-window preview is a pass with one window's blocks, a commit a
+  one-block pass, and the streaming engine runs the same pass against
+  each chunk's base state.
 
 Determinism contract (see DESIGN.md "Exploration engine"): on every
 **valid bit** the engine is byte-identical to the interpreted reference —
@@ -193,6 +189,28 @@ def _gather_blocks(
     values[outs] = out
 
 
+def _fill_from(
+    buf: np.ndarray, base: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> None:
+    """Copy ``base`` rows into the block-stacked ``buf[row, a[i]:b[i]]``,
+    ``row = i % n_nodes``, one broadcast store per distinct block range."""
+    keep = np.flatnonzero(a < b)
+    if not keep.size:
+        return
+    keep = keep[np.argsort(a[keep] * (buf.shape[1] + 1) + b[keep])]
+    lo, hi = a[keep], b[keep]
+    starts = np.flatnonzero(
+        np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1)
+    )
+    rows = keep % base.shape[0]
+    vals = base[rows][:, None, :]
+    ends = starts[1:].tolist() + [rows.size]
+    for s, e, l, h in zip(
+        starts.tolist(), ends, lo[starts].tolist(), hi[starts].tolist()
+    ):
+        buf[rows[s:e], l:h] = vals[s:e]
+
+
 def stacked_seed_gather(
     tables: Sequence[np.ndarray], idx: np.ndarray, n_valid: int
 ) -> np.ndarray:
@@ -326,73 +344,44 @@ def simulate_full_compiled(
 
 
 # ----------------------------------------------------------------------
-# Cone schedules
+# Iteration schedules
 # ----------------------------------------------------------------------
 @dataclass
 class WindowInstr:
-    """A *substituted* window inside a cone: a single table gather through
-    the window's packed input rows (un-substituted windows are inlined
-    into the surrounding gate batches at compile time)."""
+    """A *substituted* window: a single table gather through the window's
+    packed input rows (un-substituted windows are inlined into the
+    surrounding gate batches at compile time)."""
 
     index: int
-    in_slots: np.ndarray
     in_ids: np.ndarray
-    out_slots: np.ndarray
     out_ids: np.ndarray
 
 
-ConeInstr = Union[GateBatch, WindowInstr]
-
-
-@dataclass
-class ConeSchedule:
-    """Compiled downstream cone of one window, over local slots.
-
-    Specialized to the committed set it was compiled against
-    (``step_windows`` lists the non-root windows inside the cone; the
-    evaluator drops the schedule when one of them is first committed).
-    ``recorded_slots``/``recorded_ids`` are the units whose results are
-    compared against the cached value matrix in one bulk valid-bit pass;
-    ``out_rec_idx``/``out_rows`` map recorded positions to primary-output
-    rows for delta-QoR dirty reporting.  ``n_units`` is the quotient-plan
-    unit count of the cone (root included) for work accounting.
-    """
-
-    root_index: int
-    n_slots: int
-    boundary_slots: np.ndarray
-    boundary_ids: np.ndarray
-    root_out_slots: np.ndarray
-    root_out_ids: np.ndarray
-    instructions: List[ConeInstr]
-    recorded_slots: np.ndarray
-    recorded_ids: np.ndarray
-    out_rec_idx: np.ndarray
-    out_rows: List[Tuple[int, ...]]
-    step_windows: frozenset
-    n_units: int
+ScheduleInstr = Union[GateBatch, WindowInstr]
 
 
 @dataclass
 class IterationSchedule:
-    """Whole-plan program for stacked multi-candidate scans.
+    """Whole-plan program every sweep runs: scans, commits and the
+    streaming engine's chunk base passes.
 
     Slots are node ids.  Uncommitted windows are inlined as gates,
-    committed ones are gather instructions — like a cone schedule, but
-    rooted at every window at once: the full-strategy explorer evaluates
-    *all* windows' candidates in one pass with candidates stacked along
-    the word axis (block-columns), so the per-unit dispatch cost is paid
-    once per iteration instead of once per candidate.
+    committed ones are gather instructions, so the schedule is
+    specialized to the committed set and recompiled after a window's
+    first commit.  A scan pass evaluates candidates of any number of
+    windows at once, stacked along the word axis (block-columns), so the
+    per-unit dispatch cost is paid once per pass instead of once per
+    candidate.
 
-    The remaining fields let a scan pass derive, in a few vectorized
-    ops, which blocks each instruction must run on (DESIGN.md
-    "Cone-sparse scan"): ``touches[i, k]`` is true when instruction
-    ``i`` writes a node in the downstream cone of the window at plan
-    rank ``k``; gate outputs and instruction reads are flat id arrays,
-    the reads sorted by node id for ``reduceat``.
+    The remaining fields let a pass derive, in a few vectorized ops,
+    which blocks each instruction must run on (DESIGN.md "Cone-sparse
+    scan"): ``touches[i, k]`` is true when instruction ``i`` writes a
+    node in the downstream cone of the window at plan rank ``k``; gate
+    outputs and instruction reads are flat id arrays, the reads sorted
+    by node id for ``reduceat``.
     """
 
-    instructions: List[ConeInstr]
+    instructions: List[ScheduleInstr]
     #: node id -> position of the instruction producing it (-1 for none);
     #: lets a scan map its seed overrides to instructions in O(#seeds).
     producer_of: np.ndarray
@@ -410,9 +399,10 @@ class IterationSchedule:
     read_instr: np.ndarray
 
 
-#: Upper bound on candidate blocks stacked into one pass (bounds the scan's
-#: scratch matrix at n_nodes x MAX_SCAN_BLOCKS x W words, and every
-#: block-stacked cone sweep at the same block count).
+#: Upper bound on candidate blocks stacked into one pass: the resident
+#: scan scratch holds at most n_nodes x MAX_SCAN_BLOCKS x W words.  The
+#: packer splits a window's candidates across passes at this cap, and the
+#: streaming engine caps its passes lower, at its chunk budget.
 MAX_SCAN_BLOCKS = 64
 
 #: Word the sanitizer writes over the scan scratch before every pass, so
@@ -422,11 +412,32 @@ _SCRATCH_POISON = np.uint64(0xA5A5_A5A5_A5A5_A5A5)
 _NO_IDS = np.zeros(0, dtype=np.int64)
 
 
+def pack_passes(sizes: Sequence[int], cap: int):
+    """Split requests of ``sizes`` candidate blocks into passes of at
+    most ``cap`` blocks, in order, a request spilling into the next pass
+    where the current one fills up.  Yields lists of ``(request, first
+    candidate, end candidate)`` segments."""
+    segments: List[Tuple[int, int, int]] = []
+    room = cap
+    for req, size in enumerate(sizes):
+        c0 = 0
+        while c0 < size:
+            c1 = min(size, c0 + room)
+            segments.append((req, c0, c1))
+            room -= c1 - c0
+            c0 = c1
+            if not room:
+                yield segments
+                segments, room = [], cap
+    if segments:
+        yield segments
+
+
 # ----------------------------------------------------------------------
 # The compiled evaluator
 # ----------------------------------------------------------------------
 class CompiledEvaluator(IncrementalEvaluator):
-    """Drop-in :class:`IncrementalEvaluator` running compiled cone sweeps.
+    """Drop-in :class:`IncrementalEvaluator` running compiled scan passes.
 
     Args:
         circuit: The accurate netlist being explored.
@@ -437,7 +448,7 @@ class CompiledEvaluator(IncrementalEvaluator):
         n_samples: Valid pattern count (tail bits beyond it are
             unspecified; see DESIGN.md's tail-bit invariant).
         stats: Optional :class:`~repro.runtime.RuntimeStats` accumulator
-            for sweep/memo/cone counters.
+            for sweep/memo counters.
 
     Determinism guarantees: public behaviour (previews, batched previews,
     commits, the committed map) matches the reference implementation
@@ -447,22 +458,21 @@ class CompiledEvaluator(IncrementalEvaluator):
     each candidate actually dirtied, which feeds the delta-QoR path
     (:meth:`repro.core.qor.QoREvaluator.evaluate_delta`).
 
-    Invalidation semantics: a :meth:`commit` (a) folds the cone's changed
+    Invalidation semantics: a :meth:`commit` (a) folds the pass's changed
     valid bits into the resident value cache, (b) drops the packed
     input-index / stacked-seed caches of every window whose inputs the
     changed values touch, (c) drops memoized previews of every window
     whose cone state the commit touched (changed values, or any table of
     the committed window — a new table is a different *function* even
     when it matches the old one on the current samples), and (d) on a
-    window's *first* commit drops the schedules that had inlined it as
-    plain gates (the committed set only grows, so each schedule
-    recompiles at most once per window it contains).
+    window's *first* commit drops the iteration schedule, which had
+    inlined it as plain gates (the committed set only grows, so the
+    schedule recompiles at most once per window).
 
     Memory: this engine is *resident* — it holds the full
     ``(n_nodes, words_for(n_samples))`` value matrix and, from its first
-    stacked scan until :meth:`close`, the scan's scratch matrix: one
-    value-matrix copy per block of the widest pass (at most
-    :data:`MAX_SCAN_BLOCKS`, unless one window brings more candidates).
+    pass until :meth:`close`, the scan's scratch matrix: one value-matrix
+    copy per block of the widest pass, at most :data:`MAX_SCAN_BLOCKS`.
     For pattern counts where that matrix is the bottleneck, use the
     streaming subclass (:class:`repro.core.streaming.StreamingEvaluator`,
     selected via ``chunk_words``), which bounds sample-matrix memory by a
@@ -482,7 +492,6 @@ class CompiledEvaluator(IncrementalEvaluator):
             circuit, windows, input_words, n_samples, stats=stats,
             sanitize=sanitize,
         )
-        self._cones: Dict[int, ConeSchedule] = {}
         self._idx_cache: Dict[int, np.ndarray] = {}
         self._seed_cache: Dict[int, Tuple] = {}
         # window -> (committed table, its transpose): the lookup layout,
@@ -511,107 +520,14 @@ class CompiledEvaluator(IncrementalEvaluator):
             )
         }
         self._cone_member: Optional[np.ndarray] = None
-        # The stacked scan's (n_nodes, blocks x W) scratch matrix: grown
-        # on demand, never initialized, dropped by close().
+        # The scan pass's flat scratch, viewed as (n_nodes, blocks, cw):
+        # grown on demand, never initialized, dropped by close().
         self._scan_buf: Optional[np.ndarray] = None
 
     def close(self) -> None:
         """Drop the scan scratch matrix (the engine holds nothing else
         that outlives exploration)."""
         self._scan_buf = None
-
-    # -- schedule compilation ------------------------------------------
-    def _cone(self, index: int) -> ConeSchedule:
-        cone = self._cones.get(index)
-        if cone is None:
-            cone = self._compile_cone(index)
-            self._cones[index] = cone
-            if self._stats is not None:
-                self._stats.n_cones_compiled += 1
-        return cone
-
-    def _compile_cone(self, index: int) -> ConeSchedule:
-        steps = self._graph.cone(("window", index))
-        root_w = self._window_by_index[index]
-        slot_of_map: Dict[int, int] = {}
-
-        def slot_of(gid: int) -> int:
-            s = slot_of_map.get(gid)
-            if s is None:
-                s = len(slot_of_map)
-                slot_of_map[gid] = s
-            return s
-
-        recorded: List[int] = list(root_w.outputs)
-        root_out_slots = np.array(
-            [slot_of(o) for o in root_w.outputs], dtype=np.int64
-        )
-        instructions: List[ConeInstr] = []
-        pending: List[int] = []
-        step_windows: set = set()
-
-        def flush() -> None:
-            if pending:
-                instructions.extend(_levelize(self.circuit, pending, slot_of))
-                recorded.extend(pending)
-                pending.clear()
-
-        for kind, key in steps[1:]:
-            if kind == "node":
-                if self.circuit.node(key).op.is_gate:
-                    pending.append(key)
-                continue
-            step_windows.add(key)
-            w = self._window_by_index[key]
-            if key in self._committed:
-                flush()
-                instructions.append(
-                    WindowInstr(
-                        key,
-                        np.array(
-                            [slot_of(n) for n in w.inputs], dtype=np.int64
-                        ),
-                        np.array(w.inputs, dtype=np.int64),
-                        np.array(
-                            [slot_of(o) for o in w.outputs], dtype=np.int64
-                        ),
-                        np.array(w.outputs, dtype=np.int64),
-                    )
-                )
-                recorded.extend(w.outputs)
-            else:
-                # Not substituted: members evaluate as plain gates and may
-                # levelize together with surrounding loose logic (the plan
-                # order keeps the concatenation topological).
-                pending.extend(w.members)
-        flush()
-
-        computed = set(recorded)
-        boundary = [
-            (s, gid) for gid, s in slot_of_map.items() if gid not in computed
-        ]
-        out_rec_idx: List[int] = []
-        out_rows: List[Tuple[int, ...]] = []
-        for i, gid in enumerate(recorded):
-            rows = self._out_rows_by_nid.get(gid)
-            if rows:
-                out_rec_idx.append(i)
-                out_rows.append(tuple(rows))
-        return ConeSchedule(
-            index,
-            len(slot_of_map),
-            np.array([s for s, _ in boundary], dtype=np.int64),
-            np.array([g for _, g in boundary], dtype=np.int64),
-            root_out_slots,
-            np.array(root_w.outputs, dtype=np.int64),
-            instructions,
-            np.array([slot_of_map[g] for g in recorded], dtype=np.int64),
-            np.array(recorded, dtype=np.int64),
-            np.array(out_rec_idx, dtype=np.int64),
-            out_rows,
-            frozenset(step_windows),
-            len(steps),
-        )
 
     def _cone_touch(self, index: int) -> frozenset:
         """Every node id a sweep of ``index``'s cone can read or write.
@@ -637,116 +553,6 @@ class CompiledEvaluator(IncrementalEvaluator):
             touch = frozenset(ids)
             self._touch_cache[index] = touch
         return touch  # contract-ok: cache-copy -- frozenset is immutable
-
-    # -- block-stacked cone sweeps --------------------------------------
-    def _block_capacity(self, cone: ConeSchedule, chunk_words: int) -> int:
-        """Candidate blocks one stacked cone sweep may hold (hook).
-
-        Resident default: ``n_nodes // n_slots`` keeps the stacked local
-        matrix no larger than the resident value matrix; always ≥ 1 and
-        never beyond :data:`MAX_SCAN_BLOCKS`.  The streaming engine
-        overrides this with its chunk budget.
-        """
-        cap = self.circuit.n_nodes // max(cone.n_slots, 1)
-        return int(max(1, min(cap, MAX_SCAN_BLOCKS)))
-
-    def _note_working_set(self, base: np.ndarray, local: np.ndarray) -> None:
-        """Record one sweep's sample-matrix bytes (hook; the resident
-        engine records its value matrix once, at construction)."""
-
-    def _sweep_cone_blocks(
-        self,
-        cone: ConeSchedule,
-        seeds: np.ndarray,
-        base: np.ndarray,
-        n_valid: int,
-    ) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
-        """Sweep stacked candidate seeds through one cone execution.
-
-        ``seeds`` is ``(B, m, cw)`` root-output rows and ``base`` the
-        committed value matrix the cone reads (the resident cache, or one
-        chunk of base state).  Candidates whose seed matches the base on
-        every valid bit are skipped (clean early exit); the rest are
-        stacked along the word axis — block-columns of one local value
-        matrix, window gathers restricted to the blocks whose inputs the
-        candidate actually dirtied — and swept in a single instruction
-        walk.
-
-        Returns one entry per input block: ``None`` for clean seeds, else
-        ``(local view, neq column)`` where the view is the block's
-        ``(n_slots, cw)`` slice and ``neq`` the bulk valid-bit dirty mask
-        over ``cone.recorded_slots``.  Per-block results are
-        byte-identical on every valid bit to a solo sweep of the same
-        candidate (bitwise ops are per-word; block tails never feed
-        valid bits).
-        """
-        cw = base.shape[1]
-        tail = tail_mask(n_valid)
-        n_blocks = seeds.shape[0]
-        x = seeds ^ base[cone.root_out_ids][None, :, :]
-        x[..., -1] &= tail
-        live = np.flatnonzero(x.any(axis=(1, 2)))
-        if self._stats is not None:
-            self._stats.n_sweep_units += cone.n_units * live.size + (
-                n_blocks - live.size
-            )
-        out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * n_blocks
-        if not live.size:
-            return out
-        nb = live.size
-        local = np.empty((cone.n_slots, nb * cw), dtype=np.uint64)
-        if cone.boundary_slots.size:
-            local[cone.boundary_slots] = np.broadcast_to(
-                base[cone.boundary_ids][:, None, :],
-                (cone.boundary_ids.size, nb, cw),
-            ).reshape(cone.boundary_ids.size, nb * cw)
-        m = cone.root_out_slots.size
-        local[cone.root_out_slots] = (
-            seeds[live].transpose(1, 0, 2).reshape(m, nb * cw)
-        )
-        for instr in cone.instructions:
-            if isinstance(instr, WindowInstr):
-                # Gather only the blocks whose candidate dirtied this
-                # window's inputs; every other block's outputs are the
-                # base rows (one broadcast fill).
-                dirty = _dirty_blocks(
-                    local[instr.in_slots].reshape(-1, nb, cw),
-                    base[instr.in_ids],
-                    tail,
-                )
-                if dirty.size < nb:
-                    mo = len(instr.out_slots)
-                    local[instr.out_slots] = np.broadcast_to(
-                        base[instr.out_ids][:, None, :], (mo, nb, cw)
-                    ).reshape(mo, nb * cw)
-                if dirty.size:
-                    _gather_blocks(
-                        self._table_t(instr.index), local,
-                        instr.in_slots, instr.out_slots, dirty, cw, tail,
-                    )
-            else:
-                local[instr.out] = execute_batch(instr, local, None)
-        self._note_working_set(base, local)
-        rec = local[cone.recorded_slots].reshape(-1, nb, cw) ^ base[
-            cone.recorded_ids
-        ][:, None, :]
-        rec[..., -1] &= tail
-        neq = rec.any(axis=2)
-        for j, b in enumerate(live.tolist()):
-            out[b] = (local[:, j * cw : (j + 1) * cw], neq[:, j])
-        return out
-
-    def _dirty_out_rows(
-        self, cone: ConeSchedule, local: np.ndarray, neq: np.ndarray
-    ) -> List[Tuple[int, np.ndarray]]:
-        """(output row, values) pairs a cone sweep dirtied."""
-        out: List[Tuple[int, np.ndarray]] = []
-        for j in np.nonzero(neq[cone.out_rec_idx])[0]:
-            i = int(cone.out_rec_idx[j])
-            vals = local[cone.recorded_slots[i]]
-            for row in cone.out_rows[j]:
-                out.append((row, vals))
-        return out
 
     def _table_t(self, index: int) -> np.ndarray:
         """Transposed lookup layout of window ``index``'s committed table.
@@ -843,7 +649,7 @@ class CompiledEvaluator(IncrementalEvaluator):
             and len(cached[0]) == len(checked)
             and all(a is b for a, b in zip(cached[0], checked))
         ):
-            # Seeds are consumed read-only by cone sweeps and frozen
+            # Seeds are consumed read-only by scan passes and frozen
             # under sanitize; copying (n_cand, m, W) per scan would
             # defeat the cache.
             return cached[2]  # contract-ok: cache-copy -- read-only seed stack, frozen under sanitize
@@ -860,48 +666,19 @@ class CompiledEvaluator(IncrementalEvaluator):
     ) -> List[Tuple[np.ndarray, Tuple[int, ...]]]:
         """Per candidate: (packed outputs, dirtied output rows).
 
-        All candidates share one stacked seed gather, then sweep the
-        window's compiled cone together, stacked along the word axis
-        (:meth:`_sweep_cone_blocks`, the same sweep the streaming engine
-        runs per chunk; at most :meth:`_block_capacity` blocks per
-        pass).  Outputs match :meth:`preview` on every valid bit; the
-        dirty-row sets are exact (a row is reported iff its valid bits
-        differ from the committed state), which is what the delta-QoR
-        path relies on.
+        A one-request :meth:`preview_scan`.  Outputs match
+        :meth:`preview` on every valid bit; the dirty-row sets are exact
+        (a row is reported iff its valid bits differ from the committed
+        state), which is what the delta-QoR path relies on.
         """
-        memo = self._memo_lookup(index, tables)
-        if memo is not None:
-            return memo
-        w = self._window_by_index[index]
-        checked = [self._check_table(w, t) for t in tables]
-        if not checked:
-            return []
-        cone = self._cone(index)
-        seeds = self._stacked_seeds(index, checked)
-        cap = self._block_capacity(cone, self._n_words)
-        results: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-        for b0 in range(0, len(checked), cap):
-            for swept in self._sweep_cone_blocks(
-                cone, seeds[b0 : b0 + cap], self._values, self.n
-            ):
-                out = self._values[self._out_nodes_arr]
-                rows: List[int] = []
-                if swept is not None:
-                    for row, vals in self._dirty_out_rows(cone, *swept):
-                        out[row] = vals
-                        rows.append(row)
-                results.append((out, tuple(rows)))
-        if self._stats is not None:
-            self._stats.n_preview_sweeps += len(checked)
-        self._memo_store(index, tables, results)
-        return results
+        return self.preview_scan([(index, tables)])[0]
 
     def preview_batch(
         self, index: int, tables: Sequence[np.ndarray]
     ) -> List[np.ndarray]:
         return [out for out, _ in self.preview_batch_delta(index, tables)]
 
-    # -- stacked iteration scans ----------------------------------------
+    # -- the scan pass ---------------------------------------------------
     def _cone_members(self) -> np.ndarray:
         """Static ``(n_nodes, n_windows)`` cone membership, built once.
 
@@ -932,7 +709,7 @@ class CompiledEvaluator(IncrementalEvaluator):
         if sched is not None:
             return sched
         circuit = self.circuit
-        instructions: List[ConeInstr] = []
+        instructions: List[ScheduleInstr] = []
         pending: List[int] = []
         ident = lambda nid: nid  # noqa: E731 - slots are node ids
 
@@ -953,12 +730,13 @@ class CompiledEvaluator(IncrementalEvaluator):
                     WindowInstr(
                         key,
                         np.array(w.inputs, dtype=np.int64),
-                        np.array(w.inputs, dtype=np.int64),
-                        np.array(w.outputs, dtype=np.int64),
                         np.array(w.outputs, dtype=np.int64),
                     )
                 )
             else:
+                # Not substituted: members evaluate as plain gates and may
+                # levelize together with surrounding loose logic (the plan
+                # order keeps the concatenation topological).
                 pending.extend(w.members)
         flush()
         n_instr = len(instructions)
@@ -1015,36 +793,29 @@ class CompiledEvaluator(IncrementalEvaluator):
     def preview_scan(
         self, requests: Sequence[Tuple[int, Sequence[np.ndarray]]]
     ) -> List[List[Tuple[np.ndarray, Tuple[int, ...]]]]:
-        """One iteration's whole candidate scan, stacked into wide passes.
+        """A candidate scan, stacked into wide passes.
 
         Args:
             requests: ``(window index, candidate tables)`` pairs for
-                *distinct* windows — the full-strategy explorer's
-                per-iteration scan.
+                *distinct* windows — one window on the lazy path, a
+                whole iteration on the full-strategy path.
 
         Returns:
             Per request, per candidate: ``(packed outputs, dirtied output
-            rows)`` exactly as :meth:`preview_batch_delta` would return
-            them.
+            rows)``.
 
         Memoized windows replay their cached sweeps; the rest are sorted
-        by their window's plan position and packed into passes of at
-        most :data:`MAX_SCAN_BLOCKS` candidate blocks (a window with
-        more candidates gets a pass of its own).  A pass executes the
-        whole-plan schedule once with every candidate stacked along the
-        word axis (its seed scattered into its own block-column right
-        after the producing instruction), so the per-unit dispatch cost
-        is paid once per pass instead of once per candidate.  The pass
-        is cone-sparse: each instruction runs only on the contiguous
-        block range whose windows' cones it touches, and everything
-        else reads the committed values (DESIGN.md "Cone-sparse scan").
+        by their window's plan position and packed into passes of
+        :data:`MAX_SCAN_BLOCKS` candidate blocks, a window's candidates
+        spilling into the next pass where one fills up.  Each pass runs
+        :meth:`_run_scan_chunk` on the resident value matrix.
 
-        Determinism: results are identical to per-window
-        :meth:`preview_batch_delta` on every valid bit, and the reported
-        dirty-row sets are exact (a row appears iff its valid bits differ
-        from the committed state).  Invalidation: the memo a scan
-        populates is dropped by :meth:`commit` exactly for the windows
-        whose cone state the commit touched — see the class docstring.
+        Determinism: results equal :meth:`preview` on every valid bit,
+        and the reported dirty-row sets are exact (a row appears iff its
+        valid bits differ from the committed state).  Invalidation: the
+        memo a scan populates is dropped by :meth:`commit` exactly for
+        the windows whose cone state the commit touched — see the class
+        docstring.
         """
         results: List = [None] * len(requests)
         todo: List[Tuple[int, int, List[np.ndarray], Sequence]] = []
@@ -1060,17 +831,24 @@ class CompiledEvaluator(IncrementalEvaluator):
                 continue
             todo.append((pos, index, checked, tables))
         todo.sort(key=lambda item: self._plan_rank[item[1]])
-        start = 0
-        while start < len(todo):
-            stop, blocks = start, 0
-            while stop < len(todo):
-                n_cand = len(todo[stop][2])
-                if blocks and blocks + n_cand > MAX_SCAN_BLOCKS:
-                    break
-                blocks += n_cand
-                stop += 1
-            self._run_scan_chunk(todo[start:stop], blocks, results)
-            start = stop
+        seeds = [self._stacked_seeds(index, c) for _, index, c, _ in todo]
+        swept: List[List] = [[] for _ in todo]
+        sizes = [s.shape[0] for s in seeds]
+        for segments in pack_passes(sizes, MAX_SCAN_BLOCKS):
+            buf, _ = self._run_scan_chunk(
+                [(todo[t][1], seeds[t][c0:c1]) for t, c0, c1 in segments],
+                self._values,
+                self.n,
+            )
+            outs, neq = self._block_outputs(buf, self._values, self.n)
+            if self._stats is not None:
+                self._stats.n_preview_sweeps += outs.shape[0]
+            owners = [t for t, c0, c1 in segments for _ in range(c0, c1)]
+            for t, out, dirty in zip(owners, outs, neq):
+                swept[t].append((out, tuple(np.flatnonzero(dirty).tolist())))
+        for (pos, index, _, tables), per_window in zip(todo, swept):
+            results[pos] = per_window
+            self._memo_store(index, tables, per_window)
         return results
 
     def scan_errors(
@@ -1080,73 +858,87 @@ class CompiledEvaluator(IncrementalEvaluator):
     ) -> List[List[Tuple[float, Tuple[int, ...]]]]:
         """Per request, per candidate: ``(error, dirtied output rows)``.
 
-        One request takes the window's cone path
-        (:meth:`preview_batch_delta`); several take the stacked
+        Every request list, one request included, takes
         :meth:`preview_scan`.  Each candidate is scored by
         ``qor.evaluate_delta`` over its dirty rows, so ``qor`` must be
         rebased on :meth:`current_outputs`.  Errors are bit-identical to
         the reference oracle's and rows are reported sorted.
         """
-        if len(requests) == 1:
-            scans = [self.preview_batch_delta(*requests[0])]
-        else:
-            scans = self.preview_scan(requests)
         return [
             [
-                (qor.evaluate_delta(out, rows), tuple(sorted(rows)))
+                (qor.evaluate_delta(out, rows), rows)
                 for out, rows in per_window
             ]
-            for per_window in scans
+            for per_window in self.preview_scan(requests)
         ]
 
-    def _scan_scratch(self, n_blocks: int) -> np.ndarray:
-        """The ``(n_nodes, blocks, W)`` scan scratch, grown to hold
-        ``n_blocks`` blocks.  Never initialized: a pass writes every
-        entry it reads (under the sanitizer it is poisoned first)."""
+    def _scan_scratch(self, n_blocks: int, cw: int) -> np.ndarray:
+        """The ``(n_nodes, n_blocks, cw)`` scan scratch, a view of one
+        flat buffer grown to hold it.  Never initialized: a pass writes
+        every entry it reads (under the sanitizer it is poisoned
+        first)."""
+        size = self.circuit.n_nodes * n_blocks * cw
         buf = self._scan_buf
-        if buf is None or buf.shape[1] < n_blocks:
-            # Release the outgrown matrix before allocating its successor.
+        if buf is None or buf.size < size:
+            # Release the outgrown buffer before allocating its successor.
             self._scan_buf = buf = None
-            buf = np.empty(
-                (self.circuit.n_nodes, n_blocks, self._n_words),
-                dtype=np.uint64,
-            )
+            buf = np.empty(size, dtype=np.uint64)
             self._scan_buf = buf
+        view = buf[:size].reshape(self.circuit.n_nodes, n_blocks, cw)
         if self._sanitize:
-            buf.fill(_SCRATCH_POISON)
-        return buf
+            view.fill(_SCRATCH_POISON)
+        return view
 
-    def _run_scan_chunk(self, chunk, n_blocks: int, results: List) -> None:
-        """One stacked pass over ``chunk``'s requests (in plan order).
+    def _run_scan_chunk(
+        self,
+        chunk: Sequence[Tuple[int, np.ndarray]],
+        base: np.ndarray,
+        n_valid: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One stacked pass of the iteration schedule over ``base``.
+
+        Args:
+            chunk: ``(window index, seeds)`` pairs of distinct windows in
+                plan order; ``seeds`` is ``(B, m, cw)``, one block per
+                candidate, its rows the window's outputs.
+            base: The ``(n_nodes, cw)`` committed values the candidates
+                are swept against — the resident value matrix, or one
+                chunk of streamed base state.
+            n_valid: Valid patterns in ``base`` (sets the tail mask).
+
+        Returns:
+            The ``(n_nodes, blocks, cw)`` scratch after the pass, and the
+            per-instruction mask of instructions that ran.
 
         Each instruction runs on its active block range ``[lo, hi)``:
         the hull of the blocks whose window's cone it touches.  Each row
         is *needed* over the hull of its readers' ranges (every block for
         a primary output); wherever a row is needed but not computed, it
-        is copied from the committed values before the walk.  So every
-        entry the pass reads is written first, and the scratch carries
-        nothing over from earlier passes.
+        is copied from ``base`` before the walk.  So every entry the
+        pass reads is written first, and the scratch carries nothing over
+        from earlier passes.
         """
-        values = self._values
-        w_words = self._n_words
+        cw = base.shape[1]
+        tail = tail_mask(n_valid)
         sched = self._iteration_schedule()
         n_nodes = self.circuit.n_nodes
-        buf = self._scan_scratch(n_blocks)
-        flat = buf.reshape(n_nodes, -1)
         # Block range of each request, and the seed rows to scatter right
         # after the instruction producing each root output.
         ranks = np.array(
-            [self._plan_rank[index] for _, index, _, _ in chunk],
-            dtype=np.int64,
+            [self._plan_rank[index] for index, _ in chunk], dtype=np.int64
         )
-        sizes = np.array([len(c) for _, _, c, _ in chunk], dtype=np.int64)
+        sizes = np.array(
+            [seeds.shape[0] for _, seeds in chunk], dtype=np.int64
+        )
         ends = np.cumsum(sizes)
         starts = ends - sizes
+        n_blocks = int(ends[-1])
+        buf = self._scan_scratch(n_blocks, cw)
+        flat = buf.reshape(n_nodes, -1)
         scatter: Dict[int, List[Tuple[int, int, int, np.ndarray]]] = {}
-        for (_, index, checked, _), b0, b1 in zip(
+        for (index, seeds), b0, b1 in zip(
             chunk, starts.tolist(), ends.tolist()
         ):
-            seeds = self._stacked_seeds(index, checked)
             outputs = self._window_by_index[index].outputs
             for out_pos, gid in enumerate(outputs):
                 scatter.setdefault(int(sched.producer_of[gid]), []).append(
@@ -1184,16 +976,16 @@ class CompiledEvaluator(IncrementalEvaluator):
         active = g_lo < g_hi
         comp_lo[sched.gate_out_ids[active]] = g_lo[active]
         comp_hi[sched.gate_out_ids[active]] = g_hi[active]
-        self._fill_committed(
+        _fill_from(
             buf,
+            base,
             np.concatenate([need_lo, np.maximum(need_lo, comp_hi)]),
             np.concatenate([np.minimum(need_hi, comp_lo), need_hi]),
         )
         if self._stats is not None:
-            self._stats.n_preview_sweeps += n_blocks
             self._stats.n_sweep_units += sched.n_units
             self._stats.n_scan_gate_words += (
-                int(sched.gate_rows @ np.maximum(hi - lo, 0)) * w_words
+                int(sched.gate_rows @ np.maximum(hi - lo, 0)) * cw
             )
         # An instruction no candidate's cone reaches (l >= h) is skipped;
         # the seeds its outputs carry are still scattered after it.
@@ -1204,57 +996,54 @@ class CompiledEvaluator(IncrementalEvaluator):
                 # Gather only the blocks whose candidate dirtied this
                 # window's inputs; the rest hold the committed rows.
                 dirty = _dirty_blocks(
-                    buf[instr.in_ids, l:h], values[instr.in_ids], self._tail
+                    buf[instr.in_ids, l:h], base[instr.in_ids], tail
                 )
                 if dirty.size:
                     _gather_blocks(
                         self._table_t(instr.index), flat,
-                        instr.in_ids, instr.out_ids, dirty + l, w_words,
-                        self._tail,
+                        instr.in_ids, instr.out_ids, dirty + l, cw, tail,
                     )
             elif l < h:
-                flat[instr.out, l * w_words : h * w_words] = execute_batch(
-                    instr, flat[:, l * w_words : h * w_words], None
+                flat[instr.out, l * cw : h * cw] = execute_batch(
+                    instr, flat[:, l * cw : h * cw], None
                 )
             for gid, b0, b1, seed_rows in scatter.get(pos, ()):
                 buf[gid, b0:b1] = seed_rows
-        # One block-masked compare yields every candidate's dirty rows;
-        # each candidate's outputs are one block of a (blocks, outputs,
-        # W) copy.
-        outs = buf[self._out_nodes_arr, :n_blocks].transpose(1, 0, 2).copy()
-        blocked = outs ^ values[self._out_nodes_arr]
-        blocked[..., -1] &= self._tail
-        neq = blocked.any(axis=2)
-        for (pos, index, _, tables), b0, b1 in zip(
-            chunk, starts.tolist(), ends.tolist()
-        ):
-            per_window = [
-                (outs[b], tuple(np.flatnonzero(neq[b]).tolist()))
-                for b in range(b0, b1)
-            ]
-            results[pos] = per_window
-            self._memo_store(index, tables, per_window)
+        return buf, lo < hi
 
-    def _fill_committed(
-        self, buf: np.ndarray, a: np.ndarray, b: np.ndarray
-    ) -> None:
-        """Copy committed rows into ``buf[row, a[i]:b[i]]``, ``row = i %
-        n_nodes``, one broadcast store per distinct block range."""
-        keep = np.flatnonzero(a < b)
-        if not keep.size:
-            return
-        keep = keep[np.argsort(a[keep] * (buf.shape[1] + 1) + b[keep])]
-        lo, hi = a[keep], b[keep]
-        starts = np.flatnonzero(
-            np.diff(lo, prepend=-1) | np.diff(hi, prepend=-1)
+    def _block_outputs(
+        self, buf: np.ndarray, base: np.ndarray, n_valid: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every block's outputs after a pass, as a ``(blocks, outputs,
+        cw)`` copy, and the ``(blocks, outputs)`` mask of rows whose
+        valid bits differ from ``base``'s (one block-masked compare)."""
+        outs = buf[self._out_nodes_arr].transpose(1, 0, 2).copy()
+        blocked = outs ^ base[self._out_nodes_arr]
+        blocked[..., -1] &= tail_mask(n_valid)
+        return outs, blocked.any(axis=2)
+
+    def _commit_pass(
+        self, index: int, seed: np.ndarray, base: np.ndarray, n_valid: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Sweep a commit's ``(m, cw)`` seed as a one-block pass on the
+        current (pre-commit) schedule.
+
+        Returns the sorted ids of the rows the pass wrote whose valid
+        bits differ from ``base``, and those rows.  The pass writes the
+        window's outputs and every row of each instruction that ran;
+        rows it only filled from ``base`` cannot differ.
+        """
+        buf, ran = self._run_scan_chunk([(index, seed[None])], base, n_valid)
+        producer = self._iter_sched.producer_of
+        ids = np.union1d(
+            np.flatnonzero(np.append(ran, False)[producer]),
+            self._window_by_index[index].outputs,
         )
-        rows = keep % self.circuit.n_nodes
-        vals = self._values[rows][:, None, :]
-        ends = starts[1:].tolist() + [rows.size]
-        for s, e, l, h in zip(
-            starts.tolist(), ends, lo[starts].tolist(), hi[starts].tolist()
-        ):
-            buf[rows[s:e], l:h] = vals[s:e]
+        rows = buf[ids, 0]
+        x = rows ^ base[ids]
+        x[:, -1] &= tail_mask(n_valid)
+        changed = x.any(axis=1)
+        return ids[changed], rows[changed]
 
     def commit(self, index: int, table: np.ndarray) -> None:
         w = self._window_by_index[index]
@@ -1266,20 +1055,13 @@ class CompiledEvaluator(IncrementalEvaluator):
         mask_tail_words(seed, self.n)
         if self._sanitize:
             assert_tail_clean(seed, self.n, "commit seed")
-        cone = self._cone(index)
-        swept = self._sweep_cone_blocks(
-            cone, seed[None], self._values, self.n
-        )[0]
+        ids, rows = self._commit_pass(index, seed, self._values, self.n)
         first_commit = index not in self._committed
         self._committed[index] = table
         self._table_t_cache[index] = (table, table_t)
-        changed = set()
-        if swept is not None:
-            local, neq = swept
-            for i in np.nonzero(neq)[0]:
-                gid = int(cone.recorded_ids[i])
-                self._values[gid] = local[cone.recorded_slots[i]]
-                changed.add(gid)
+        self._values[ids] = rows
+        changed = set(ids.tolist())
+        if changed:
             # Any cached input index built from a changed node is stale.
             for widx in list(self._idx_cache):
                 if self._win_input_sets[widx] & changed:
@@ -1293,14 +1075,10 @@ class CompiledEvaluator(IncrementalEvaluator):
             if self._preview_cache[widx][1] & invalid:
                 del self._preview_cache[widx]
         if first_commit:
-            # Schedules compiled with this window inlined as plain gates
-            # are now wrong (it evaluates through a table); recompile
-            # lazily.  The committed set only grows, so each cone
-            # recompiles at most once per window it contains.
+            # The schedule inlined this window as plain gates; it now
+            # evaluates through a table.  Recompile lazily — the
+            # committed set only grows, so at most once per window.
             self._iter_sched = None
-            for widx in list(self._cones):
-                if index in self._cones[widx].step_windows:
-                    del self._cones[widx]
 
 
 def make_evaluator(

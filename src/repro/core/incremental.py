@@ -196,9 +196,10 @@ class IncrementalEvaluator:
         overlay: Dict[int, np.ndarray] = {}
         dirty = np.zeros(self.circuit.n_nodes, dtype=bool)
         if self._stats is not None:
-            # The reference sweep always walks the full quotient plan; the
-            # compiled engine counts cone units instead — the ratio is the
-            # cone win asserted by the engine tests.
+            # The reference sweep walks the full quotient plan per
+            # candidate; the compiled engine walks it once per pass of
+            # stacked candidates — the ratio is asserted by the engine
+            # tests.
             self._stats.n_sweep_units += len(self._plan)
 
         def record(nid: int, new: np.ndarray) -> None:

@@ -4,8 +4,8 @@ bounded memory, shardable across worker processes.
 The resident engines hold the whole sample set in one
 ``(n_nodes, words_for(n))`` value matrix; at the paper's 10^6
 Monte-Carlo patterns that is GB-scale for large circuits.
-:class:`StreamingEvaluator` runs the same compiled cone schedules and
-candidate scans *chunk by chunk* over the pattern axis instead
+:class:`StreamingEvaluator` runs the same compiled scan passes *chunk
+by chunk* over the pattern axis instead
 (:func:`repro.circuit.simulate.plan_chunks` — the same word-aligned
 chunking discipline :func:`~repro.circuit.simulate.simulate_outputs`
 uses, tail-mask clamp included), so peak sample-matrix memory is bounded
@@ -18,17 +18,17 @@ What stays resident (all independent of the node count):
 * the exact and committed packed *output* rows, ``(n_outputs, W)`` each
   (what :meth:`exact_outputs` / :meth:`current_outputs` serve, and what
   :meth:`repro.core.qor.QoREvaluator.rebase` consumes);
-* the committed window tables and the compiled schedules (pattern-free).
+* the committed window tables and the compiled schedule (pattern-free).
 
 Per chunk, a scan (a) rebuilds the committed base state for the chunk's
 input slice (one base pass per chunk per scan or commit), (b) gathers
 every requested window's candidate seeds through per-chunk input-index /
 stacked-seed caches shared across that window's candidates, (c) sweeps
-the candidates through **block-stacked** cone executions (candidates
-stacked along the word axis by the same
-:meth:`~repro.core.engine.CompiledEvaluator._sweep_cone_blocks` the
-resident cone path runs, capped so the stacked matrix stays inside the
-chunk budget), and (d) folds the dirtied output rows into
+the candidates through the resident engine's cone-sparse scan pass
+(:meth:`~repro.core.engine.CompiledEvaluator._run_scan_chunk`) against
+the chunk's base state, stacked along the word axis at
+``chunk_words // cw`` blocks per pass so base plus scratch stay inside
+the chunk budget, and (d) folds the dirtied output rows into
 per-candidate accumulators — canonical per-packed-word partial slices
 for value metrics, exact integer mismatch deltas for hamming.  Step (d)
 decodes the chunk's committed word integers (or counts its committed
@@ -103,8 +103,8 @@ from ..runtime.executor import (
 from .engine import (
     MAX_SCAN_BLOCKS,
     CompiledEvaluator,
-    ConeSchedule,
     WindowInstr,
+    pack_passes,
     circuit_program,
     execute_batch,
     gather_window_outputs,
@@ -121,8 +121,9 @@ def auto_chunk_words(
     """Chunk size (packed words) fitting a sample-matrix byte budget.
 
     The streaming engine's peak sample-matrix working set **per process**
-    is one chunk of base state and one concurrent (possibly block-stacked)
-    sweep working set — at most ``2 × 8 × n_nodes`` bytes per chunk word.
+    is one chunk of base state and the scan pass's scratch, which stacks
+    at most ``chunk_words // cw`` blocks of a ``cw``-word chunk — at most
+    ``2 × 8 × n_nodes`` bytes per chunk word.
     With ``jobs`` shard workers each process holds its own working set
     concurrently, so the budget divides across them::
 
@@ -156,8 +157,8 @@ class StreamingEvaluator(CompiledEvaluator):
             :class:`CompiledEvaluator`.
         chunk_words: Maximum packed words per pattern-axis chunk (≥ 1).
             Peak sample-matrix memory **per process** is ``≤ 2 × 8 ×
-            n_nodes × chunk_words`` bytes (base state + stacked sweep
-            working set), recorded in ``stats.peak_sample_matrix_bytes``.
+            n_nodes × chunk_words`` bytes (base state + scan scratch),
+            recorded in ``stats.peak_sample_matrix_bytes``.
         shard_jobs: Worker processes for chunk-sharded scans (``0`` = all
             cores through :func:`repro.runtime.parallel.effective_jobs`,
             ``1`` = in-process execution).  Sharded trajectories are
@@ -343,9 +344,9 @@ class StreamingEvaluator(CompiledEvaluator):
             values[prog.const1_ids] = _FULL_WORD
         for instr in sched.instructions:
             if isinstance(instr, WindowInstr):
-                values[instr.out_slots] = gather_window_outputs(
+                values[instr.out_ids] = gather_window_outputs(
                     self._table_t(instr.index),
-                    values[instr.in_slots],
+                    values[instr.in_ids],
                     chunk.n_valid,
                 )
             else:
@@ -355,29 +356,11 @@ class StreamingEvaluator(CompiledEvaluator):
             self._stats.note_sample_matrix(values.nbytes)
         return values
 
-    def _note_working_set(self, base: np.ndarray, local: np.ndarray) -> None:
-        """Record the concurrent sample-matrix bytes of one sweep."""
-        stats = self._stats
-        if stats is None:
-            return
-        stats.note_sample_matrix(local.nbytes + base.nbytes)
-
-    # -- block-stacked chunked cone sweeps ------------------------------
-    def _block_capacity(self, cone: ConeSchedule, chunk_words: int) -> int:
-        """Candidate blocks one stacked pass may hold within the budget.
-
-        The stacked local matrix occupies ``cone.n_slots × blocks ×
-        chunk words`` packed words; capping blocks at
-        ``(n_nodes × chunk_words) // (n_slots × cw)`` keeps it no larger
-        than one full chunk of base state, so the documented per-process
-        peak of ``2 × 8 × n_nodes × chunk_words`` bytes
-        holds with stacking enabled.  Always ≥ 1 (``n_slots ≤ n_nodes``
-        and ``cw ≤ chunk_words``), and never beyond the engine-wide
-        :data:`~repro.core.engine.MAX_SCAN_BLOCKS`.
-        """
-        budget_words = self.circuit.n_nodes * self._chunk_words
-        cap = budget_words // max(cone.n_slots * chunk_words, 1)
-        return int(max(1, min(cap, MAX_SCAN_BLOCKS)))
+    def _note_pass(self, base: np.ndarray) -> None:
+        """Record one pass's sample-matrix bytes: the chunk's base state
+        plus the scan scratch."""
+        if self._stats is not None:
+            self._stats.note_sample_matrix(base.nbytes + self._scan_buf.nbytes)
 
     # -- the shard task body -------------------------------------------
     def _scan_chunk_into(
@@ -391,8 +374,8 @@ class StreamingEvaluator(CompiledEvaluator):
         """One chunk's full scan work, folded into the accumulators.
 
         This is the self-contained unit a shard task executes: base
-        state, per-window seed gathers, block-stacked cone
-        sweeps, and per-candidate accumulation — ``accs`` entries are the
+        state, per-window seed gathers, scan passes against the base, and
+        per-candidate accumulation — ``accs`` entries are the
         mergeable accumulators of :func:`repro.runtime.executor.
         new_accumulator`.  Only ``qor``'s pattern-independent state is
         read (exact word integers, relative denominators, word specs), so
@@ -410,74 +393,97 @@ class StreamingEvaluator(CompiledEvaluator):
             if hamming
             else None
         )
-        for (pos, index, checked, _), acc_list in zip(todo, accs):
-            cone = self._cone(index)
-            # Per-chunk input-index + stacked-seed caches: built once
-            # per (window, chunk), shared by all its candidates, and
-            # discarded with the chunk.
-            idx = decode_rows(
-                base[self._win_input_ids[index]], cw * WORD_BITS
-            )
-            seeds = stacked_seed_gather(checked, idx, chunk.n_valid)
-            if self._sanitize:
-                assert_tail_clean(
-                    seeds, chunk.n_valid, "chunk candidate seeds"
-                )
-            cap = self._block_capacity(cone, cw)
-            for b0 in range(0, len(checked), cap):
-                block = self._sweep_cone_blocks(
-                    cone, seeds[b0 : b0 + cap], base, chunk.n_valid
-                )
-                if self._stats is not None:
-                    self._stats.n_stacked_blocks += sum(
-                        swept is not None for swept in block
+        # Base plus scratch stay within the 2 x n_nodes x chunk_words
+        # word budget: the scratch holds chunk_words // cw blocks.
+        cap = min(MAX_SCAN_BLOCKS, max(1, self._chunk_words // cw))
+        sizes = [len(checked) for _, _, checked, _ in todo]
+        # Seeds are gathered when a window's first pass needs them and
+        # dropped after its last, so only the windows of one pass hold
+        # seeds at a time.
+        seeds: Dict[int, np.ndarray] = {}
+        for segments in pack_passes(sizes, cap):
+            for t, _, _ in segments:
+                if t not in seeds:
+                    _, index, checked, _ = todo[t]
+                    seeds[t] = self._chunk_seeds(
+                        base, index, checked, chunk.n_valid
                     )
-                for off, swept in enumerate(block):
-                    if swept is None:
-                        continue
-                    local, neq = swept
-                    dirty = self._dirty_out_rows(cone, local, neq)
-                    if not dirty:
-                        continue
-                    acc = acc_list[b0 + off]
-                    rows = [row for row, _ in dirty]
-                    acc["rows"].update(rows)
-                    new_words = np.stack([vals for _, vals in dirty])
-                    if hamming:
-                        cand = qor.row_hamming(
-                            new_words, rows, chunk.start, chunk.n_valid
-                        )
-                        for row, d in zip(
-                            rows, (cand - base_ham[rows]).tolist()
-                        ):
-                            acc["deltas"][row] = (
-                                acc["deltas"].get(row, 0) + d
-                            )
-                        continue
-                    old_words = base_out[rows]
-                    for wpos in qor.word_positions(rows):
-                        ints = base_ints.get(wpos)
-                        if ints is None:
-                            ints = qor.word_ints(wpos, base_out, chunk.n_valid)
-                            base_ints[wpos] = ints
-                        approx = qor.patched_word_ints(
-                            wpos, ints, rows, new_words, old_words
-                        )
-                        acc["slices"].setdefault(wpos, []).append(
-                            (
-                                chunk.start,
-                                chunk.stop,
-                                qor.ints_partials(wpos, approx, chunk.start),
-                            )
-                        )
+            buf, _ = self._run_scan_chunk(
+                [(todo[t][1], seeds[t][c0:c1]) for t, c0, c1 in segments],
+                base,
+                chunk.n_valid,
+            )
+            self._note_pass(base)
+            outs, neq = self._block_outputs(buf, base, chunk.n_valid)
+            if self._stats is not None:
+                self._stats.n_stacked_blocks += outs.shape[0]
+            owners = [(t, c) for t, c0, c1 in segments for c in range(c0, c1)]
+            for (t, c), out, dirty in zip(owners, outs, neq):
+                rows = np.flatnonzero(dirty)
+                if rows.size:
+                    self._fold_candidate(
+                        accs[t][c], rows, out[rows], chunk,
+                        base_out, base_ints, base_ham, qor,
+                    )
+            last, _, end = segments[-1]
+            seeds = {last: seeds[last]} if end < sizes[last] else {}
+
+    def _chunk_seeds(
+        self,
+        base: np.ndarray,
+        index: int,
+        tables: Sequence[np.ndarray],
+        n_valid: int,
+    ) -> np.ndarray:
+        """``(len(tables), m, cw)`` seeds of window ``index`` over one
+        chunk's base state: one input decode, one stacked lookup."""
+        idx = decode_rows(
+            base[self._win_input_ids[index]], base.shape[1] * WORD_BITS
+        )
+        seeds = stacked_seed_gather(tables, idx, n_valid)
+        if self._sanitize:
+            assert_tail_clean(seeds, n_valid, "chunk seeds")
+        return seeds
+
+    def _fold_candidate(
+        self, acc, rows, new_words, chunk, base_out, base_ints, base_ham, qor
+    ) -> None:
+        """Fold one candidate's dirty output rows over one chunk into its
+        accumulator: exact per-row mismatch deltas under the hamming
+        metric (``base_ham`` set), else the canonical partials of every
+        output word the rows feed, patched from the chunk's committed
+        word integers (``base_ints``, filled on first use)."""
+        rows = rows.tolist()
+        acc["rows"].update(rows)
+        if base_ham is not None:
+            cand = qor.row_hamming(new_words, rows, chunk.start, chunk.n_valid)
+            for row, d in zip(rows, (cand - base_ham[rows]).tolist()):
+                acc["deltas"][row] = acc["deltas"].get(row, 0) + d
+            return
+        old_words = base_out[rows]
+        for wpos in qor.word_positions(rows):
+            ints = base_ints.get(wpos)
+            if ints is None:
+                ints = qor.word_ints(wpos, base_out, chunk.n_valid)
+                base_ints[wpos] = ints
+            approx = qor.patched_word_ints(
+                wpos, ints, rows, new_words, old_words
+            )
+            acc["slices"].setdefault(wpos, []).append(
+                (
+                    chunk.start,
+                    chunk.stop,
+                    qor.ints_partials(wpos, approx, chunk.start),
+                )
+            )
 
     def _sync_scan_state(self, committed: Dict[int, np.ndarray]) -> None:
         """Adopt a parent's committed state (shard-worker entry).
 
         Mirrors :meth:`commit`'s invalidation without replaying the
-        commit sweeps: newly committed windows drop the schedules that
-        had inlined them.  Each worker serves one parent evaluator, whose
-        committed set only grows.
+        commit passes: newly committed windows drop the iteration
+        schedule, which had inlined them.  Each worker serves one parent
+        evaluator, whose committed set only grows.
         """
         newly = [k for k in committed if k not in self._committed]
         changed = newly or any(
@@ -489,10 +495,6 @@ class StreamingEvaluator(CompiledEvaluator):
             self._stream_memo.clear()
         if newly:
             self._iter_sched = None
-            fresh = set(newly)
-            for widx in list(self._cones):
-                if self._cones[widx].step_windows & fresh:
-                    del self._cones[widx]
 
     # -- memoized error replay -----------------------------------------
     def _memo_errors(
@@ -556,8 +558,8 @@ class StreamingEvaluator(CompiledEvaluator):
         across shard workers when the executor is active, in-process
         otherwise — and the per-shard accumulators merge in shard order
         (byte-identical either way; see the module docstring).  Memory
-        per process: one chunk of base state plus one stacked sweep
-        working set; accumulators are O(outputs), never O(patterns).
+        per process: one chunk of base state plus the scan scratch;
+        accumulators are O(outputs), never O(patterns).
         """
         hamming = qor.spec.metric == "hamming"
         results: List = [None] * len(requests)
@@ -688,40 +690,30 @@ class StreamingEvaluator(CompiledEvaluator):
     def commit(self, index: int, table: np.ndarray) -> None:
         """Permanently substitute window ``index``, chunk by chunk.
 
-        Streams the commit's cone sweep over the pattern axis against the
-        *old* committed state, folds dirtied output rows into the
-        resident output matrix, then invalidates exactly what the commit
-        touched: schedules that had the window inlined (first commit
-        only), memoized scans whose cone state or affected output words
+        Runs the commit's one-block pass chunk by chunk against the *old*
+        committed state, folds dirtied output rows into the resident
+        output matrix, then invalidates exactly what the commit touched:
+        the schedule that had the window inlined (first commit only),
+        memoized scans whose cone state or affected output words
         the commit changed (a recommit of the same window always
         invalidates its own memo — a new table is a different function
         even when it matches the old one on the current samples).
         """
         w = self._window_by_index[index]
         table = self._check_table(w, table)
-        cone = self._cone(index)
         first_commit = index not in self._committed
         changed_nodes: set = set()
         changed_rows: set = set()
         for chunk in self._chunks:
             base = self._compute_base(chunk)
-            idx = decode_rows(
-                base[self._win_input_ids[index]], chunk.n_words * WORD_BITS
-            )
-            seed = stacked_seed_gather([table], idx, chunk.n_valid)
-            if self._sanitize:
-                assert_tail_clean(seed, chunk.n_valid, "commit chunk seed")
-            swept = self._sweep_cone_blocks(
-                cone, seed, base, chunk.n_valid
-            )[0]
-            if swept is None:
-                continue
-            local, neq = swept
-            for i in np.nonzero(neq)[0]:
-                changed_nodes.add(int(cone.recorded_ids[i]))
-            for row, vals in self._dirty_out_rows(cone, local, neq):
-                self._out_words[row, chunk.start : chunk.stop] = vals
-                changed_rows.add(row)
+            seed = self._chunk_seeds(base, index, [table], chunk.n_valid)[0]
+            ids, rows = self._commit_pass(index, seed, base, chunk.n_valid)
+            self._note_pass(base)
+            for nid, vals in zip(ids.tolist(), rows):
+                changed_nodes.add(nid)
+                for row in self._out_rows_by_nid.get(nid, ()):
+                    self._out_words[row, chunk.start : chunk.stop] = vals
+                    changed_rows.add(row)
         self._committed[index] = table
         invalid_nodes = changed_nodes | set(w.members) | set(w.outputs)
         changed_words = {
@@ -737,13 +729,9 @@ class StreamingEvaluator(CompiledEvaluator):
             ):
                 del self._stream_memo[widx]
         if first_commit:
-            # Schedules compiled with this window inlined as plain gates
-            # are now wrong; recompile lazily (bounded as in the
-            # resident engine: once per (cone, window) incidence).
+            # The schedule inlined this window as plain gates; recompile
+            # lazily, as the resident engine does.
             self._iter_sched = None
-            for widx in list(self._cones):
-                if index in self._cones[widx].step_windows:
-                    del self._cones[widx]
 
 
 class ShardWorker:
@@ -751,8 +739,8 @@ class ShardWorker:
 
     Built once per worker from a pickled
     :class:`~repro.runtime.executor.StreamContext` (pool initializer);
-    holds a full :class:`StreamingEvaluator` — compiled schedules, cone
-    programs — plus per-metric :class:`~repro.core.qor.QoREvaluator`\\ s,
+    holds a full :class:`StreamingEvaluator` — compiled schedule, scan
+    scratch — plus per-metric :class:`~repro.core.qor.QoREvaluator`\\ s,
     all of which persist across tasks so repeat scans amortize
     compilation.  Each task syncs the parent's committed state and
     runs :meth:`StreamingEvaluator._scan_chunk_into` over its chunk

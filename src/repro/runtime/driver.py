@@ -56,20 +56,20 @@ class RuntimeStats:
             engine's memoized sweeps (a commit invalidates exactly the
             windows whose cones it touched; the rest replay).
         n_sweep_units: Quotient-plan units visited across all sweeps — the
-            full plan length per sweep on the reference engine, the cone
-            length (or 1 on a clean-seed early exit) on the compiled one;
-            the ratio between engines is the cone-scheduling win.
-        n_scan_gate_words: Gate node rows × packed words the resident
-            engine's stacked scan evaluated.  A dense pass would evaluate
+            full plan length per candidate sweep on the reference engine,
+            and per scan pass on the compiled ones (a pass stacks many
+            candidates; a commit is a pass of one); the ratio between
+            engines is the stacking win.
+        n_scan_gate_words: Gate node rows × packed words the compiled
+            engines' scan passes evaluated.  A dense pass would evaluate
             every gate row on every block (``gates × blocks × W``); the
             cone-sparse scan runs each instruction only on the blocks
             whose window's cone it touches, and this counter shows the
             difference.
-        n_cones_compiled: Cone-schedule compilations performed by the
-            engine — schedules specialize to the committed set and
-            recompile when a window inside them is first committed, so
-            the total is bounded by (cone, window) incidences, not by
-            the window count.
+        n_cones_compiled: Always ``0``: every sweep runs the one
+            whole-plan scan pass, and no engine compiles per-window cone
+            schedules.  Kept only for the benchmark's tracer, which
+            reads it.
         n_chunk_passes: Base-state chunk evaluations performed by the
             streaming engine (one per chunk per scan/commit pass; zero on
             the resident engines).
@@ -78,9 +78,10 @@ class RuntimeStats:
             per-scan task count too.
         shard_jobs: Resolved worker count of the streaming shard
             executor (``1`` = in-process execution).
-        n_stacked_blocks: Candidate blocks executed through block-stacked
-            cone sweeps (candidates stacked along the word axis within a
-            chunk's budget; one block = one candidate in one pass).
+        n_stacked_blocks: Candidate blocks the streaming engine's scan
+            passes executed (candidates stacked along the word axis
+            within a chunk's budget; one block = one candidate in one
+            chunk's pass).
         n_chunk_cache_hits / n_chunk_cache_misses: Always ``0``: every
             chunk gets one base pass.  Kept only for the benchmark's
             tracer, which reads them.
@@ -89,10 +90,9 @@ class RuntimeStats:
         peak_sample_matrix_bytes: Largest packed sample-value matrix held
             at any point *per process* — the resident engines record
             their full ``(n_nodes, W)`` cache, the streaming engine its
-            per-chunk base state plus the widest concurrent sweep working
-            set.  This is the number the
-            (per-worker) chunk budget bounds; total footprint across a
-            sharded run is ~``shard_jobs`` times it.
+            per-chunk base state plus its scan scratch.  This is the
+            number the (per-worker) chunk budget bounds; total footprint
+            across a sharded run is ~``shard_jobs`` times it.
         jobs: Resolved worker count of the last run.
         n_shard_retries / n_shard_fallbacks: Supervised shard executor
             resilience events — pool re-submissions of a failed/timed-out
@@ -161,8 +161,7 @@ class RuntimeStats:
             f"{self.n_preview_sweeps} preview sweeps "
             f"({self.n_preview_cache_hits} memoized, "
             f"{self.n_sweep_units} sweep units, "
-            f"{self.n_scan_gate_words} scan gate words, "
-            f"{self.n_cones_compiled} cones)"
+            f"{self.n_scan_gate_words} scan gate words)"
         )
         if self.peak_sample_matrix_bytes:
             mode = (
