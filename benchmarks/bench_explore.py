@@ -1,5 +1,5 @@
-"""Exploration-engine benchmark: cone-scheduled compiled sweeps vs. the
-interpreted reference evaluator.
+"""Exploration-engine benchmark: the compiled engine's stacked scan passes
+vs. the interpreted reference evaluator.
 
 Measures the three levers of the compiled engine (see DESIGN.md
 "Exploration engine") on the paper's headline configuration — mult8 at the
@@ -12,8 +12,9 @@ at the repository root so the perf trajectory accumulates across PRs:
   from a mid-exploration state (half the windows committed); outputs are
   asserted byte-identical per candidate.
 * **sweep units touched** — quotient-plan units visited per preview: the
-  full plan on the reference path vs. the candidate's cone on the compiled
-  path (``RuntimeStats.n_sweep_units``).
+  full plan per candidate on the reference path vs. the full plan per
+  pass of stacked candidates on the compiled path
+  (``RuntimeStats.n_sweep_units``).
 * **scan gate words** — gate node rows × packed words the compiled
   engine's cone-sparse stacked scan evaluated
   (``RuntimeStats.n_scan_gate_words``), against the dense count
@@ -137,7 +138,7 @@ def _preview_throughput(circuit, windows, profiles, n_samples, iterations):
     by_index = {p.window.index: p for p in profiles}
     fs = {p.window.index: p.max_degree for p in profiles}
 
-    # Warm-up: compile schedules/cones outside the timed region.  Copied
+    # Warm-up: compile the schedule outside the timed region.  Copied
     # tables keep the warm-up out of the memo cache (fresh identities), so
     # the first timed iteration starts cold for both engines.
     warm = [(i, [t.copy() for t in ts]) for i, ts in _scan_tables(profiles)]
@@ -253,7 +254,6 @@ def _explore_end_to_end(circuit, windows, profiles, n_samples, max_iterations):
             "wall_s": round(comp_s, 4),
             "sweep_units": comp.runtime_stats.n_sweep_units,
             "scan_gate_words": comp.runtime_stats.n_scan_gate_words,
-            "cones_compiled": comp.runtime_stats.n_cones_compiled,
         },
         "explore_speedup": round(ref_s / comp_s, 3),
         "trajectories_byte_identical": identical,
@@ -534,7 +534,7 @@ def run(smoke: bool = False, write: bool = True, shard_jobs: int = 1) -> dict:
     assert (
         prev["compiled"]["sweep_units_per_preview"]
         < prev["reference"]["sweep_units_per_preview"]
-    ), "cone scheduling did not reduce sweep units"
+    ), "stacked scan passes did not reduce sweep units"
     assert (
         0 < prev["compiled"]["scan_gate_words"]
         < prev["compiled"]["dense_gate_words"]

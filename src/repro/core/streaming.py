@@ -419,11 +419,34 @@ class StreamingEvaluator(CompiledEvaluator):
                 self._stats.n_stacked_blocks += outs.shape[0]
             owners = [(t, c) for t, c0, c1 in segments for c in range(c0, c1)]
             for (t, c), out, dirty in zip(owners, outs, neq):
-                rows = np.flatnonzero(dirty)
-                if rows.size:
-                    self._fold_candidate(
-                        accs[t][c], rows, out[rows], chunk,
-                        base_out, base_ints, base_ham, qor,
+                rows = np.flatnonzero(dirty).tolist()
+                if not rows:
+                    continue
+                acc = accs[t][c]
+                acc["rows"].update(rows)
+                new_words = out[rows]
+                if hamming:
+                    cand = qor.row_hamming(
+                        new_words, rows, chunk.start, chunk.n_valid
+                    )
+                    for row, d in zip(rows, (cand - base_ham[rows]).tolist()):
+                        acc["deltas"][row] = acc["deltas"].get(row, 0) + d
+                    continue
+                old_words = base_out[rows]
+                for wpos in qor.word_positions(rows):
+                    ints = base_ints.get(wpos)
+                    if ints is None:
+                        ints = qor.word_ints(wpos, base_out, chunk.n_valid)
+                        base_ints[wpos] = ints
+                    approx = qor.patched_word_ints(
+                        wpos, ints, rows, new_words, old_words
+                    )
+                    acc["slices"].setdefault(wpos, []).append(
+                        (
+                            chunk.start,
+                            chunk.stop,
+                            qor.ints_partials(wpos, approx, chunk.start),
+                        )
                     )
             last, _, end = segments[-1]
             seeds = {last: seeds[last]} if end < sizes[last] else {}
@@ -444,38 +467,6 @@ class StreamingEvaluator(CompiledEvaluator):
         if self._sanitize:
             assert_tail_clean(seeds, n_valid, "chunk seeds")
         return seeds
-
-    def _fold_candidate(
-        self, acc, rows, new_words, chunk, base_out, base_ints, base_ham, qor
-    ) -> None:
-        """Fold one candidate's dirty output rows over one chunk into its
-        accumulator: exact per-row mismatch deltas under the hamming
-        metric (``base_ham`` set), else the canonical partials of every
-        output word the rows feed, patched from the chunk's committed
-        word integers (``base_ints``, filled on first use)."""
-        rows = rows.tolist()
-        acc["rows"].update(rows)
-        if base_ham is not None:
-            cand = qor.row_hamming(new_words, rows, chunk.start, chunk.n_valid)
-            for row, d in zip(rows, (cand - base_ham[rows]).tolist()):
-                acc["deltas"][row] = acc["deltas"].get(row, 0) + d
-            return
-        old_words = base_out[rows]
-        for wpos in qor.word_positions(rows):
-            ints = base_ints.get(wpos)
-            if ints is None:
-                ints = qor.word_ints(wpos, base_out, chunk.n_valid)
-                base_ints[wpos] = ints
-            approx = qor.patched_word_ints(
-                wpos, ints, rows, new_words, old_words
-            )
-            acc["slices"].setdefault(wpos, []).append(
-                (
-                    chunk.start,
-                    chunk.stop,
-                    qor.ints_partials(wpos, approx, chunk.start),
-                )
-            )
 
     def _sync_scan_state(self, committed: Dict[int, np.ndarray]) -> None:
         """Adopt a parent's committed state (shard-worker entry).

@@ -453,3 +453,63 @@ class TestStreamingStats:
         assert stats.n_preview_sweeps == 1
         assert stats.peak_sample_matrix_bytes > 0
         assert "chunk=2 words" in stats.summary()
+
+
+class TestStreamingPassMemory:
+    def test_narrow_last_chunk_stacks_blocks_within_bound(
+        self, rng, monkeypatch
+    ):
+        """A chunk narrower than chunk_words stacks chunk_words // cw
+        candidate blocks per scan pass.  Results equal resident
+        execution, and the recorded per-pass working set (base state
+        plus scan scratch) stays within 2 x 8 x n_nodes x chunk_words."""
+        circuit = butterfly(5)
+        windows = decompose(circuit, 6, 6)
+        n = 300  # words_for = 5; chunk_words=4 -> chunks of 4 and 1 words
+        chunk_words = 4
+        words = random_input_words(circuit.n_inputs, n, rng)
+        stats = RuntimeStats()
+        res = CompiledEvaluator(circuit, windows, words, n)
+        stream = StreamingEvaluator(
+            circuit, windows, words, n, chunk_words=chunk_words, stats=stats
+        )
+        passes = []
+        run = stream._run_scan_chunk
+
+        def spy(chunk, base, n_valid):
+            passes.append((sum(s.shape[0] for _, s in chunk), base.shape[1]))
+            return run(chunk, base, n_valid)
+
+        monkeypatch.setattr(stream, "_run_scan_chunk", spy)
+        q_res = QoREvaluator(circuit, res.exact_outputs, n)
+        q_str = QoREvaluator(circuit, stream.exact_outputs, n)
+        for _ in range(2):
+            q_res.rebase(res.current_outputs())
+            q_str.rebase(stream.current_outputs())
+            requests = [
+                (w.index, [
+                    rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
+                    for _ in range(3)
+                ])
+                for w in windows
+            ]
+            assert stream.scan_errors(requests, q_str) == res.scan_errors(
+                requests, q_res
+            )
+            index, tables = requests[0]
+            res.commit(index, tables[0])
+            stream.commit(index, tables[0])
+            np.testing.assert_array_equal(
+                unpack_bits(stream.current_outputs(), n),
+                unpack_bits(res.current_outputs(), n),
+            )
+        # Full 4-word chunks run one block per pass; the 1-word last
+        # chunk stacks four.
+        assert {blocks for blocks, width in passes if width == 4} == {1}
+        assert (4, 1) in passes
+        assert max(b * w for b, w in passes) <= chunk_words
+        bound = 2 * 8 * circuit.n_nodes * chunk_words
+        assert 8 * circuit.n_nodes * chunk_words < (
+            stats.peak_sample_matrix_bytes
+        ) <= bound
+        stream.close()
