@@ -6,11 +6,11 @@ Measures the three levers of the compiled engine (see DESIGN.md
 k = m = 10 window budget — and writes the results to ``BENCH_explore.json``
 at the repository root so the perf trajectory accumulates across PRs:
 
-* **candidate-preview throughput** — the explorer's per-iteration candidate
-  scan (every active window's next-degree variants through
-  ``preview_batch``) timed against both engines, from the exact state and
-  from a mid-exploration state (half the windows committed); outputs are
-  asserted byte-identical per candidate.
+* **candidate-scan throughput** — the explorer's per-iteration candidate
+  scan (every active window's next-degree variants through the
+  production ``scan_errors`` call) timed against both engines over a
+  replayed exploration; every candidate's ``(error, dirty rows)`` pair is
+  asserted identical between the engines.
 * **sweep units touched** — quotient-plan units visited per preview: the
   full plan per candidate on the reference path vs. the full plan per
   pass of stacked candidates on the compiled path
@@ -123,28 +123,29 @@ def _preview_throughput(circuit, windows, profiles, n_samples, iterations):
     """Candidate-scan throughput over a replayed exploration.
 
     Replays the explorer's hot loop state-by-state: at each iteration both
-    engines scan every active window's next-degree candidates (the
-    reference one ``preview_batch`` per window, the compiled engine one
-    stacked ``preview_scan``), the winner is committed to both, and only
-    the scan time is accumulated.  Memoization and its commit-time
-    invalidation behave exactly as in production, and every preview output
-    is asserted byte-identical (n_samples is a multiple of 64, so there
-    are no tail bits and full-word equality must hold).
+    engines score every active window's next-degree candidates with
+    ``scan_errors`` (the production call), the greedy winner is committed
+    to both and the QoR state rebased, and only the scan time is
+    accumulated.  Memoization and its commit-time invalidation behave
+    exactly as in production, and every candidate's ``(error, dirty
+    rows)`` pair is asserted identical between the engines.
     """
     from repro.core.qor import QoREvaluator
 
     ref, comp, ref_stats, comp_stats = _make_pair(circuit, windows, n_samples)
-    qor = QoREvaluator(circuit, ref.exact_outputs, n_samples)
+    ref_qor = QoREvaluator(circuit, ref.exact_outputs, n_samples)
+    comp_qor = QoREvaluator(circuit, comp.exact_outputs, n_samples)
+    ref_qor.rebase(ref.exact_outputs)
+    comp_qor.rebase(comp.exact_outputs)
     by_index = {p.window.index: p for p in profiles}
     fs = {p.window.index: p.max_degree for p in profiles}
 
     # Warm-up: compile the schedule outside the timed region.  Copied
-    # tables keep the warm-up out of the memo cache (fresh identities), so
-    # the first timed iteration starts cold for both engines.
+    # tables keep the warm-up out of the memo (fresh identities), so the
+    # first timed iteration starts cold for both engines.
     warm = [(i, [t.copy() for t in ts]) for i, ts in _scan_tables(profiles)]
-    comp.preview_scan(warm)
-    for index, tables in warm:
-        ref.preview_batch(index, tables)
+    comp.scan_errors(warm, comp_qor)
+    ref.scan_errors(warm, ref_qor)
 
     ref_s = comp_s = 0.0
     n_previews = 0
@@ -165,12 +166,10 @@ def _preview_throughput(circuit, windows, profiles, n_samples, iterations):
         if not scan:
             break
         t0 = time.perf_counter()
-        ref_outs = [
-            ref.preview_batch(index, tables) for index, tables in scan
-        ]
+        ref_scores = ref.scan_errors(scan, ref_qor)
         t1 = time.perf_counter()
         blocks0 = comp_stats.n_preview_sweeps
-        comp_outs = comp.preview_scan(scan)
+        comp_scores = comp.scan_errors(scan, comp_qor)
         t2 = time.perf_counter()
         scan_gates = n_gates - sum(n_members[i] for i in comp.committed)
         dense_gate_words += (
@@ -180,18 +179,19 @@ def _preview_throughput(circuit, windows, profiles, n_samples, iterations):
         )
         ref_s += t1 - t0
         comp_s += t2 - t1
-        # Byte-identity of every preview, then commit the greedy winner.
+        # Identical scores for every candidate, then commit the greedy
+        # winner and rebase both QoR states.
+        assert comp_scores == ref_scores, "scan_errors diverged"
         best = None
-        for (index, tables), r_outs, c_outs in zip(scan, ref_outs, comp_outs):
-            for table, r_out, (c_out, _) in zip(tables, r_outs, c_outs):
-                np.testing.assert_array_equal(c_out, r_out)
-                err = qor.evaluate(r_out)
+        for (index, tables), scored in zip(scan, ref_scores):
+            for table, (err, _) in zip(tables, scored):
                 n_previews += 1
                 if best is None or err < best[0]:
                     best = (err, index, table)
         _, index, table = best
-        ref.commit(index, table)
-        comp.commit(index, table)
+        for ev, qor in ((ref, ref_qor), (comp, comp_qor)):
+            ev.commit(index, table)
+            qor.rebase(ev.current_outputs())
         fs[index] -= 1
     return {
         "iterations_replayed": iterations,
@@ -214,7 +214,7 @@ def _preview_throughput(circuit, windows, profiles, n_samples, iterations):
             "dense_gate_words": dense_gate_words,
         },
         "preview_speedup": round(ref_s / comp_s, 3),
-        "outputs_byte_identical": True,  # asserted above
+        "scan_errors_identical": True,  # asserted above
     }
 
 

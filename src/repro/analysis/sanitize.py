@@ -3,8 +3,9 @@
 The engines document two invariants that plain runs only *assume*
 (DESIGN.md "Static contracts"):
 
-* **cache aliasing** — arrays handed out by the preview memo, seed/index
-  caches, and :class:`ProfileCache` payloads are shared state; callers
+* **cache aliasing** — arrays handed out by the seed/index and
+  committed-table-transpose caches, :class:`QoREvaluator`'s rebased
+  partials, and :class:`ProfileCache` payloads are shared state; callers
   must treat them as read-only and ``.copy()`` before mutating.
 * **tail-bit mask** — packed arrays crossing engine boundaries as window
   or seed values have their tail bits (beyond ``n_samples``) masked to
@@ -47,7 +48,7 @@ def sanitize_enabled(override: Optional[bool] = None) -> bool:
 def freeze(arr: np.ndarray) -> np.ndarray:
     """Mark ``arr`` itself read-only (in place) and return it.
 
-    Use for arrays the owner retains and never writes again (memo
+    Use for arrays the owner retains and never writes again (cache
     entries, exact outputs, packed stimulus).  Writers that aliased the
     array get ``ValueError: assignment destination is read-only``.
     """

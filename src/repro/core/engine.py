@@ -38,6 +38,12 @@ ops per instruction, shared by every candidate of a pass:
   one-window preview is a pass with one window's blocks, a commit a
   one-block pass, and the streaming engine runs the same pass against
   each chunk's base state.
+* **One scoring fold** — :meth:`CompiledEvaluator.scan_errors` folds
+  every pass's dirtied output rows into mergeable per-candidate
+  accumulators over a chunk plan and memoizes whole-axis error totals.
+  Resident execution is the one-chunk case; the streaming engine
+  supplies only its chunk plan, chunk base, seeds, pass cap, commit
+  write-back and shard dispatch.
 
 Determinism contract (see DESIGN.md "Exploration engine"): on every
 **valid bit** the engine is byte-identical to the interpreted reference —
@@ -70,14 +76,16 @@ from ..circuit.simulate import (
     decode_rows,
     lookup_packed,
     mask_tail_words,
+    plan_chunks,
     table_transpose,
     tail_mask,
 )
 from ..analysis.sanitize import assert_tail_clean, freeze
 from ..errors import SimulationError
 from ..runtime import RuntimeStats
+from ..runtime.executor import new_accumulator
 from .incremental import IncrementalEvaluator
-from .qor import QoREvaluator
+from .qor import QoREvaluator, circuit_words
 
 #: Evaluation engines selectable via ``ExplorerConfig.engine``.
 ENGINES = ("compiled", "reference")
@@ -450,23 +458,24 @@ class CompiledEvaluator(IncrementalEvaluator):
         stats: Optional :class:`~repro.runtime.RuntimeStats` accumulator
             for sweep/memo counters.
 
-    Determinism guarantees: public behaviour (previews, batched previews,
+    Determinism guarantees: public behaviour (scan errors, previews,
     commits, the committed map) matches the reference implementation
     bit-for-bit on every valid bit (full words when ``n_samples`` is a
     multiple of 64 — see the module docstring for the tail contract); in
     addition, :meth:`preview_batch_delta` reports which *output rows*
-    each candidate actually dirtied, which feeds the delta-QoR path
-    (:meth:`repro.core.qor.QoREvaluator.evaluate_delta`).
+    each candidate actually dirtied.
 
     Invalidation semantics: a :meth:`commit` (a) folds the pass's changed
     valid bits into the resident value cache, (b) drops the packed
     input-index / stacked-seed caches of every window whose inputs the
-    changed values touch, (c) drops memoized previews of every window
-    whose cone state the commit touched (changed values, or any table of
-    the committed window — a new table is a different *function* even
-    when it matches the old one on the current samples), and (d) on a
-    window's *first* commit drops the iteration schedule, which had
-    inlined it as plain gates (the committed set only grows, so the
+    changed values touch, (c) drops the memoized error totals of every
+    window whose cone state the commit touched (changed values, or any
+    table of the committed window — a new table is a different
+    *function* even when it matches the old one on the current samples)
+    or whose memoized dirty rows share an output word with an output row
+    the commit changed (the cached per-word totals include that row), and
+    (d) on a window's *first* commit drops the iteration schedule, which
+    had inlined it as plain gates (the committed set only grows, so the
     schedule recompiles at most once per window).
 
     Memory: this engine is *resident* — it holds the full
@@ -499,10 +508,9 @@ class CompiledEvaluator(IncrementalEvaluator):
         self._table_t_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._touch_cache: Dict[int, frozenset] = {}
         self._iter_sched: Optional[IterationSchedule] = None
-        # Memoized preview results: window -> (tables, touch_ids, entries).
-        # A commit invalidates exactly the windows whose cones its changed
-        # values intersect; everything else re-serves the cached sweeps.
-        self._preview_cache: Dict[int, Tuple] = {}
+        #: window -> (tables, metric, affected word positions, entries);
+        #: each entry is (dirty rows, {word pos: total} | {row: count}).
+        self._scan_memo: Dict[int, Tuple] = {}
         self._win_input_sets = {
             w.index: frozenset(w.inputs) for w in self.windows
         }
@@ -510,6 +518,19 @@ class CompiledEvaluator(IncrementalEvaluator):
         self._out_rows_by_nid: Dict[int, List[int]] = {}
         for row, nid in enumerate(circuit.output_nodes()):
             self._out_rows_by_nid.setdefault(nid, []).append(row)
+        # Output row -> positions of the output words containing it (the
+        # same mapping QoREvaluator builds; used for memo invalidation).
+        self._row_word_positions: List[Tuple[int, ...]] = [
+            tuple(
+                pos
+                for pos, w in enumerate(circuit_words(circuit))
+                if row in w.indices
+            )
+            for row in range(circuit.n_outputs)
+        ]
+        # The chunk plan every scan folds over: resident execution is
+        # one whole-axis chunk of the resident value matrix.
+        self._chunks = plan_chunks(self.n, self._n_words, self._n_words)
         # Window index -> its rank among the windows in plan order: the
         # column order of the cone-membership matrix and the order a
         # scan packs its blocks in.
@@ -532,11 +553,11 @@ class CompiledEvaluator(IncrementalEvaluator):
     def _cone_touch(self, index: int) -> frozenset:
         """Every node id a sweep of ``index``'s cone can read or write.
 
-        A cached preview of the window stays valid exactly as long as
-        none of these cached values change and no in-cone window's table
-        changes.  Independent of the committed set (a conservative
-        superset of any specialization's read/write set), so it is
-        computed once per window.
+        A candidate of the window keeps its dirty rows and their values
+        exactly as long as none of these cached values change and no
+        in-cone window's table changes.  Independent of the committed set
+        (a conservative superset of any specialization's read/write set),
+        so it is computed once per window.
         """
         touch = self._touch_cache.get(index)
         if touch is None:
@@ -584,58 +605,16 @@ class CompiledEvaluator(IncrementalEvaluator):
         # with it, and sanitize mode freezes the cached array.
         return idx  # contract-ok: cache-copy -- read-only gather index, frozen under sanitize
 
-    # -- memoized previews ----------------------------------------------
-    def _memo_lookup(
-        self, index: int, tables: Sequence[np.ndarray]
-    ) -> Optional[List[Tuple[np.ndarray, Tuple[int, ...]]]]:
-        """Replay a cached preview if its cone state is unchanged.
-
-        Nothing a sweep of the cone would read has changed since the
-        cached run (commit invalidation is exact), so the dirty rows and
-        their values are still correct; clean rows read the *current*
-        cache, which by the same argument equals what a fresh sweep would
-        leave there.
-        """
-        cached = self._preview_cache.get(index)
-        if (
-            cached is None
-            or len(cached[0]) != len(tables)
-            or not all(a is b for a, b in zip(cached[0], tables))
-        ):
-            return None
-        if self._stats is not None:
-            self._stats.n_preview_cache_hits += len(cached[2])
-        results = []
-        for rows, vals in cached[2]:
-            out = self._values[self._out_nodes_arr]
-            for row, v in zip(rows, vals):
-                out[row] = v
-            results.append((out, rows))
-        return results
-
-    def _memo_store(self, index, tables, results) -> None:
-        # The tables tuple keeps the candidate arrays alive, so identity
-        # (`is`) checks on later calls cannot collide with recycled ids.
-        entries = [
-            (rows, [out[row].copy() for row in rows]) for out, rows in results
-        ]
-        if self._sanitize:
-            # Memoized preview rows are replayed into fresh output
-            # matrices on every hit; freezing catches any aliasing writer.
-            for _, vals in entries:
-                for v in vals:
-                    freeze(v)
-        self._preview_cache[index] = (
-            tuple(tables),
-            self._cone_touch(index),
-            entries,
-        )
-
-    def _stacked_seeds(
-        self, index: int, checked: Sequence[np.ndarray]
+    def _chunk_seeds(
+        self,
+        base: np.ndarray,
+        index: int,
+        checked: Sequence[np.ndarray],
+        n_valid: int,
     ) -> np.ndarray:
-        """All candidate tables through the shared input index in one
-        stacked lookup (:func:`stacked_seed_gather`).
+        """``(len(checked), m, W)`` seeds of window ``index`` over the
+        resident ``base``: all candidate tables through the shared input
+        index in one stacked lookup (:func:`stacked_seed_gather`).
 
         Seeds are cached per window: they only change when the window's
         input index is invalidated (an upstream commit) or the candidate
@@ -669,7 +648,7 @@ class CompiledEvaluator(IncrementalEvaluator):
         A one-request :meth:`preview_scan`.  Outputs match
         :meth:`preview` on every valid bit; the dirty-row sets are exact
         (a row is reported iff its valid bits differ from the committed
-        state), which is what the delta-QoR path relies on.
+        state).
         """
         return self.preview_scan([(index, tables)])[0]
 
@@ -790,37 +769,21 @@ class CompiledEvaluator(IncrementalEvaluator):
         self._iter_sched = sched
         return sched
 
-    def preview_scan(
-        self, requests: Sequence[Tuple[int, Sequence[np.ndarray]]]
-    ) -> List[List[Tuple[np.ndarray, Tuple[int, ...]]]]:
-        """A candidate scan, stacked into wide passes.
-
-        Args:
-            requests: ``(window index, candidate tables)`` pairs for
-                *distinct* windows — one window on the lazy path, a
-                whole iteration on the full-strategy path.
-
-        Returns:
-            Per request, per candidate: ``(packed outputs, dirtied output
-            rows)``.
-
-        Memoized windows replay their cached sweeps; the rest are sorted
-        by their window's plan position and packed into passes of
-        :data:`MAX_SCAN_BLOCKS` candidate blocks, a window's candidates
-        spilling into the next pass where one fills up.  Each pass runs
-        :meth:`_run_scan_chunk` on the resident value matrix.
-
-        Determinism: results equal :meth:`preview` on every valid bit,
-        and the reported dirty-row sets are exact (a row appears iff its
-        valid bits differ from the committed state).  Invalidation: the
-        memo a scan populates is dropped by :meth:`commit` exactly for
-        the windows whose cone state the commit touched — see the class
-        docstring.
-        """
-        results: List = [None] * len(requests)
-        todo: List[Tuple[int, int, List[np.ndarray], Sequence]] = []
+    def _todo(
+        self,
+        requests: Sequence[Tuple[int, Sequence[np.ndarray]]],
+        results: List,
+        qor: Optional[QoREvaluator] = None,
+    ) -> List[Tuple[int, int, List[np.ndarray], Sequence]]:
+        """The requests a scan must sweep, as ``(position, window index,
+        checked tables, tables)`` in plan order; requests without
+        candidates, or (given ``qor``) answered by the memo, are answered
+        in ``results`` instead."""
+        todo = []
         for pos, (index, tables) in enumerate(requests):
-            memo = self._memo_lookup(index, tables)
+            memo = (
+                None if qor is None else self._memo_errors(index, tables, qor)
+            )
             if memo is not None:
                 results[pos] = memo
                 continue
@@ -831,26 +794,36 @@ class CompiledEvaluator(IncrementalEvaluator):
                 continue
             todo.append((pos, index, checked, tables))
         todo.sort(key=lambda item: self._plan_rank[item[1]])
-        seeds = [self._stacked_seeds(index, c) for _, index, c, _ in todo]
-        swept: List[List] = [[] for _ in todo]
-        sizes = [s.shape[0] for s in seeds]
-        for segments in pack_passes(sizes, MAX_SCAN_BLOCKS):
-            buf, _ = self._run_scan_chunk(
-                [(todo[t][1], seeds[t][c0:c1]) for t, c0, c1 in segments],
-                self._values,
-                self.n,
-            )
-            outs, neq = self._block_outputs(buf, self._values, self.n)
+        return todo
+
+    def preview_scan(
+        self, requests: Sequence[Tuple[int, Sequence[np.ndarray]]]
+    ) -> List[List[Tuple[np.ndarray, Tuple[int, ...]]]]:
+        """Per request (of distinct windows), per candidate: ``(packed
+        outputs, dirtied output rows)``.
+
+        Runs the same stacked passes as :meth:`scan_errors`
+        (:meth:`_chunk_passes` over the one resident chunk), unmemoized,
+        and copies out each candidate's output matrix instead of folding
+        it into error accumulators.  Results equal :meth:`preview` on
+        every valid bit, and the reported dirty-row sets are exact (a row
+        appears iff its valid bits differ from the committed state).
+        """
+        results: List = [[] for _ in requests]
+        todo = self._todo(requests, results)
+        (chunk,) = self._chunks
+        for owners, outs, dirty in self._chunk_passes(
+            chunk, self._values, todo
+        ):
             if self._stats is not None:
                 self._stats.n_preview_sweeps += outs.shape[0]
-            owners = [t for t, c0, c1 in segments for _ in range(c0, c1)]
-            for t, out, dirty in zip(owners, outs, neq):
-                swept[t].append((out, tuple(np.flatnonzero(dirty).tolist())))
-        for (pos, index, _, tables), per_window in zip(todo, swept):
-            results[pos] = per_window
-            self._memo_store(index, tables, per_window)
+            for (t, _), out, mask in zip(owners, outs, dirty):
+                results[todo[t][0]].append(
+                    (out, tuple(np.flatnonzero(mask).tolist()))
+                )
         return results
 
+    # -- the scoring fold ------------------------------------------------
     def scan_errors(
         self,
         requests: Sequence[Tuple[int, Sequence[np.ndarray]]],
@@ -858,19 +831,223 @@ class CompiledEvaluator(IncrementalEvaluator):
     ) -> List[List[Tuple[float, Tuple[int, ...]]]]:
         """Per request, per candidate: ``(error, dirtied output rows)``.
 
-        Every request list, one request included, takes
-        :meth:`preview_scan`.  Each candidate is scored by
-        ``qor.evaluate_delta`` over its dirty rows, so ``qor`` must be
-        rebased on :meth:`current_outputs`.  Errors are bit-identical to
-        the reference oracle's and rows are reported sorted.
+        Args:
+            requests: ``(window index, candidate tables)`` pairs for
+                distinct windows (a whole full-strategy iteration, or a
+                single window on the lazy path).
+            qor: The evaluator that must have been rebased on
+                :meth:`current_outputs` (the explorer rebases after every
+                commit) — its canonical per-packed-word partials are what
+                the accumulated slices splice into.
+
+        Returns:
+            Per request, per candidate: the error float, bit-identical to
+            ``qor.evaluate`` on the candidate's full outputs and to the
+            reference oracle's, and the exact dirty-row set, reported in
+            sorted order.
+
+        Memoized requests replay their whole-axis totals; the rest fold
+        over the chunk plan (:meth:`_execute_scan`), each chunk's passes
+        accumulating per candidate (:meth:`_scan_chunk_into`).  Resident
+        execution is the one-chunk case; accumulators are O(outputs),
+        never O(patterns).
         """
-        return [
-            [
-                (qor.evaluate_delta(out, rows), rows)
-                for out, rows in per_window
-            ]
-            for per_window in self.preview_scan(requests)
+        results: List = [None] * len(requests)
+        todo = self._todo(requests, results, qor)
+        if not todo:
+            return results
+        accs = [
+            [new_accumulator() for _ in checked]
+            for (_, _, checked, _) in todo
         ]
+        self._execute_scan(todo, accs, qor)
+        for (pos, index, _, tables), acc_list in zip(todo, accs):
+            entries = []
+            for acc in acc_list:
+                rows = tuple(sorted(acc["rows"]))
+                if qor.spec.metric == "hamming":
+                    base_tot = qor.base_row_hamming()
+                    payload = {
+                        row: int(base_tot[row]) + d
+                        for row, d in acc["deltas"].items()
+                    }
+                else:
+                    payload = {
+                        wpos: qor.splice_partials(wpos, slices)
+                        for wpos, slices in acc["slices"].items()
+                    }
+                entries.append((rows, payload))
+            if self._stats is not None:
+                self._stats.n_preview_sweeps += len(entries)
+            results[pos] = [
+                (_spliced_error(qor, payload), rows)
+                for rows, payload in entries
+            ]
+            affected = frozenset(
+                wpos
+                for rows, _ in entries
+                for row in rows
+                for wpos in self._row_word_positions[row]
+            )
+            self._scan_memo[index] = (
+                tuple(tables), qor.spec.metric, affected, entries,
+            )
+        return results
+
+    def _memo_errors(
+        self, index: int, tables: Sequence[np.ndarray], qor: QoREvaluator
+    ) -> Optional[List[Tuple[float, Tuple[int, ...]]]]:
+        """Replay a memoized scan of ``index`` if it is still valid.
+
+        Entries are whole-axis totals (per-output-word floats / per-row
+        integer counts) for the candidate's dirty words only; clean words
+        read the *current* rebased base sums at replay, so an unrelated
+        commit + rebase still yields the exact float a fresh scan would
+        produce.  :meth:`commit` drops every entry that stops being exact.
+        The tables tuple keeps the candidate arrays alive, so identity
+        (``is``) checks cannot collide with recycled ids.
+        """
+        cached = self._scan_memo.get(index)
+        if (
+            cached is None
+            or cached[1] != qor.spec.metric
+            or len(cached[0]) != len(tables)
+            or not all(a is b for a, b in zip(cached[0], tables))
+        ):
+            return None
+        entries = cached[3]
+        if self._stats is not None:
+            self._stats.n_preview_cache_hits += len(entries)
+        return [
+            (_spliced_error(qor, payload), rows) for rows, payload in entries
+        ]
+
+    def _execute_scan(
+        self,
+        todo: Sequence[Tuple[int, int, List[np.ndarray], Sequence]],
+        accs: Sequence[Sequence[dict]],
+        qor: QoREvaluator,
+    ) -> None:
+        """Fold every chunk of the plan into ``accs``, in order."""
+        for chunk in self._chunks:
+            self._scan_chunk_into(chunk, todo, accs, qor)
+
+    def _scan_chunk_into(
+        self,
+        chunk,
+        todo: Sequence[Tuple[int, int, List[np.ndarray], Sequence]],
+        accs: Sequence[Sequence[dict]],
+        qor: QoREvaluator,
+    ) -> None:
+        """One chunk's scan passes, folded into the accumulators.
+
+        ``accs`` entries are the mergeable accumulators of
+        :func:`repro.runtime.executor.new_accumulator`.  Each candidate
+        patches only its dirty rows into the chunk's committed word
+        integers (or mismatch counts, for hamming), decoded once per
+        chunk and shared across its candidates.  Only ``qor``'s
+        pattern-independent state is read (exact word integers, relative
+        denominators, word specs), so the same code runs in the parent
+        and in shard workers.
+        """
+        base = self._chunk_base(chunk)
+        base_out = base[self._out_nodes_arr]
+        base_ints: Dict[int, np.ndarray] = {}
+        hamming = qor.spec.metric == "hamming"
+        base_ham = (
+            qor.row_hamming(base_out, None, chunk.start, chunk.n_valid)
+            if hamming
+            else None
+        )
+        for owners, outs, dirty in self._chunk_passes(chunk, base, todo):
+            for (t, c), out, mask in zip(owners, outs, dirty):
+                rows = np.flatnonzero(mask).tolist()
+                if not rows:
+                    continue
+                acc = accs[t][c]
+                acc["rows"].update(rows)
+                new_words = out[rows]
+                if hamming:
+                    cand = qor.row_hamming(
+                        new_words, rows, chunk.start, chunk.n_valid
+                    )
+                    for row, d in zip(rows, (cand - base_ham[rows]).tolist()):
+                        acc["deltas"][row] = acc["deltas"].get(row, 0) + d
+                    continue
+                old_words = base_out[rows]
+                for wpos in qor.word_positions(rows):
+                    ints = base_ints.get(wpos)
+                    if ints is None:
+                        ints = qor.word_ints(wpos, base_out, chunk.n_valid)
+                        base_ints[wpos] = ints
+                    approx = qor.patched_word_ints(
+                        wpos, ints, rows, new_words, old_words
+                    )
+                    acc["slices"].setdefault(wpos, []).append(
+                        (
+                            chunk.start,
+                            chunk.stop,
+                            qor.ints_partials(wpos, approx, chunk.start),
+                        )
+                    )
+
+    def _chunk_passes(
+        self,
+        chunk,
+        base: np.ndarray,
+        todo: Sequence[Tuple[int, int, List[np.ndarray], Sequence]],
+    ):
+        """The stacked scan passes of ``todo`` over one chunk's ``base``.
+
+        Yields, per pass, each block's ``(todo position, candidate)``
+        owner, a ``(blocks, outputs, cw)`` copy of the blocks' outputs,
+        and the ``(blocks, outputs)`` mask of rows whose valid bits differ
+        from ``base``'s.  Passes hold at most :meth:`_pass_cap` blocks, a
+        window's candidates spilling into the next pass where one fills
+        up; a window's seeds are gathered when its first pass needs them
+        and dropped after its last.
+        """
+        sizes = [len(checked) for _, _, checked, _ in todo]
+        seeds: Dict[int, np.ndarray] = {}
+        base_out = base[self._out_nodes_arr]
+        tail = tail_mask(chunk.n_valid)
+        for segments in pack_passes(sizes, self._pass_cap(chunk.n_words)):
+            for t, _, _ in segments:
+                if t not in seeds:
+                    _, index, checked, _ = todo[t]
+                    seeds[t] = self._chunk_seeds(
+                        base, index, checked, chunk.n_valid
+                    )
+            buf, _ = self._run_scan_chunk(
+                [(todo[t][1], seeds[t][c0:c1]) for t, c0, c1 in segments],
+                base,
+                chunk.n_valid,
+            )
+            outs = buf[self._out_nodes_arr].transpose(1, 0, 2).copy()
+            x = outs ^ base_out
+            x[..., -1] &= tail
+            self._note_pass(base, outs.shape[0])
+            yield (
+                [(t, c) for t, c0, c1 in segments for c in range(c0, c1)],
+                outs,
+                x.any(axis=2),
+            )
+            last, _, end = segments[-1]
+            seeds = {last: seeds[last]} if end < sizes[last] else {}
+
+    # -- what the resident engine supplies to the fold ---------------------
+    def _chunk_base(self, chunk) -> np.ndarray:
+        """The committed values a chunk's passes sweep against: the
+        resident value matrix."""
+        return self._values
+
+    def _pass_cap(self, cw: int) -> int:
+        """Blocks per pass over a ``cw``-word chunk."""
+        return MAX_SCAN_BLOCKS
+
+    def _note_pass(self, base: np.ndarray, n_blocks: int) -> None:
+        """Per-pass accounting hook (the streaming engine records its
+        working set; the resident matrix is recorded once, at build)."""
 
     def _scan_scratch(self, n_blocks: int, cw: int) -> np.ndarray:
         """The ``(n_nodes, n_blocks, cw)`` scan scratch, a view of one
@@ -1011,17 +1188,6 @@ class CompiledEvaluator(IncrementalEvaluator):
                 buf[gid, b0:b1] = seed_rows
         return buf, lo < hi
 
-    def _block_outputs(
-        self, buf: np.ndarray, base: np.ndarray, n_valid: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Every block's outputs after a pass, as a ``(blocks, outputs,
-        cw)`` copy, and the ``(blocks, outputs)`` mask of rows whose
-        valid bits differ from ``base``'s (one block-masked compare)."""
-        outs = buf[self._out_nodes_arr].transpose(1, 0, 2).copy()
-        blocked = outs ^ base[self._out_nodes_arr]
-        blocked[..., -1] &= tail_mask(n_valid)
-        return outs, blocked.any(axis=2)
-
     def _commit_pass(
         self, index: int, seed: np.ndarray, base: np.ndarray, n_valid: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1046,8 +1212,46 @@ class CompiledEvaluator(IncrementalEvaluator):
         return ids[changed], rows[changed]
 
     def commit(self, index: int, table: np.ndarray) -> None:
+        """Permanently substitute window ``index`` with ``table``.
+
+        Runs the commit's one-block pass against the *old* committed
+        state and writes the changed rows back (:meth:`_commit_values`),
+        then invalidates exactly what the commit touched: memoized scans
+        whose cone state or affected output words it changed (a recommit
+        of the same window always invalidates its own memo — a new table
+        is a different function even when it matches the old one on the
+        current samples), and the schedule that had the window inlined
+        (first commit only).
+        """
         w = self._window_by_index[index]
         table = self._check_table(w, table)
+        first_commit = index not in self._committed
+        changed_nodes, changed_rows = self._commit_values(index, table)
+        self._committed[index] = table
+        invalid = changed_nodes | set(w.members) | set(w.outputs)
+        changed_words = {
+            wpos
+            for row in sorted(changed_rows)
+            for wpos in self._row_word_positions[row]
+        }
+        for widx in list(self._scan_memo):
+            if self._cone_touch(widx) & invalid or (
+                self._scan_memo[widx][2] & changed_words
+            ):
+                del self._scan_memo[widx]
+        if first_commit:
+            # The schedule inlined this window as plain gates; it now
+            # evaluates through a table.  Recompile lazily — the
+            # committed set only grows, so at most once per window.
+            self._iter_sched = None
+
+    def _commit_values(self, index: int, table: np.ndarray):
+        """Sweep a commit and write its changed rows into the resident
+        value matrix; returns the changed node ids and output rows.
+
+        Also drops the cached input index of every window whose inputs
+        changed, and keeps the new table's transpose for later gathers.
+        """
         table_t = table_transpose(table)
         if self._sanitize:
             freeze(table_t)
@@ -1056,8 +1260,6 @@ class CompiledEvaluator(IncrementalEvaluator):
         if self._sanitize:
             assert_tail_clean(seed, self.n, "commit seed")
         ids, rows = self._commit_pass(index, seed, self._values, self.n)
-        first_commit = index not in self._committed
-        self._committed[index] = table
         self._table_t_cache[index] = (table, table_t)
         self._values[ids] = rows
         changed = set(ids.tolist())
@@ -1066,19 +1268,20 @@ class CompiledEvaluator(IncrementalEvaluator):
             for widx in list(self._idx_cache):
                 if self._win_input_sets[widx] & changed:
                     del self._idx_cache[widx]
-        # A memoized preview is stale if its cone touches a changed value
-        # — or this window at all: even with an identical-on-samples
-        # overlay, the new table is a different *function*, and a cone
-        # re-evaluates it under candidate-dirtied inputs.
-        invalid = changed | set(w.members) | set(w.outputs)
-        for widx in list(self._preview_cache):
-            if self._preview_cache[widx][1] & invalid:
-                del self._preview_cache[widx]
-        if first_commit:
-            # The schedule inlined this window as plain gates; it now
-            # evaluates through a table.  Recompile lazily — the
-            # committed set only grows, so at most once per window.
-            self._iter_sched = None
+        out_rows = {
+            row
+            for nid in ids.tolist()
+            for row in self._out_rows_by_nid.get(nid, ())
+        }
+        return changed, out_rows
+
+
+def _spliced_error(qor: QoREvaluator, payload: Dict[int, float]) -> float:
+    """A memoized or freshly folded candidate's error from its per-word
+    totals (per-row counts for hamming) over the rebased base state."""
+    if qor.spec.metric == "hamming":
+        return qor.evaluate_spliced_hamming(payload)
+    return qor.evaluate_spliced(payload)
 
 
 def make_evaluator(

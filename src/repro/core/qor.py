@@ -18,20 +18,20 @@ single ``ndarray.sum()``, and the per-output-word totals are combined
 left-associatively in word order, divided by the total term count.  A
 partial depends only on its own 64 samples, so any word-aligned chunking
 of the pattern axis reproduces the identical partials vector and
-therefore the identical float: full evaluation
-(:meth:`QoREvaluator.evaluate` / :meth:`QoREvaluator.metrics`), the
-incremental delta path (:meth:`QoREvaluator.evaluate_delta`) and the
-streaming chunk accumulation (:meth:`QoREvaluator.ints_partials` +
-:meth:`QoREvaluator.evaluate_spliced`) all route through the same
-per-word-partials helper and the same combination loop, so the paths
-cannot drift.  Hamming errors are integer mismatch popcounts
+therefore the identical float.  The two metric paths — full evaluation
+(:meth:`QoREvaluator.evaluate` / :meth:`QoREvaluator.metrics`) and the
+engines' scoring fold (:meth:`QoREvaluator.ints_partials` +
+:meth:`QoREvaluator.splice_partials` +
+:meth:`QoREvaluator.evaluate_spliced`) — route through the same
+per-word-partials helper and the same combination loop, so they cannot
+drift.  Hamming errors are integer mismatch popcounts
 (order-independent, exact under any chunking).
 
 Word integers come from one bit-plane decode
-(:func:`repro.circuit.simulate.decode_rows`), and the delta paths never
-decode a whole word again: :meth:`QoREvaluator.patched_word_ints` adds
+(:func:`repro.circuit.simulate.decode_rows`), and the fold never decodes
+a candidate's word: :meth:`QoREvaluator.patched_word_ints` adds
 ``weight_r · (new_r − old_r)`` for the candidate's dirty rows only to the
-committed integers (``weight_r = ±2**i``).  That sum is exact int64
+chunk's committed integers (``weight_r = ±2**i``).  That sum is exact int64
 arithmetic, so the patched integers equal a full decode and every float
 downstream stays byte-identical.  Words wider than 63 bits are rejected
 at construction instead of wrapping silently.
@@ -93,17 +93,17 @@ def circuit_words(circuit: Circuit) -> List[WordSpec]:
 class QoREvaluator:
     """Compares approximate outputs against cached exact outputs.
 
-    Built once per pattern set; every candidate evaluation then costs a
-    few per-word vector ops — or, on the delta path, only the vector ops
-    of the words a candidate actually dirtied:
+    Built once per pattern set.  Two metric paths share one partials
+    helper and one combination order:
 
-    * :meth:`rebase` caches the committed packed rows, word integers
-      and per-word error sums of the current committed outputs;
-    * :meth:`evaluate_delta` recomputes sums only for the words whose
-      output rows a candidate changed — patching the committed integers
-      with just those rows — and combines them with the cached sums in
-      the canonical order, yielding the exact same float as
-      :meth:`evaluate` on the full output matrix.
+    * :meth:`evaluate` / :meth:`metrics` score a full output matrix;
+    * the engines' scoring fold scores a candidate by the words its
+      dirty rows touch: :meth:`rebase` caches the per-word partials and
+      sums of the committed outputs, the fold patches the committed
+      integers with the dirty rows (:meth:`patched_word_ints`), and
+      :meth:`splice_partials` + :meth:`evaluate_spliced` combine the
+      recomputed words with the cached sums, yielding the exact float
+      :meth:`evaluate` gives on the candidate's full output matrix.
 
     Raises:
         SimulationError: when an output word is wider than 63 bits (its
@@ -160,15 +160,13 @@ class QoREvaluator:
                     weight = -weight
                 weights[row] = weights.get(row, 0) + weight
             self._row_weights.append(weights)
-        self._base_out: Optional[np.ndarray] = None
-        self._base_ints: Optional[List[np.ndarray]] = None
         self._base_sums: Optional[List[float]] = None
         self._base_partials: Optional[List[np.ndarray]] = None
         self._base_row_hamming: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # Shared per-word primitives (the single source of truth for all
-    # metric paths — full, per-metric, delta, and streaming).
+    # Shared per-word primitives (the single source of truth for both
+    # metric paths — full evaluation and the scoring fold).
     # ------------------------------------------------------------------
     def _word_ints(
         self,
@@ -399,20 +397,18 @@ class QoREvaluator:
         return self._combine(self.spec.metric, out)
 
     # ------------------------------------------------------------------
-    # Delta API (see DESIGN.md "Exploration engine")
+    # Scoring-fold API (see DESIGN.md "Exploration engine")
     # ------------------------------------------------------------------
     def rebase(self, output_words: np.ndarray) -> None:
         """Cache the canonical error state of the *committed* outputs.
 
-        Stores the committed packed rows, each output word's integers
-        (decoded once per commit), its per-packed-word partials vector
-        and the reduced sum (per-row mismatch popcounts for hamming).
-        Call after every commit; :meth:`evaluate_delta` then patches the
-        cached integers with only a candidate's dirty rows and reuses the
-        cached sums for every word it leaves untouched, and the streaming
-        engine splices candidate chunk partials over
-        :meth:`base_partials` (every word a chunk leaves clean keeps the
-        committed partial, which a fresh sweep would reproduce exactly).
+        Stores each output word's per-packed-word partials vector and
+        its reduced sum (per-row mismatch popcounts for hamming).  Call
+        after every commit; the engines' scoring fold then splices a
+        candidate's chunk partials over :meth:`base_partials` (every
+        range a candidate leaves clean keeps the committed partial, which
+        a fresh sweep would reproduce exactly) and reuses the cached sums
+        for every word it leaves untouched.
 
         Determinism: the cached values are the same canonical
         per-packed-word partials every other path computes, so reusing
@@ -424,15 +420,12 @@ class QoREvaluator:
             if self._sanitize:
                 freeze(self._base_row_hamming)
         else:
-            self._base_out = out.copy()
-            self._base_ints = [self._word_ints(out, w) for w in self.words]
             self._base_partials = [
-                self._partials_from_ints(w, v, self.spec.metric)
-                for w, v in zip(self.words, self._base_ints)
+                self._word_partials(w, out, self.spec.metric)
+                for w in self.words
             ]
             if self._sanitize:
-                freeze(self._base_out)
-                for arr in self._base_ints + self._base_partials:
+                for arr in self._base_partials:
                     freeze(arr)
             self._base_sums = [float(p.sum()) for p in self._base_partials]
 
@@ -490,9 +483,9 @@ class QoREvaluator:
 
         ``word_sums`` maps word positions to replacement totals (each a
         canonical partials-vector reduction).  This is the terminal step
-        of both the delta path and the streaming path; given identical
-        override floats it is bit-identical to :meth:`evaluate` on the
-        full matrix by construction.
+        of the engines' scoring fold; given identical override floats it
+        is bit-identical to :meth:`evaluate` on the full matrix by
+        construction.
 
         Raises:
             SimulationError: before the first :meth:`rebase`, or for the
@@ -523,53 +516,3 @@ class QoREvaluator:
             for row, cnt in row_counts.items():
                 counts[row] = cnt
         return self._combine("hamming", None, row_hamming=counts)
-
-    def evaluate_delta(
-        self, approx_output_words: np.ndarray, dirty_rows: Sequence[int]
-    ) -> float:
-        """Configured metric, recomputing only the words ``dirty_rows`` touch.
-
-        Args:
-            approx_output_words: Full packed approximate output matrix.
-            dirty_rows: Output-row indices whose valid bits differ from
-                the outputs last passed to :meth:`rebase`; any row *not*
-                listed must be byte-identical to the rebased state (the
-                compiled engine's dirty tracking guarantees exactly this).
-
-        Each touched word's integers are the rebased committed integers
-        patched with the dirty rows only (:meth:`patched_word_ints`), so
-        the cost scales with the rows a candidate changed, not the word
-        width.
-
-        Determinism: the result is bit-identical to :meth:`evaluate` on
-        the same matrix — the patch is exact integer arithmetic, so
-        recomputed words feed the same integers to the same canonical
-        per-packed-word partials, and untouched words reuse the rebased
-        sums those partials produced.  Invalidation is the caller's
-        contract:
-        stale base sums (a commit without a fresh :meth:`rebase`) produce
-        silently wrong floats, which is why the explorer rebases after
-        every commit.  Without any rebase the call falls back to a full
-        evaluation.
-        """
-        out = np.atleast_2d(np.asarray(approx_output_words, dtype=np.uint64))
-        if self.spec.metric == "hamming":
-            if self._base_row_hamming is None:
-                return self._combine("hamming", out)
-            counts = self._base_row_hamming
-            if dirty_rows:
-                counts = counts.copy()
-                rows = list(dirty_rows)
-                counts[rows] = self.row_hamming(out[rows], rows)
-            return self._combine("hamming", None, row_hamming=counts)
-        if self._base_sums is None:
-            return self._combine(self.spec.metric, out)
-        rows = list(dirty_rows)
-        new_words, old_words = out[rows], self._base_out[rows]
-        sums = {}
-        for pos in self.word_positions(rows):
-            approx = self.patched_word_ints(
-                pos, self._base_ints[pos], rows, new_words, old_words
-            )
-            sums[pos] = float(self.ints_partials(pos, approx).sum())
-        return self.evaluate_spliced(sums)

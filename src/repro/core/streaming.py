@@ -20,22 +20,22 @@ What stays resident (all independent of the node count):
   :meth:`repro.core.qor.QoREvaluator.rebase` consumes);
 * the committed window tables and the compiled schedule (pattern-free).
 
-Per chunk, a scan (a) rebuilds the committed base state for the chunk's
-input slice (one base pass per chunk per scan or commit), (b) gathers
-every requested window's candidate seeds through per-chunk input-index /
-stacked-seed caches shared across that window's candidates, (c) sweeps
-the candidates through the resident engine's cone-sparse scan pass
+Scoring is the compiled engine's one fold
+(:meth:`~repro.core.engine.CompiledEvaluator.scan_errors`, memo and
+commit invalidation included), of which resident execution is the
+one-chunk case; this engine supplies only what differs.  Per chunk, a
+scan (a) rebuilds the committed base state for the chunk's input slice
+(one base pass per chunk per scan or commit), (b) gathers each requested
+window's candidate seeds from that base, one input decode per window,
+(c) sweeps the candidates through the cone-sparse scan pass
 (:meth:`~repro.core.engine.CompiledEvaluator._run_scan_chunk`) against
 the chunk's base state, stacked along the word axis at
 ``chunk_words // cw`` blocks per pass so base plus scratch stay inside
 the chunk budget, and (d) folds the dirtied output rows into
 per-candidate accumulators — canonical per-packed-word partial slices
-for value metrics, exact integer mismatch deltas for hamming.  Step (d)
-decodes the chunk's committed word integers (or counts its committed
-mismatches) once and shares them across the chunk's candidates; each
-candidate patches in only its dirty rows
-(:meth:`~repro.core.qor.QoREvaluator.patched_word_ints`).  Nothing
-pattern-sized survives the chunk.
+for value metrics, exact integer mismatch deltas for hamming
+(:meth:`~repro.core.engine.CompiledEvaluator._scan_chunk_into`).
+Nothing pattern-sized survives the chunk.
 
 **Sharding** (DESIGN.md "Parallel streaming"): the per-chunk work above
 is a pure function of (committed tables, input slice, candidate
@@ -61,13 +61,10 @@ solo sweep.  The test suite asserts trajectory identity across chunk
 sizes *and shard counts* the same way compiled-vs-reference identity is
 asserted.
 
-Memoization across iterations stores, per candidate, only the dirty row
-set and the affected per-output-word *totals* (floats / integer counts)
-— valid exactly while no commit touches the window's cone or any output
-row sharing an output word with the candidate's dirty rows, which is
-what :meth:`StreamingEvaluator.commit` invalidates on (memo keys
-therefore survive chunk boundaries by construction: totals are
-whole-axis reductions, never per-chunk state).
+The shared memo stores, per candidate, only the dirty row set and the
+affected per-output-word *totals* (floats / integer counts) — whole-axis
+reductions, never per-chunk state, so memo keys survive chunk boundaries
+by construction.
 """
 
 from __future__ import annotations
@@ -104,13 +101,12 @@ from .engine import (
     MAX_SCAN_BLOCKS,
     CompiledEvaluator,
     WindowInstr,
-    pack_passes,
     circuit_program,
     execute_batch,
     gather_window_outputs,
     stacked_seed_gather,
 )
-from .qor import QoREvaluator, QoRSpec, circuit_words
+from .qor import QoREvaluator, QoRSpec
 
 def auto_chunk_words(
     n_nodes: int,
@@ -173,10 +169,9 @@ class StreamingEvaluator(CompiledEvaluator):
     The resident preview APIs (:meth:`preview`, :meth:`preview_batch`,
     :meth:`preview_batch_delta`, :meth:`preview_scan`) are unavailable —
     they would have to materialize full-width output matrices per
-    candidate.  Use :meth:`scan_errors`, which folds QoR accumulation
-    into the chunk loop and returns per-candidate error floats that are
-    bit-identical to the resident engine's
-    ``evaluate_delta(preview...)`` path.
+    candidate.  Use the inherited :meth:`scan_errors`, whose fold runs
+    over this engine's chunk plan and returns per-candidate error floats
+    bit-identical to resident execution.
     """
 
     def __init__(
@@ -222,19 +217,6 @@ class StreamingEvaluator(CompiledEvaluator):
         self._win_input_ids = {
             w.index: np.array(w.inputs, dtype=np.int64) for w in self.windows
         }
-        # Output row -> positions of the output words containing it (the
-        # same mapping QoREvaluator builds; used for memo invalidation).
-        self._row_word_positions: List[Tuple[int, ...]] = [
-            tuple(
-                pos
-                for pos, w in enumerate(circuit_words(circuit))
-                if row in w.indices
-            )
-            for row in range(circuit.n_outputs)
-        ]
-        #: window -> (tables, metric, affected word positions, entries);
-        #: each entry is (dirty rows, {word pos: total} | {row: count}).
-        self._stream_memo: Dict[int, Tuple] = {}
         if stats is not None:
             stats.chunk_words = self._chunk_words
             stats.shard_jobs = self._shard_jobs
@@ -356,100 +338,27 @@ class StreamingEvaluator(CompiledEvaluator):
             self._stats.note_sample_matrix(values.nbytes)
         return values
 
-    def _note_pass(self, base: np.ndarray) -> None:
-        """Record one pass's sample-matrix bytes: the chunk's base state
-        plus the scan scratch."""
+    # -- what this engine supplies to the fold ---------------------------
+    def _chunk_base(self, chunk) -> np.ndarray:
+        """A scan chunk's base state, rebuilt from scratch.  Checks the
+        cancel token first: a scan mutates no committed state, so
+        abandoning it at a chunk boundary leaves the evaluator
+        checkpointable."""
+        if self._cancel is not None:
+            self._cancel.check()
+        return self._compute_base(chunk)
+
+    def _pass_cap(self, cw: int) -> int:
+        """Base plus scratch stay within the ``2 × n_nodes × chunk_words``
+        word budget: the scratch holds ``chunk_words // cw`` blocks."""
+        return min(MAX_SCAN_BLOCKS, max(1, self._chunk_words // cw))
+
+    def _note_pass(self, base: np.ndarray, n_blocks: int) -> None:
+        """Record one pass's sample-matrix bytes (the chunk's base state
+        plus the scan scratch) and its stacked candidate blocks."""
         if self._stats is not None:
             self._stats.note_sample_matrix(base.nbytes + self._scan_buf.nbytes)
-
-    # -- the shard task body -------------------------------------------
-    def _scan_chunk_into(
-        self,
-        chunk,
-        todo: Sequence[Tuple[int, int, List[np.ndarray], Sequence]],
-        accs: Sequence[Sequence[dict]],
-        hamming: bool,
-        qor: QoREvaluator,
-    ) -> None:
-        """One chunk's full scan work, folded into the accumulators.
-
-        This is the self-contained unit a shard task executes: base
-        state, per-window seed gathers, scan passes against the base, and
-        per-candidate accumulation — ``accs`` entries are the
-        mergeable accumulators of :func:`repro.runtime.executor.
-        new_accumulator`.  Only ``qor``'s pattern-independent state is
-        read (exact word integers, relative denominators, word specs), so
-        the same code runs in the parent and in shard workers.
-        """
-        base = self._compute_base(chunk)
-        base_out = base[self._out_nodes_arr]
-        cw = chunk.n_words
-        # The chunk's committed word integers (value metrics) or per-row
-        # mismatch counts (hamming), computed once and shared by every
-        # candidate of the chunk: a candidate only patches its dirty rows.
-        base_ints: Dict[int, np.ndarray] = {}
-        base_ham = (
-            qor.row_hamming(base_out, None, chunk.start, chunk.n_valid)
-            if hamming
-            else None
-        )
-        # Base plus scratch stay within the 2 x n_nodes x chunk_words
-        # word budget: the scratch holds chunk_words // cw blocks.
-        cap = min(MAX_SCAN_BLOCKS, max(1, self._chunk_words // cw))
-        sizes = [len(checked) for _, _, checked, _ in todo]
-        # Seeds are gathered when a window's first pass needs them and
-        # dropped after its last, so only the windows of one pass hold
-        # seeds at a time.
-        seeds: Dict[int, np.ndarray] = {}
-        for segments in pack_passes(sizes, cap):
-            for t, _, _ in segments:
-                if t not in seeds:
-                    _, index, checked, _ = todo[t]
-                    seeds[t] = self._chunk_seeds(
-                        base, index, checked, chunk.n_valid
-                    )
-            buf, _ = self._run_scan_chunk(
-                [(todo[t][1], seeds[t][c0:c1]) for t, c0, c1 in segments],
-                base,
-                chunk.n_valid,
-            )
-            self._note_pass(base)
-            outs, neq = self._block_outputs(buf, base, chunk.n_valid)
-            if self._stats is not None:
-                self._stats.n_stacked_blocks += outs.shape[0]
-            owners = [(t, c) for t, c0, c1 in segments for c in range(c0, c1)]
-            for (t, c), out, dirty in zip(owners, outs, neq):
-                rows = np.flatnonzero(dirty).tolist()
-                if not rows:
-                    continue
-                acc = accs[t][c]
-                acc["rows"].update(rows)
-                new_words = out[rows]
-                if hamming:
-                    cand = qor.row_hamming(
-                        new_words, rows, chunk.start, chunk.n_valid
-                    )
-                    for row, d in zip(rows, (cand - base_ham[rows]).tolist()):
-                        acc["deltas"][row] = acc["deltas"].get(row, 0) + d
-                    continue
-                old_words = base_out[rows]
-                for wpos in qor.word_positions(rows):
-                    ints = base_ints.get(wpos)
-                    if ints is None:
-                        ints = qor.word_ints(wpos, base_out, chunk.n_valid)
-                        base_ints[wpos] = ints
-                    approx = qor.patched_word_ints(
-                        wpos, ints, rows, new_words, old_words
-                    )
-                    acc["slices"].setdefault(wpos, []).append(
-                        (
-                            chunk.start,
-                            chunk.stop,
-                            qor.ints_partials(wpos, approx, chunk.start),
-                        )
-                    )
-            last, _, end = segments[-1]
-            seeds = {last: seeds[last]} if end < sizes[last] else {}
+            self._stats.n_stacked_blocks += n_blocks
 
     def _chunk_seeds(
         self,
@@ -483,137 +392,13 @@ class StreamingEvaluator(CompiledEvaluator):
         )
         if changed:
             self._committed = {k: v for k, v in committed.items()}
-            self._stream_memo.clear()
         if newly:
             self._iter_sched = None
-
-    # -- memoized error replay -----------------------------------------
-    def _memo_errors(
-        self, index: int, tables: Sequence[np.ndarray], qor: QoREvaluator
-    ) -> Optional[List[Tuple[float, Tuple[int, ...]]]]:
-        """Replay a cached scan if the window's cone state is unchanged.
-
-        Cached payloads are whole-axis totals (per-output-word floats /
-        per-row integer counts) for the candidate's dirty words only;
-        clean words read the *current* rebased base sums at replay, so an
-        unrelated commit + rebase still yields the exact float a fresh
-        chunked scan would produce.
-        """
-        cached = self._stream_memo.get(index)
-        if (
-            cached is None
-            or cached[1] != qor.spec.metric
-            or len(cached[0]) != len(tables)
-            or not all(a is b for a, b in zip(cached[0], tables))
-        ):
-            return None
-        entries = cached[3]
-        if self._stats is not None:
-            self._stats.n_preview_cache_hits += len(entries)
-        hamming = qor.spec.metric == "hamming"
-        out = []
-        for rows, payload in entries:
-            err = (
-                qor.evaluate_spliced_hamming(payload)
-                if hamming
-                else qor.evaluate_spliced(payload)
-            )
-            out.append((err, rows))
-        return out
-
-    # -- public API -----------------------------------------------------
-    def scan_errors(
-        self,
-        requests: Sequence[Tuple[int, Sequence[np.ndarray]]],
-        qor: QoREvaluator,
-    ) -> List[List[Tuple[float, Tuple[int, ...]]]]:
-        """Chunked candidate scan returning QoR errors directly.
-
-        Args:
-            requests: ``(window index, candidate tables)`` pairs for
-                distinct windows (a whole full-strategy iteration, or a
-                single window on the lazy path).
-            qor: The evaluator that must have been rebased on
-                :meth:`current_outputs` (the explorer rebases after every
-                commit) — its canonical per-packed-word partials are what
-                the chunk accumulation splices into.
-
-        Returns:
-            Per request, per candidate: ``(error, dirty output rows)``.
-            The error float is bit-identical to the resident engine's
-            ``qor.evaluate_delta(preview_batch_delta(...))`` for the
-            same candidate; the dirty-row set is exact and identical,
-            reported in sorted order.
-
-        Execution: non-memoized requests run over the chunk plan — fanned
-        across shard workers when the executor is active, in-process
-        otherwise — and the per-shard accumulators merge in shard order
-        (byte-identical either way; see the module docstring).  Memory
-        per process: one chunk of base state plus the scan scratch;
-        accumulators are O(outputs), never O(patterns).
-        """
-        hamming = qor.spec.metric == "hamming"
-        results: List = [None] * len(requests)
-        todo: List[Tuple[int, int, List[np.ndarray], Sequence]] = []
-        for pos, (index, tables) in enumerate(requests):
-            memo = self._memo_errors(index, tables, qor)
-            if memo is not None:
-                results[pos] = memo
-                continue
-            w = self._window_by_index[index]
-            checked = [self._check_table(w, t) for t in tables]
-            if not checked:
-                results[pos] = []
-                continue
-            todo.append((pos, index, checked, tables))
-        if not todo:
-            return results
-
-        accs = [
-            [new_accumulator() for _ in checked]
-            for (_, _, checked, _) in todo
-        ]
-        self._execute_scan(todo, accs, hamming, qor)
-
-        for (pos, index, checked, tables), acc_list in zip(todo, accs):
-            per_window: List[Tuple[float, Tuple[int, ...]]] = []
-            entries = []
-            for acc in acc_list:
-                if self._stats is not None:
-                    self._stats.n_preview_sweeps += 1
-                rows = tuple(sorted(acc["rows"]))
-                if hamming:
-                    base_tot = qor.base_row_hamming()
-                    payload = {
-                        row: int(base_tot[row]) + d
-                        for row, d in acc["deltas"].items()
-                    }
-                    err = qor.evaluate_spliced_hamming(payload)
-                else:
-                    payload = {
-                        wpos: qor.splice_partials(wpos, slices)
-                        for wpos, slices in acc["slices"].items()
-                    }
-                    err = qor.evaluate_spliced(payload)
-                per_window.append((err, rows))
-                entries.append((rows, payload))
-            results[pos] = per_window
-            affected = frozenset(
-                wpos
-                for rows, _ in entries
-                for row in rows
-                for wpos in self._row_word_positions[row]
-            )
-            self._stream_memo[index] = (
-                tuple(tables), qor.spec.metric, affected, entries,
-            )
-        return results
 
     def _execute_scan(
         self,
         todo: Sequence[Tuple[int, int, List[np.ndarray], Sequence]],
         accs: Sequence[Sequence[dict]],
-        hamming: bool,
         qor: QoREvaluator,
     ) -> None:
         """Run the chunk loop for one scan, sharded when possible.
@@ -651,12 +436,7 @@ class StreamingEvaluator(CompiledEvaluator):
                 self._executor = None
         if self._stats is not None:
             self._stats.n_shard_tasks += 1
-        for chunk in self._chunks:
-            if self._cancel is not None:
-                # A scan mutates no committed state, so abandoning it at
-                # a chunk boundary leaves the evaluator checkpointable.
-                self._cancel.check()
-            self._scan_chunk_into(chunk, todo, accs, hamming, qor)
+        super()._execute_scan(todo, accs, qor)
 
     def _merge_outcomes(
         self,
@@ -678,51 +458,23 @@ class StreamingEvaluator(CompiledEvaluator):
         if stats is not None:
             stats.n_shard_tasks += n_shards
 
-    def commit(self, index: int, table: np.ndarray) -> None:
-        """Permanently substitute window ``index``, chunk by chunk.
-
-        Runs the commit's one-block pass chunk by chunk against the *old*
-        committed state, folds dirtied output rows into the resident
-        output matrix, then invalidates exactly what the commit touched:
-        the schedule that had the window inlined (first commit only),
-        memoized scans whose cone state or affected output words
-        the commit changed (a recommit of the same window always
-        invalidates its own memo — a new table is a different function
-        even when it matches the old one on the current samples).
-        """
-        w = self._window_by_index[index]
-        table = self._check_table(w, table)
-        first_commit = index not in self._committed
+    def _commit_values(self, index: int, table: np.ndarray):
+        """Sweep a commit chunk by chunk against the *old* committed
+        state and fold the dirtied output rows into the resident output
+        matrix; returns the changed node ids and output rows."""
         changed_nodes: set = set()
         changed_rows: set = set()
         for chunk in self._chunks:
             base = self._compute_base(chunk)
             seed = self._chunk_seeds(base, index, [table], chunk.n_valid)[0]
             ids, rows = self._commit_pass(index, seed, base, chunk.n_valid)
-            self._note_pass(base)
+            self._note_pass(base, 0)
             for nid, vals in zip(ids.tolist(), rows):
                 changed_nodes.add(nid)
                 for row in self._out_rows_by_nid.get(nid, ()):
                     self._out_words[row, chunk.start : chunk.stop] = vals
                     changed_rows.add(row)
-        self._committed[index] = table
-        invalid_nodes = changed_nodes | set(w.members) | set(w.outputs)
-        changed_words = {
-            wpos
-            # contract-ok: set-iteration -- commutative set-into-set union
-            for row in changed_rows
-            for wpos in self._row_word_positions[row]
-        }
-        for widx in list(self._stream_memo):
-            _, _, affected, _ = self._stream_memo[widx]
-            if self._cone_touch(widx) & invalid_nodes or (
-                affected & changed_words
-            ):
-                del self._stream_memo[widx]
-        if first_commit:
-            # The schedule inlined this window as plain gates; recompile
-            # lazily, as the resident engine does.
-            self._iter_sched = None
+        return changed_nodes, changed_rows
 
 
 class ShardWorker:
@@ -734,9 +486,11 @@ class ShardWorker:
     scratch — plus per-metric :class:`~repro.core.qor.QoREvaluator`\\ s,
     all of which persist across tasks so repeat scans amortize
     compilation.  Each task syncs the parent's committed state and
-    runs :meth:`StreamingEvaluator._scan_chunk_into` over its chunk
-    range — literally the same code path the serial engine runs, which
-    is what makes sharded outcomes byte-identical to serial streaming.
+    runs the fold's per-chunk step
+    (:meth:`~repro.core.engine.CompiledEvaluator._scan_chunk_into`) over
+    its chunk range — literally the same code path the serial engine
+    runs, which is what makes sharded outcomes byte-identical to serial
+    streaming.
     """
 
     def __init__(self, context: StreamContext) -> None:
@@ -769,12 +523,7 @@ class ShardWorker:
         ev = self.evaluator
         ev._sync_scan_state(dict(shard.committed))
         qor = self._qor(shard.metric)
-        hamming = shard.metric == "hamming"
-        todo = []
-        for pos, (index, tables) in enumerate(shard.requests):
-            w = ev._window_by_index[index]
-            checked = [ev._check_table(w, t) for t in tables]
-            todo.append((pos, index, checked, tables))
+        todo = ev._todo(shard.requests, [None] * len(shard.requests))
         accs = [
             [new_accumulator() for _ in checked]
             for (_, _, checked, _) in todo
@@ -786,7 +535,7 @@ class ShardWorker:
             stats.n_stacked_blocks,
         )
         for chunk in shard.chunks:
-            ev._scan_chunk_into(chunk, todo, accs, hamming, qor)
+            ev._scan_chunk_into(chunk, todo, accs, qor)
         return ShardOutcome(
             accumulators=accs,
             n_chunk_passes=stats.n_chunk_passes - before[0],

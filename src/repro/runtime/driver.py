@@ -50,11 +50,12 @@ class RuntimeStats:
             ``n_ladder_levels / n_factorizations`` is the ladder's
             amortization factor (1.0 on the per-degree path).
         n_syntheses: Synthesis/tech-map area evaluations performed.
-        n_preview_sweeps: Candidate preview sweeps actually run by the
-            exploration evaluator (one per candidate table).
-        n_preview_cache_hits: Candidate previews served from the compiled
-            engine's memoized sweeps (a commit invalidates exactly the
-            windows whose cones it touched; the rest replay).
+        n_preview_sweeps: Candidate sweeps actually run by the
+            exploration evaluator (one per candidate table scanned).
+        n_preview_cache_hits: Candidates scored from the compiled
+            engines' ``scan_errors`` memo of whole-axis error totals (a
+            commit drops exactly the entries whose cone or affected
+            output words it changed; the rest replay).
         n_sweep_units: Quotient-plan units visited across all sweeps — the
             full plan length per candidate sweep on the reference engine,
             and per scan pass on the compiled ones (a pass stacks many

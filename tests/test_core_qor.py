@@ -272,6 +272,7 @@ class TestDirtyRowQoR:
         approx = base.copy()
         changed = [r for r in listed if rng.random() < 0.7]
         approx[changed] = random_input_words(len(changed), n, rng)
+        spliced = {}
         for pos, w in enumerate(words):
             patched = ev.patched_word_ints(
                 pos, ev.word_ints(pos, base), listed,
@@ -281,4 +282,10 @@ class TestDirtyRowQoR:
             np.testing.assert_array_equal(
                 ev.ints_partials(pos, patched), ev.word_partials(pos, approx)
             )
-        assert ev.evaluate_delta(approx, listed) == ev.evaluate(approx)
+            if pos in ev.word_positions(listed):
+                spliced[pos] = ev.splice_partials(
+                    pos, [(0, approx.shape[1], ev.ints_partials(pos, patched))]
+                )
+        # The scoring fold's terminal steps: the patched partials spliced
+        # over the rebased state give the full evaluation's float.
+        assert ev.evaluate_spliced(spliced) == ev.evaluate(approx)

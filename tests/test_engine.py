@@ -207,14 +207,16 @@ class TestEvaluatorEquivalence:
     def test_property_preview_scan_matches_reference(self, seed, n):
         """Property: the stacked iteration scan (all windows' candidates
         in one wide pass) matches per-window reference previews on every
-        valid bit, including across commits, and reuses memoized sweeps
-        only where a fresh sweep would be identical."""
+        valid bit, including across commits, and scan_errors replays its
+        memo only where a fresh scan would give the same pairs."""
         rng = np.random.default_rng(seed)
         circuit = _random_circuit(rng)
         windows = decompose(circuit, 5, 5)
         words = random_input_words(circuit.n_inputs, n, rng)
         ref = IncrementalEvaluator(circuit, windows, words, n)
         comp = CompiledEvaluator(circuit, windows, words, n)
+        q_ref = QoREvaluator(circuit, ref.exact_outputs, n)
+        q_comp = QoREvaluator(circuit, comp.exact_outputs, n)
         tables_by_window = {
             w.index: [
                 rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
@@ -226,6 +228,11 @@ class TestEvaluatorEquivalence:
             requests = [
                 (w.index, tables_by_window[w.index]) for w in windows
             ]
+            q_ref.rebase(ref.current_outputs())
+            q_comp.rebase(comp.current_outputs())
+            assert comp.scan_errors(requests, q_comp) == ref.scan_errors(
+                requests, q_ref
+            )
             scans = comp.preview_scan(requests)
             for (index, tables), scanned in zip(requests, scans):
                 ref_outs = ref.preview_batch(index, tables)
@@ -246,8 +253,8 @@ class TestEvaluatorEquivalence:
                         )
                     }
                     assert set(dirty_rows) == changed
-            # Commit one window (sometimes with a brand-new table) and
-            # rescan: memo invalidation must keep results exact.
+            # Commit one window with a brand-new table and rescan: memo
+            # invalidation must keep the scan errors exact.
             w = windows[int(rng.integers(0, len(windows)))]
             table = rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
             ref.commit(w.index, table)
@@ -300,7 +307,8 @@ class TestEvaluatorEquivalence:
 class TestDeltaQoR:
     @pytest.mark.parametrize("metric", ["mre", "mae", "nmae", "hamming"])
     def test_delta_bit_identical_to_full(self, metric, rng):
-        """evaluate_delta == evaluate, bit for bit, for every metric."""
+        """scan_errors == evaluate of the previewed outputs, bit for bit,
+        for every metric, with the preview's dirty rows."""
         circuit = butterfly(5)
         windows = decompose(circuit, 6, 6)
         n = 777  # not a multiple of 64
@@ -313,24 +321,30 @@ class TestDeltaQoR:
                 rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
                 for _ in range(2)
             ]
-            for out, dirty_rows in comp.preview_batch_delta(w.index, tables):
-                assert qor.evaluate_delta(out, dirty_rows) == qor.evaluate(out)
+            (scanned,) = comp.scan_errors([(w.index, tables)], qor)
+            previews = comp.preview_batch_delta(w.index, tables)
+            for (err, rows), (out, dirty_rows) in zip(scanned, previews):
+                assert err == qor.evaluate(out)
+                assert rows == dirty_rows
 
-    def test_delta_without_rebase_falls_back(self, rng):
+    def test_scan_without_rebase_raises(self, rng):
+        """The fold splices over the rebased committed state, so scoring
+        against a QoR evaluator that was never rebased raises instead of
+        returning a float, for value metrics and hamming alike."""
         circuit = ripple_adder(4)
         windows = decompose(circuit, 4, 4)
         n = 128
         words = random_input_words(circuit.n_inputs, n, rng)
         comp = CompiledEvaluator(circuit, windows, words, n)
-        qor = QoREvaluator(circuit, comp.exact_outputs, n)
         w = windows[0]
-        (out, dirty), = comp.preview_batch_delta(
-            w.index, [~w.table(circuit)]
-        )
-        assert qor.evaluate_delta(out, dirty) == qor.evaluate(out)
+        for metric in ("mre", "hamming"):
+            qor = QoREvaluator(circuit, comp.exact_outputs, n, QoRSpec(metric))
+            with pytest.raises(SimulationError):
+                comp.scan_errors([(w.index, [~w.table(circuit)])], qor)
 
     def test_delta_tracks_commits(self, rng):
-        """After a commit + rebase, deltas stay identical to full evals."""
+        """After a commit + rebase, scan errors stay identical to full
+        evals of the previewed outputs."""
         circuit = butterfly(5)
         windows = decompose(circuit, 6, 6)
         n = 500
@@ -344,8 +358,10 @@ class TestDeltaQoR:
             qor.rebase(comp.current_outputs())
             probe = next(x for x in windows if x.n_outputs >= 2)
             t = rng.random((1 << probe.n_inputs, probe.n_outputs)) < 0.5
-            (out, dirty), = comp.preview_batch_delta(probe.index, [t])
-            assert qor.evaluate_delta(out, dirty) == qor.evaluate(out)
+            ((err, rows),) = comp.scan_errors([(probe.index, [t])], qor)[0]
+            ((out, dirty),) = comp.preview_batch_delta(probe.index, [t])
+            assert err == qor.evaluate(out)
+            assert rows == dirty
 
 
 class TestTableLookup:
@@ -387,9 +403,9 @@ class TestStreamingScanMatchesDelta:
         """Every engine's scan_errors returns the same (error, dirty rows)
         pairs on a mult8 scan, across commits and rebases: the reference
         oracle, the compiled engine with one request per call (cone path)
-        and with the whole scan in one call (stacked path), and streaming
-        (per-chunk dirty-row patches).  The floats are the resident
-        evaluate_delta floats bit for bit."""
+        and with the whole scan in one call, and streaming (per-chunk
+        dirty-row patches).  The floats are full evaluations of the
+        previewed outputs bit for bit."""
         circuit, windows = mult8_windows
         rng = np.random.default_rng(seed)
         words = random_input_words(circuit.n_inputs, n, rng)
@@ -424,7 +440,6 @@ class TestStreamingScanMatchesDelta:
             for (index, tables), got in zip(requests, scanned):
                 expect = res.preview_batch_delta(index, tables)
                 for (err, rows), (out, dirty) in zip(got, expect):
-                    assert err == q_res.evaluate_delta(out, dirty)
                     assert err == q_res.evaluate(out)
                     assert rows == tuple(sorted(dirty))
             w = windows[int(rng.integers(0, len(windows)))]
@@ -510,16 +525,24 @@ class TestConeSparseScan:
         windows = decompose(circuit, 8, 8)
         n = 100
         words = random_input_words(circuit.n_inputs, n, rng)
-        comp = CompiledEvaluator(circuit, windows, words, n)
+        stats = RuntimeStats()
+        comp = CompiledEvaluator(circuit, windows, words, n, stats=stats)
+        qor = QoREvaluator(circuit, comp.exact_outputs, n)
+        qor.rebase(comp.exact_outputs)
         requests = [(w.index, _random_tables(rng, w, 2)) for w in windows]
+        errors = comp.scan_errors(requests, qor)
         first = comp.preview_scan(requests)
         assert comp._scan_buf is not None
         comp.close()
         assert comp._scan_buf is None
-        # Fresh table identities: the memo cannot serve the second scan.
-        again = comp.preview_scan(
-            [(i, [t.copy() for t in ts]) for i, ts in requests]
-        )
+        # The original table identities replay the scan memo; fresh ones
+        # cannot, so that rescan sweeps into a newly allocated scratch.
+        assert comp.scan_errors(requests, qor) == errors
+        assert stats.n_preview_cache_hits == 2 * len(windows)
+        fresh = [(i, [t.copy() for t in ts]) for i, ts in requests]
+        assert comp.scan_errors(fresh, qor) == errors
+        assert stats.n_preview_cache_hits == 2 * len(windows)
+        again = comp.preview_scan(fresh)
         for got, want in zip(again, first):
             for (out, rows), (want_out, want_rows) in zip(got, want):
                 np.testing.assert_array_equal(out, want_out)
@@ -539,6 +562,68 @@ class TestConeSparseScan:
         dense = n_gates * stats.n_preview_sweeps * (n // 64)
         assert 0 < stats.n_scan_gate_words < dense
         assert "scan gate words" in stats.summary()
+
+
+def _two_halves_circuit():
+    """Two independent halves whose six outputs form the circuit's one
+    (default) output word."""
+    b = CircuitBuilder("halves")
+    a = [b.input(f"a{k}") for k in range(4)]
+    c = [b.input(f"c{k}") for k in range(4)]
+    outs = [
+        b.xor_(a[0], a[1]), b.and_(a[2], a[3]), b.or_(a[0], a[3]),
+        b.xor_(c[0], c[1]), b.and_(c[2], c[3]), b.or_(c[1], c[2]),
+    ]
+    for i, sig in enumerate(outs):
+        b.output(f"o{i}", sig)
+    return b.build()
+
+
+class TestScanMemo:
+    @pytest.mark.parametrize("metric", ["mre", "hamming"])
+    def test_commit_on_shared_output_word_drops_memo(self, metric, rng):
+        """A commit outside a memoized candidate's cone-touch set that
+        changes an output row in a word the candidate dirtied makes the
+        memoized word totals stale: the rescan must match the reference
+        oracle, not replay them."""
+        circuit = _two_halves_circuit()
+        windows = decompose(circuit, 4, 3)
+        outputs = circuit.output_nodes()
+        left = next(w for w in windows if outputs[0] in w.outputs)
+        right = next(w for w in windows if outputs[3] in w.outputs)
+        n = 200
+        words = random_input_words(circuit.n_inputs, n, rng)
+        stats = RuntimeStats()
+        ref = IncrementalEvaluator(circuit, windows, words, n)
+        comp = CompiledEvaluator(circuit, windows, words, n, stats=stats)
+        assert not comp._cone_touch(left.index) & comp._cone_touch(
+            right.index
+        )
+        engines = (ref, comp)
+        qors = [
+            QoREvaluator(circuit, e.exact_outputs, n, QoRSpec(metric))
+            for e in engines
+        ]
+        q_ref, q_comp = qors
+        for e, q in zip(engines, qors):
+            q.rebase(e.exact_outputs)
+        requests = [
+            (left.index, [~left.table(circuit), *_random_tables(rng, left, 2)])
+        ]
+        first = comp.scan_errors(requests, q_comp)
+        assert first == ref.scan_errors(requests, q_ref)
+        assert all(rows for _, rows in first[0])
+        assert comp.scan_errors(requests, q_comp) == first
+        assert stats.n_preview_cache_hits == 3
+        before = ref.current_outputs()
+        for e, q in zip(engines, qors):
+            e.commit(right.index, ~right.table(circuit))
+            q.rebase(e.current_outputs())
+        assert not np.array_equal(ref.current_outputs(), before)
+        assert comp.scan_errors(requests, q_comp) == ref.scan_errors(
+            requests, q_ref
+        )
+        assert stats.n_preview_cache_hits == 3
 
 
 class TestStackedConeSweep:
@@ -689,7 +774,7 @@ class TestExploreTrajectoryIdentity:
             profiles=profiles,
         )
         rs, cs = ref.runtime_stats, comp.runtime_stats
-        # Every candidate is either swept or served by a memoized sweep.
+        # Every candidate is either swept or served by the scan memo.
         assert rs.n_preview_cache_hits == 0
         assert cs.n_preview_sweeps + cs.n_preview_cache_hits == (
             rs.n_preview_sweeps

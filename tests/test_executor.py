@@ -18,8 +18,9 @@ import pytest
 from repro.bench import butterfly, ripple_adder
 from repro.circuit import CircuitBuilder, random_input_words
 from repro.circuit.simulate import plan_chunks, words_for
-from repro.core.engine import CompiledEvaluator, make_evaluator
+from repro.core.engine import make_evaluator
 from repro.core.explorer import ExplorerConfig, explore
+from repro.core.incremental import IncrementalEvaluator
 from repro.core.profile import profile_windows
 from repro.core.qor import QoREvaluator, QoRSpec
 from repro.core.streaming import (
@@ -179,17 +180,17 @@ class TestShardTaskIdentity:
     def test_shard_accumulators_merge_to_serial_floats(self, rng):
         """ShardWorker outcomes, merged across every shard split, yield
         the exact floats and dirty rows of the serial streaming scan and
-        the resident delta-QoR path — including after a commit that
-        reshapes the committed state the workers must sync."""
+        the reference oracle — including after a commit that reshapes
+        the committed state the workers must sync."""
         circuit = _random_circuit(rng)
         windows = decompose(circuit, 5, 5)
         n = 300  # words_for = 5 -> chunk_words=2 gives 3 chunks
         words = random_input_words(circuit.n_inputs, n, rng)
-        res = CompiledEvaluator(circuit, windows, words, n)
+        ref = IncrementalEvaluator(circuit, windows, words, n)
         stream = StreamingEvaluator(circuit, windows, words, n, chunk_words=2)
-        q_res = QoREvaluator(circuit, res.exact_outputs, n)
+        q_ref = QoREvaluator(circuit, ref.exact_outputs, n)
         q_str = QoREvaluator(circuit, stream.exact_outputs, n)
-        q_res.rebase(res.exact_outputs)
+        q_ref.rebase(ref.exact_outputs)
         q_str.rebase(stream.exact_outputs)
         for round_ in range(2):
             requests = [
@@ -203,11 +204,7 @@ class TestShardTaskIdentity:
                 for w in windows
             ]
             serial = stream.scan_errors(requests, q_str)
-            for (index, tables), got in zip(requests, serial):
-                expect = res.preview_batch_delta(index, tables)
-                for (err, rows), (out, dirty) in zip(got, expect):
-                    assert err == q_res.evaluate_delta(out, dirty)
-                    assert rows == tuple(sorted(dirty))
+            assert serial == ref.scan_errors(requests, q_ref)
             by_shards = _shard_scan_in_process(stream, requests)
             for n_shards, accs in by_shards.items():
                 for (index, tables), got, acc_list in zip(
@@ -223,9 +220,9 @@ class TestShardTaskIdentity:
             # Mid-run commit: changes the committed set, reshapes schedules.
             w = windows[int(rng.integers(0, len(windows)))]
             table = rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
-            res.commit(w.index, table)
+            ref.commit(w.index, table)
             stream.commit(w.index, table)
-            q_res.rebase(res.current_outputs())
+            q_ref.rebase(ref.current_outputs())
             q_str.rebase(stream.current_outputs())
 
     @pytest.mark.parametrize("metric", ["hamming"])

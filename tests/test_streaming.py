@@ -28,6 +28,7 @@ from repro.circuit.simulate import (
 )
 from repro.core.engine import CompiledEvaluator, make_evaluator
 from repro.core.explorer import ExplorerConfig, explore
+from repro.core.incremental import IncrementalEvaluator
 from repro.core.profile import profile_windows
 from repro.core.qor import METRICS, QoREvaluator, QoRSpec
 from repro.core.streaming import StreamingEvaluator, auto_chunk_words
@@ -192,20 +193,20 @@ class TestScanErrorIdentity:
     def test_property_scan_errors_byte_identical(self, seed, n, shape):
         """Property: over random circuits, windows, tables, chunk shapes
         and commit interleavings, every streamed candidate error float
-        and dirty-row set equals the resident delta-QoR path exactly."""
+        and dirty-row set equals the reference oracle's exactly."""
         rng = np.random.default_rng(seed)
         circuit = _random_circuit(rng)
         windows = decompose(circuit, 5, 5)
         words = random_input_words(circuit.n_inputs, n, rng)
         cw = chunk_sizes(words_for(n))[shape]
-        res = CompiledEvaluator(circuit, windows, words, n)
+        ref = IncrementalEvaluator(circuit, windows, words, n)
         stream = StreamingEvaluator(circuit, windows, words, n, chunk_words=cw)
         np.testing.assert_array_equal(
-            stream.exact_outputs, res.exact_outputs
+            stream.exact_outputs, ref.exact_outputs
         )
-        q_res = QoREvaluator(circuit, res.exact_outputs, n)
+        q_ref = QoREvaluator(circuit, ref.exact_outputs, n)
         q_str = QoREvaluator(circuit, stream.exact_outputs, n)
-        q_res.rebase(res.exact_outputs)
+        q_ref.rebase(ref.exact_outputs)
         q_str.rebase(stream.exact_outputs)
         for round_ in range(3):
             requests = [
@@ -219,39 +220,34 @@ class TestScanErrorIdentity:
                 for w in windows
             ]
             scanned = stream.scan_errors(requests, q_str)
-            for (index, tables), got in zip(requests, scanned):
-                expect = res.preview_batch_delta(index, tables)
-                assert len(got) == len(expect)
-                for (err, rows), (out, dirty) in zip(got, expect):
-                    assert err == q_res.evaluate_delta(out, dirty)
-                    assert rows == tuple(sorted(dirty))
+            assert scanned == ref.scan_errors(requests, q_ref)
             # Memoized replay serves the identical floats.
             assert stream.scan_errors(requests, q_str) == scanned
             w = windows[int(rng.integers(0, len(windows)))]
             table = rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
-            res.commit(w.index, table)
+            ref.commit(w.index, table)
             stream.commit(w.index, table)
-            q_res.rebase(res.current_outputs())
+            q_ref.rebase(ref.current_outputs())
             q_str.rebase(stream.current_outputs())
             np.testing.assert_array_equal(
                 unpack_bits(stream.current_outputs(), n),
-                unpack_bits(res.current_outputs(), n),
+                unpack_bits(ref.current_outputs(), n),
             )
 
     def test_memo_invalidation_across_mid_chunk_commit(self, rng):
         """Regression: a commit whose sample tail lands mid-chunk (the
         pattern axis ends inside the final 3-word chunk) must invalidate
         exactly the stale memo entries — the rescan after the commit has
-        to match a fresh resident evaluation, not the cached floats."""
+        to match a fresh reference evaluation, not the cached floats."""
         circuit = butterfly(5)
         windows = decompose(circuit, 6, 6)
         n = 300  # words_for = 5; chunk_words=3 -> commit spans chunks
         words = random_input_words(circuit.n_inputs, n, rng)
-        res = CompiledEvaluator(circuit, windows, words, n)
+        ref = IncrementalEvaluator(circuit, windows, words, n)
         stream = StreamingEvaluator(circuit, windows, words, n, chunk_words=3)
-        q_res = QoREvaluator(circuit, res.exact_outputs, n)
+        q_ref = QoREvaluator(circuit, ref.exact_outputs, n)
         q_str = QoREvaluator(circuit, stream.exact_outputs, n)
-        q_res.rebase(res.exact_outputs)
+        q_ref.rebase(ref.exact_outputs)
         q_str.rebase(stream.exact_outputs)
         tables = {
             w.index: [rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5]
@@ -261,17 +257,12 @@ class TestScanErrorIdentity:
         first = stream.scan_errors(requests, q_str)
         assert stream.scan_errors(requests, q_str) == first  # memo primed
         victim = windows[0]
-        res.commit(victim.index, tables[victim.index][0])
+        ref.commit(victim.index, tables[victim.index][0])
         stream.commit(victim.index, tables[victim.index][0])
-        q_res.rebase(res.current_outputs())
+        q_ref.rebase(ref.current_outputs())
         q_str.rebase(stream.current_outputs())
         rescanned = stream.scan_errors(requests, q_str)
-        for (index, tbls), got in zip(requests, rescanned):
-            for (err, rows), (out, dirty) in zip(
-                got, res.preview_batch_delta(index, tbls)
-            ):
-                assert err == q_res.evaluate_delta(out, dirty)
-                assert rows == tuple(sorted(dirty))
+        assert rescanned == ref.scan_errors(requests, q_ref)
 
     def test_resident_preview_apis_raise(self, rng):
         circuit = ripple_adder(4)
