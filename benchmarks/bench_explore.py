@@ -31,7 +31,8 @@ at the repository root so the perf trajectory accumulates across PRs:
   scale the streamed trajectory is additionally asserted byte-identical
   to resident execution.  ``--shard-jobs`` fans the chunk loop across
   worker processes (smoke included — the CI leg runs ``--smoke
-  --shard-jobs 2`` and still asserts trajectory identity).
+  --shard-jobs 2`` and still asserts trajectory identity, and that every
+  work counter that does not depend on sharding equals the serial run's).
 * **sharded scaling** (``--scaling``) — the 10^6-sample streaming run
   repeated across shard worker counts (1, 2, 4 by default), recording
   wall time and peak *per-process* sample-matrix bytes per row, with
@@ -80,6 +81,16 @@ ITERATIONS_SMOKE = 4
 #: Required on the full run (the committed BENCH_explore.json).
 MIN_PREVIEW_SPEEDUP = 3.0
 MIN_EXPLORE_SPEEDUP = 2.0
+
+#: Work counters a sharded run must report exactly as the serial run does.
+SHARD_INVARIANT_COUNTERS = (
+    "n_scan_gate_words",
+    "n_sweep_units",
+    "n_chunk_passes",
+    "n_stacked_blocks",
+    "n_preview_sweeps",
+    "n_preview_cache_hits",
+)
 
 
 def _setup(smoke: bool):
@@ -340,7 +351,8 @@ def _streaming(
     the same configuration and asserts the trajectories byte-identical —
     feasible at smoke scale; at 10^6 patterns the identity is carried by
     the test suite's property tests instead and this run asserts the
-    memory bound.  ``shard_jobs`` fans the chunk loop across worker
+    memory bound.  A sharded ``verify_resident`` run also reruns serial
+    streaming and asserts :data:`SHARD_INVARIANT_COUNTERS` equal.  ``shard_jobs`` fans the chunk loop across worker
     processes; the peak sample-matrix figure is then *per process*.
     """
     wall_s, chunked = _run_streaming_once(
@@ -386,6 +398,19 @@ def _streaming(
             "streamed trajectory diverged from resident execution"
         )
         report["trajectories_byte_identical"] = True
+        if stats.shard_jobs > 1:
+            _, serial = _run_streaming_once(
+                circuit, windows, profiles, n_samples, chunk_words,
+                max_iterations,
+            )
+            serial_stats = serial.runtime_stats
+            differ = {
+                name: (getattr(stats, name), getattr(serial_stats, name))
+                for name in SHARD_INVARIANT_COUNTERS
+                if getattr(stats, name) != getattr(serial_stats, name)
+            }
+            assert not differ, f"sharded counters differ from serial: {differ}"
+            report["counters_equal_serial"] = True
     return report
 
 

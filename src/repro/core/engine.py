@@ -815,8 +815,7 @@ class CompiledEvaluator(IncrementalEvaluator):
         for owners, outs, dirty in self._chunk_passes(
             chunk, self._values, todo
         ):
-            if self._stats is not None:
-                self._stats.n_preview_sweeps += outs.shape[0]
+            self._stats.add("n_preview_sweeps", outs.shape[0])
             for (t, _), out, mask in zip(owners, outs, dirty):
                 results[todo[t][0]].append(
                     (out, tuple(np.flatnonzero(mask).tolist()))
@@ -877,8 +876,7 @@ class CompiledEvaluator(IncrementalEvaluator):
                         for wpos, slices in acc["slices"].items()
                     }
                 entries.append((rows, payload))
-            if self._stats is not None:
-                self._stats.n_preview_sweeps += len(entries)
+            self._stats.add("n_preview_sweeps", len(entries))
             results[pos] = [
                 (_spliced_error(qor, payload), rows)
                 for rows, payload in entries
@@ -916,8 +914,7 @@ class CompiledEvaluator(IncrementalEvaluator):
         ):
             return None
         entries = cached[3]
-        if self._stats is not None:
-            self._stats.n_preview_cache_hits += len(entries)
+        self._stats.add("n_preview_cache_hits", len(entries))
         return [
             (_spliced_error(qor, payload), rows) for rows, payload in entries
         ]
@@ -1159,11 +1156,11 @@ class CompiledEvaluator(IncrementalEvaluator):
             np.concatenate([need_lo, np.maximum(need_lo, comp_hi)]),
             np.concatenate([np.minimum(need_hi, comp_lo), need_hi]),
         )
-        if self._stats is not None:
-            self._stats.n_sweep_units += sched.n_units
-            self._stats.n_scan_gate_words += (
-                int(sched.gate_rows @ np.maximum(hi - lo, 0)) * cw
-            )
+        self._stats.add("n_sweep_units", sched.n_units)
+        self._stats.add(
+            "n_scan_gate_words",
+            int(sched.gate_rows @ np.maximum(hi - lo, 0)) * cw,
+        )
         # An instruction no candidate's cone reaches (l >= h) is skipped;
         # the seeds its outputs carry are still scattered after it.
         for pos, (instr, l, h) in enumerate(

@@ -349,7 +349,9 @@ class ExplorationResult:
         default_factory=dict
     )
     #: Work accounting: profiling counters (zero when profiles were passed
-    #: in) plus the exploration engine's sweep/cone counters.
+    #: in), the exploration engine's counters, and the ``explore`` span
+    #: tree (``run_blasys`` adds its own top-level spans).  Never part of
+    #: a checkpoint or digest.
     runtime_stats: Optional[RuntimeStats] = None
 
     def points_within(self, threshold: float) -> List[TrajectoryPoint]:
@@ -445,88 +447,94 @@ def explore(
         An :class:`ExplorationResult` whose trajectory records QoR and
         estimated area after every committed step.
     """
-    _check_cancel(cancel)
-    if windows is None:
-        windows = decompose(
-            circuit, config.max_inputs, config.max_outputs, config.refine_passes
-        )
-    windows = list(windows)
     runtime_stats = RuntimeStats()
-    sanitize = sanitize_enabled(config.sanitize)
-    # One fault-plan instance and one retry policy per run, threaded
-    # through every supervised layer (profiling pool, shard executor,
-    # profile cache) so "fire once" clauses fire once globally and the
-    # retry bounds cannot drift between layers.
-    fault_plan = faults_enabled(config.faults)
-    retry_policy = RetryPolicy(
-        max_retries=config.shard_retries, timeout=config.shard_timeout
-    )
-    if profiles is None:
-        cache = (
-            ProfileCache(
-                config.cache_dir, sanitize=sanitize, faults=fault_plan
+    with runtime_stats.span("explore"):
+        _check_cancel(cancel)
+        if windows is None:
+            with runtime_stats.span("decompose"):
+                windows = decompose(
+                    circuit, config.max_inputs, config.max_outputs,
+                    config.refine_passes,
+                )
+        windows = list(windows)
+        sanitize = sanitize_enabled(config.sanitize)
+        # One fault-plan instance and one retry policy per run, threaded
+        # through every supervised layer (profiling pool, shard executor,
+        # profile cache) so "fire once" clauses fire once globally and the
+        # retry bounds cannot drift between layers.
+        fault_plan = faults_enabled(config.faults)
+        retry_policy = RetryPolicy(
+            max_retries=config.shard_retries, timeout=config.shard_timeout
+        )
+        if profiles is None:
+            profiles = profile_windows(
+                circuit,
+                windows,
+                method=config.method,
+                algebra=config.algebra,
+                taus=config.taus,
+                weight_mode=config.weight_mode,
+                selection=config.selection,
+                library=config.library,
+                espresso_options=config.espresso,
+                estimate_area=config.estimate_area,
+                match_macros=config.match_macros,
+                jobs=config.jobs,
+                cache=(
+                    ProfileCache(
+                        config.cache_dir, sanitize=sanitize, faults=fault_plan
+                    )
+                    if config.cache_dir
+                    else None
+                ),
+                runtime_stats=runtime_stats,
+                policy=retry_policy,
+                faults=fault_plan,
+                cancel=cancel,
             )
-            if config.cache_dir
-            else None
-        )
-        profiles = profile_windows(
-            circuit,
-            windows,
-            method=config.method,
-            algebra=config.algebra,
-            taus=config.taus,
-            weight_mode=config.weight_mode,
-            selection=config.selection,
-            library=config.library,
-            espresso_options=config.espresso,
-            estimate_area=config.estimate_area,
-            match_macros=config.match_macros,
-            jobs=config.jobs,
-            cache=cache,
-            runtime_stats=runtime_stats,
-            policy=retry_policy,
-            faults=fault_plan,
-            cancel=cancel,
-        )
-    profiles = list(profiles)
-    _check_cancel(cancel)
-
-    rng = np.random.default_rng(config.seed)
-    input_words = stimulus_input_words(circuit, config.n_samples, rng)
-    # One jobs policy for every dispatch layer: --jobs governs profiling
-    # *and* (unless shard_jobs overrides it) streaming shard scans.
-    shard_jobs = effective_jobs(
-        config.jobs if config.shard_jobs is None else config.shard_jobs
-    )
-    chunk_words = config.chunk_words
-    if chunk_words is None and config.chunk_budget_mb is not None:
-        chunk_words = auto_chunk_words(
-            circuit.n_nodes,
-            int(config.chunk_budget_mb * 1e6),
-            words_for(config.n_samples),
-            jobs=shard_jobs,
-        )
-    evaluator = make_evaluator(
-        circuit,
-        windows,
-        input_words,
-        config.n_samples,
-        engine=config.engine,
-        stats=runtime_stats,
-        chunk_words=chunk_words,
-        shard_jobs=shard_jobs,
-        sanitize=sanitize,
-        policy=retry_policy,
-        faults=fault_plan,
-        cancel=cancel,
-    )
-    try:
-        return _run_exploration(
-            circuit, config, windows, profiles, evaluator, runtime_stats,
-            rng=rng, cancel=cancel,
-        )
-    finally:
-        evaluator.close()
+        profiles = list(profiles)
+        _check_cancel(cancel)
+        with runtime_stats.span("search"):
+            rng = np.random.default_rng(config.seed)
+            input_words = stimulus_input_words(
+                circuit, config.n_samples, rng
+            )
+            # One jobs policy for every dispatch layer: --jobs governs
+            # profiling *and* (unless shard_jobs overrides it) streaming
+            # shard scans.
+            shard_jobs = effective_jobs(
+                config.jobs if config.shard_jobs is None
+                else config.shard_jobs
+            )
+            chunk_words = config.chunk_words
+            if chunk_words is None and config.chunk_budget_mb is not None:
+                chunk_words = auto_chunk_words(
+                    circuit.n_nodes,
+                    int(config.chunk_budget_mb * 1e6),
+                    words_for(config.n_samples),
+                    jobs=shard_jobs,
+                )
+            evaluator = make_evaluator(
+                circuit,
+                windows,
+                input_words,
+                config.n_samples,
+                engine=config.engine,
+                stats=runtime_stats,
+                chunk_words=chunk_words,
+                shard_jobs=shard_jobs,
+                sanitize=sanitize,
+                policy=retry_policy,
+                faults=fault_plan,
+                cancel=cancel,
+            )
+            try:
+                return _run_exploration(
+                    circuit, config, windows, profiles, evaluator,
+                    runtime_stats, rng=rng, cancel=cancel,
+                )
+            finally:
+                evaluator.close()
 
 
 def _check_cancel(cancel: Optional[CancelToken]) -> None:
@@ -650,13 +658,14 @@ def _run_exploration(
         per_window = [
             profile_by_index[idx].variants[fs[idx] - 1] for idx in idxs
         ]
-        scans = evaluator.scan_errors(
-            [
-                (idx, [v.table for v in variants])
-                for idx, variants in zip(idxs, per_window)
-            ],
-            qor_eval,
-        )
+        with runtime_stats.span("scan"):
+            scans = evaluator.scan_errors(
+                [
+                    (idx, [v.table for v in variants])
+                    for idx, variants in zip(idxs, per_window)
+                ],
+                qor_eval,
+            )
         eps = max(config.tie_epsilon, config.tie_epsilon_scale * current_qor)
         picks = []
         for variants, scored in zip(per_window, scans):
@@ -745,7 +754,7 @@ def _run_exploration(
                 ),
             ),
         )
-        runtime_stats.n_checkpoints += 1
+        runtime_stats.add("n_checkpoints")
 
     def stop_reached() -> bool:
         if config.max_iterations is not None and iteration >= config.max_iterations:
@@ -826,8 +835,10 @@ def _run_exploration(
             if move is _REJECTED:
                 continue
             idx, err, variant = move
-            evaluator.commit(idx, variant.table)
-            qor_eval.rebase(evaluator.current_outputs())
+            with runtime_stats.span("commit"):
+                evaluator.commit(idx, variant.table)
+            with runtime_stats.span("rebase"):
+                qor_eval.rebase(evaluator.current_outputs())
             fs[idx] -= 1
             result.chosen[(idx, fs[idx])] = variant
             current_qor = err

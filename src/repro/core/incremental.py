@@ -84,7 +84,7 @@ class IncrementalEvaluator:
         self._graph = quotient_graph(circuit, windows)
         self._plan = list(self._graph.steps)
         self._window_by_index = {w.index: w for w in self.windows}
-        self._stats = stats
+        self._stats = stats if stats is not None else RuntimeStats()
         self._init_values(input_words)
 
     def _init_values(self, input_words: np.ndarray) -> None:
@@ -101,8 +101,7 @@ class IncrementalEvaluator:
         self._exact_outputs = self._values[self.circuit.output_nodes()].copy()
         if self._sanitize:
             freeze(self._exact_outputs)
-        if self._stats is not None:
-            self._stats.note_sample_matrix(self._values.nbytes)
+        self._stats.add("peak_sample_matrix_bytes", self._values.nbytes)
 
     def close(self) -> None:
         """Release execution resources (hook).
@@ -195,12 +194,10 @@ class IncrementalEvaluator:
         """
         overlay: Dict[int, np.ndarray] = {}
         dirty = np.zeros(self.circuit.n_nodes, dtype=bool)
-        if self._stats is not None:
-            # The reference sweep walks the full quotient plan per
-            # candidate; the compiled engine walks it once per pass of
-            # stacked candidates — the ratio is asserted by the engine
-            # tests.
-            self._stats.n_sweep_units += len(self._plan)
+        # The reference sweep walks the full quotient plan per candidate;
+        # the compiled engine walks it once per pass of stacked
+        # candidates — the ratio is asserted by the engine tests.
+        self._stats.add("n_sweep_units", len(self._plan))
 
         def record(nid: int, new: np.ndarray) -> None:
             if not self._valid_equal(new, self._values[nid]):
@@ -271,8 +268,7 @@ class IncrementalEvaluator:
         for table in tables:
             table = self._check_table(w, table)
             seed = self._gather_outputs(w, table, idx)
-            if self._stats is not None:
-                self._stats.n_preview_sweeps += 1
+            self._stats.add("n_preview_sweeps")
             overlay = self._sweep(replacements, seeds={index: seed})
             out = np.empty((len(out_nodes), self._n_words), dtype=np.uint64)
             for row, nid in enumerate(out_nodes):

@@ -52,6 +52,7 @@ from ..circuit.netlist import Circuit
 from ..circuit.words import WordSpec
 from ..runtime import ProfileCache, RuntimeStats, array_token, run_tasks
 from ..runtime.cache import canonical_circuit_bytes
+from ..runtime.stats import current
 from ..synth.espresso import EspressoOptions
 from ..synth.library import LIB65, Library
 from ..synth.synthesis import (
@@ -207,13 +208,14 @@ class WindowTask:
 class WindowTaskResult:
     """Worker output: window identity comes from task order, not payload.
 
-    The work counters feed :class:`repro.runtime.RuntimeStats`; cache hits
-    contribute zero, which is how tests assert warm runs do no BMF work.
-    ``n_factorizations`` counts factorization *calls* (each internally a
-    full tau sweep) — one per ladder on the ladder path, one per degree on
-    the legacy reference path — and ``n_ladder_levels`` the degree results
-    those calls produced, so ``n_ladder_levels / n_factorizations`` is the
-    amortization the ladder achieves.
+    The profile cache stores it as is.  The work counters copy the task's
+    recorded :class:`repro.runtime.RuntimeStats`, which reaches the run's
+    stats through the task driver for computed tasks only (cache hits add
+    zero, which is how tests assert warm runs do no BMF work); spans stay
+    out of the payload.  ``n_factorizations`` counts factorization *calls*
+    (each a full tau sweep) — one per ladder, or one per degree on the
+    legacy reference path — and ``n_ladder_levels`` the degree results
+    they produced: their ratio is the ladder's amortization.
     """
 
     exact_area: float
@@ -230,8 +232,8 @@ class _VariantCosting:
     whole factored and cone variant areas, and the area oracle's
     :class:`~repro.synth.synthesis.OracleMemo`, whose column plans and BDD
     nodes ladder degrees and weight rails mostly share (DESIGN.md "The
-    per-task oracle memo and its bounds").  ``n_syntheses`` counts the
-    areas actually computed.
+    per-task oracle memo and its bounds").  ``stats`` records the task's
+    work: the areas actually computed (``n_syntheses``), timed by kind.
     """
 
     def __init__(
@@ -240,7 +242,7 @@ class _VariantCosting:
         self.library = library
         self.options = options
         self.match_macros = match_macros
-        self.n_syntheses = 0
+        self.stats = RuntimeStats()
         self._cache: Dict[tuple, float] = {}
         self._oracle = OracleMemo()
 
@@ -249,26 +251,27 @@ class _VariantCosting:
         hit = self._cache.get(key)
         if hit is not None:
             return hit  # contract-ok: cache-copy -- cached float, immutable
-        self.n_syntheses += 1
-        builder = CircuitBuilder("variant")
-        k = int(np.log2(B.shape[0]))
-        ins = [builder.input(f"x{i}") for i in range(k)]
-        combine = builder.or_ if algebra == "semiring" else builder.xor_
-        t_sigs = synthesize_outputs_shared(
-            builder, B, ins, self.options, memo=self._oracle
-        )
-        for j in range(C.shape[1]):
-            parts = [t_sigs[l] for l in range(C.shape[0]) if C[l, j]]
-            if not parts:
-                out = builder.const(False)
-            elif len(parts) == 1:
-                out = parts[0]
-            else:
-                out = combine(*parts)
-            builder.output(f"y{j}", out)
-        area = tech_map(
-            builder.build(), self.library, match_macros=self.match_macros
-        ).area
+        self.stats.add("n_syntheses")
+        with self.stats.span("factored_area"):
+            builder = CircuitBuilder("variant")
+            k = int(np.log2(B.shape[0]))
+            ins = [builder.input(f"x{i}") for i in range(k)]
+            combine = builder.or_ if algebra == "semiring" else builder.xor_
+            t_sigs = synthesize_outputs_shared(
+                builder, B, ins, self.options, memo=self._oracle
+            )
+            for j in range(C.shape[1]):
+                parts = [t_sigs[l] for l in range(C.shape[0]) if C[l, j]]
+                if not parts:
+                    out = builder.const(False)
+                elif len(parts) == 1:
+                    out = parts[0]
+                else:
+                    out = combine(*parts)
+                builder.output(f"y{j}", out)
+            area = tech_map(
+                builder.build(), self.library, match_macros=self.match_macros
+            ).area
         self._cache[key] = area
         return area
 
@@ -285,31 +288,34 @@ class _VariantCosting:
         hit = self._cache.get(key)
         if hit is not None:
             return hit  # contract-ok: cache-copy -- cached float, immutable
-        self.n_syntheses += 1
-        sub_window = Window(
-            0,
-            tuple(range(len(sub.inputs), sub.n_nodes)),
-            tuple(sub.inputs),
-            tuple(sub.output_nodes()),
-        )
-        approx = substitute_windows(
-            sub, [sub_window], {0: replacement}, espresso_options=self.options
-        )
-        area = tech_map(
-            resynthesize(approx, options=self.options),
-            self.library,
-            match_macros=self.match_macros,
-        ).area
+        self.stats.add("n_syntheses")
+        with self.stats.span("cone_area"):
+            sub_window = Window(
+                0,
+                tuple(range(len(sub.inputs), sub.n_nodes)),
+                tuple(sub.inputs),
+                tuple(sub.output_nodes()),
+            )
+            approx = substitute_windows(
+                sub, [sub_window], {0: replacement},
+                espresso_options=self.options,
+            )
+            area = tech_map(
+                resynthesize(approx, options=self.options),
+                self.library,
+                match_macros=self.match_macros,
+            ).area
         self._cache[key] = area
         return area
 
     def window_area(self, sub: Circuit) -> float:
-        self.n_syntheses += 1
-        return tech_map(
-            resynthesize(sub, options=self.options),
-            self.library,
-            match_macros=self.match_macros,
-        ).area
+        self.stats.add("n_syntheses")
+        with self.stats.span("window_area"):
+            return tech_map(
+                resynthesize(sub, options=self.options),
+                self.library,
+                match_macros=self.match_macros,
+            ).area
 
 
 def _bmf_candidate(
@@ -389,27 +395,27 @@ def profile_window_task(task: WindowTask) -> WindowTaskResult:
     p = task.params
     n_outputs = int(task.table.shape[1])
     costing = _VariantCosting(p.library, p.espresso, p.match_macros)
-    n_factorizations = 0
-    n_ladder_levels = 0
+    stats = costing.stats
     rails = _weight_rails(task)
 
     bmf_ladders: Dict[int, Dict[int, object]] = {}
     cone_ladders: Dict[int, Dict[int, object]] = {}
     if n_outputs > 1:
         for idx, rail in enumerate(rails):
-            if p.selection in ("bmf", "hybrid"):
-                bmf_ladders[idx] = factorize_ladder(
-                    task.table, n_outputs - 1, weights=rail,
-                    algebra=p.algebra, method=p.method, taus=p.taus,
-                )
-                n_factorizations += 1
-                n_ladder_levels += n_outputs - 1
-            if p.selection in ("cone", "hybrid"):
-                cone_ladders[idx] = column_select_ladder(
-                    task.table, n_outputs - 1, weights=rail, algebra=p.algebra
-                )
-                n_factorizations += 1
-                n_ladder_levels += n_outputs - 1
+            with stats.span("factorize"):
+                if p.selection in ("bmf", "hybrid"):
+                    bmf_ladders[idx] = factorize_ladder(
+                        task.table, n_outputs - 1, weights=rail,
+                        algebra=p.algebra, method=p.method, taus=p.taus,
+                    )
+                if p.selection in ("cone", "hybrid"):
+                    cone_ladders[idx] = column_select_ladder(
+                        task.table, n_outputs - 1, weights=rail,
+                        algebra=p.algebra,
+                    )
+    n_ladders = len(bmf_ladders) + len(cone_ladders)
+    stats.add("n_factorizations", n_ladders)
+    stats.add("n_ladder_levels", n_ladders * (n_outputs - 1))
 
     exact_area = costing.window_area(task.sub) if p.estimate_area else 0.0
     variants: Dict[int, List[CandidateVariant]] = {}
@@ -425,9 +431,10 @@ def profile_window_task(task: WindowTask) -> WindowTaskResult:
             if held is None or variant.area < held.area:
                 by_table[key] = variant
         variants[f] = list(by_table.values())
+    current().merge(stats)
     return WindowTaskResult(
-        exact_area, variants, n_factorizations, costing.n_syntheses,
-        n_ladder_levels,
+        exact_area, variants, stats.n_factorizations, stats.n_syntheses,
+        stats.n_ladder_levels,
     )
 
 
@@ -442,10 +449,9 @@ def profile_window_task_reference(task: WindowTask) -> WindowTaskResult:
     p = task.params
     n_outputs = int(task.table.shape[1])
     costing = _VariantCosting(p.library, p.espresso, p.match_macros)
-    n_factorizations = 0
+    stats = costing.stats
 
     def build_variant(f: int, rail: Optional[np.ndarray]) -> CandidateVariant:
-        nonlocal n_factorizations
         bmf_result = None
         cone_result = None
         if p.selection in ("bmf", "hybrid"):
@@ -453,12 +459,14 @@ def profile_window_task_reference(task: WindowTask) -> WindowTaskResult:
                 task.table, f, weights=rail, algebra=p.algebra,
                 method=p.method, taus=p.taus,
             )
-            n_factorizations += 1
+            stats.add("n_factorizations")
+            stats.add("n_ladder_levels")
         if p.selection in ("cone", "hybrid"):
             cone_result = column_select_bmf(
                 task.table, f, weights=rail, algebra=p.algebra
             )
-            n_factorizations += 1
+            stats.add("n_factorizations")
+            stats.add("n_ladder_levels")
         return _pick_variant(costing, p, task, f, bmf_result, cone_result)
 
     exact_area = costing.window_area(task.sub) if p.estimate_area else 0.0
@@ -472,10 +480,12 @@ def profile_window_task_reference(task: WindowTask) -> WindowTaskResult:
             if held is None or variant.area < held.area:
                 by_table[key] = variant
         variants[f] = list(by_table.values())
+    current().merge(stats)
     return WindowTaskResult(
-        exact_area, variants, n_factorizations, costing.n_syntheses,
-        n_ladder_levels=n_factorizations,
+        exact_area, variants, stats.n_factorizations, stats.n_syntheses,
+        stats.n_ladder_levels,
     )
+
 
 
 def output_significance(circuit: Circuit) -> np.ndarray:
@@ -557,7 +567,8 @@ def profile_windows(
         cache: Optional persistent :class:`~repro.runtime.ProfileCache`;
             hits skip factorization and synthesis entirely.
         runtime_stats: Optional accumulator updated in place with task,
-            cache, and work counters.
+            cache and work counters, and the ``profile`` span (with each
+            task's ``factorize`` / ``*_area`` spans under it).
         policy / faults: Supervised-dispatch retry bounds and
             deterministic fault plan, forwarded to
             :func:`~repro.runtime.run_tasks` (see DESIGN.md "Fault
@@ -589,23 +600,25 @@ def profile_windows(
         estimate_area=estimate_area,
         match_macros=match_macros,
     )
-    tasks: List[WindowTask] = []
-    for w in windows:
-        table = w.table(circuit)
-        weights = window_weights(circuit, w, weight_mode, sig)
-        sub = w.subcircuit(circuit) if estimate_area else None
-        tasks.append(WindowTask(table, weights, sub, params))
-    payloads, _ = run_tasks(
-        tasks,
-        profile_window_task,
-        key_fn=WindowTask.cache_key,
-        cache=cache,
-        jobs=jobs,
-        stats=runtime_stats,
-        policy=policy,
-        faults=faults,
-        cancel=cancel,
-    )
+    stats = runtime_stats if runtime_stats is not None else RuntimeStats()
+    with stats.span("profile"):
+        tasks: List[WindowTask] = []
+        for w in windows:
+            table = w.table(circuit)
+            weights = window_weights(circuit, w, weight_mode, sig)
+            sub = w.subcircuit(circuit) if estimate_area else None
+            tasks.append(WindowTask(table, weights, sub, params))
+        payloads, _ = run_tasks(
+            tasks,
+            profile_window_task,
+            key_fn=WindowTask.cache_key,
+            cache=cache,
+            jobs=jobs,
+            stats=stats,
+            policy=policy,
+            faults=faults,
+            cancel=cancel,
+        )
     return [
         WindowProfile(
             w, task.table, payload.exact_area, task.weights,

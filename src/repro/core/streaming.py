@@ -154,7 +154,7 @@ class StreamingEvaluator(CompiledEvaluator):
         chunk_words: Maximum packed words per pattern-axis chunk (≥ 1).
             Peak sample-matrix memory **per process** is ``≤ 2 × 8 ×
             n_nodes × chunk_words`` bytes (base state + scan scratch),
-            recorded in ``stats.peak_sample_matrix_bytes``.
+            recorded in the ``peak_sample_matrix_bytes`` gauge.
         shard_jobs: Worker processes for chunk-sharded scans (``0`` = all
             cores through :func:`repro.runtime.parallel.effective_jobs`,
             ``1`` = in-process execution).  Sharded trajectories are
@@ -217,9 +217,8 @@ class StreamingEvaluator(CompiledEvaluator):
         self._win_input_ids = {
             w.index: np.array(w.inputs, dtype=np.int64) for w in self.windows
         }
-        if stats is not None:
-            stats.chunk_words = self._chunk_words
-            stats.shard_jobs = self._shard_jobs
+        self._stats.add("chunk_words", self._chunk_words)
+        self._stats.add("shard_jobs", self._shard_jobs)
 
     # -- resident-state override ---------------------------------------
     def _init_values(self, input_words: np.ndarray) -> None:
@@ -241,11 +240,10 @@ class StreamingEvaluator(CompiledEvaluator):
             )
         if self._sanitize:
             freeze(self._exact_outputs)
-        if self._stats is not None:
-            chunk = min(self._chunk_words, self._n_words)
-            self._stats.note_sample_matrix(
-                self.circuit.n_nodes * chunk * 8
-            )
+        chunk = min(self._chunk_words, self._n_words)
+        self._stats.add(
+            "peak_sample_matrix_bytes", self.circuit.n_nodes * chunk * 8
+        )
 
     def current_outputs(self) -> np.ndarray:
         """Packed outputs under the committed substitutions (resident —
@@ -333,9 +331,8 @@ class StreamingEvaluator(CompiledEvaluator):
                 )
             else:
                 values[instr.out] = execute_batch(instr, values, chunk.n_valid)
-        if self._stats is not None:
-            self._stats.n_chunk_passes += 1
-            self._stats.note_sample_matrix(values.nbytes)
+        self._stats.add("n_chunk_passes")
+        self._stats.add("peak_sample_matrix_bytes", values.nbytes)
         return values
 
     # -- what this engine supplies to the fold ---------------------------
@@ -356,9 +353,10 @@ class StreamingEvaluator(CompiledEvaluator):
     def _note_pass(self, base: np.ndarray, n_blocks: int) -> None:
         """Record one pass's sample-matrix bytes (the chunk's base state
         plus the scan scratch) and its stacked candidate blocks."""
-        if self._stats is not None:
-            self._stats.note_sample_matrix(base.nbytes + self._scan_buf.nbytes)
-            self._stats.n_stacked_blocks += n_blocks
+        self._stats.add(
+            "peak_sample_matrix_bytes", base.nbytes + self._scan_buf.nbytes
+        )
+        self._stats.add("n_stacked_blocks", n_blocks)
 
     def _chunk_seeds(
         self,
@@ -427,36 +425,22 @@ class StreamingEvaluator(CompiledEvaluator):
                 ]
                 outcomes = executor.run(shards, cancel=self._cancel)
                 if outcomes is not None:
-                    self._merge_outcomes(accs, outcomes, len(shards))
+                    # Deterministic shard-order merge of the accumulators
+                    # and of everything the workers recorded.
+                    for outcome in outcomes:
+                        for acc_list, adds in zip(accs, outcome.accumulators):
+                            for acc, add in zip(acc_list, adds):
+                                merge_accumulator(acc, add)
+                        self._stats.merge(outcome.stats)
+                    self._stats.add("n_shard_tasks", len(shards))
                     return
                 # Pool broke: latch the failure so later scans go
                 # straight to the serial loop instead of re-submitting
                 # to a dead pool (and re-warning) every iteration.
                 executor.close()
                 self._executor = None
-        if self._stats is not None:
-            self._stats.n_shard_tasks += 1
+        self._stats.add("n_shard_tasks")
         super()._execute_scan(todo, accs, qor)
-
-    def _merge_outcomes(
-        self,
-        accs: Sequence[Sequence[dict]],
-        outcomes: Sequence[ShardOutcome],
-        n_shards: int,
-    ) -> None:
-        """Deterministic shard-order merge of returned accumulators."""
-        stats = self._stats
-        for outcome in outcomes:
-            for acc_list, add_list in zip(accs, outcome.accumulators):
-                for acc, add in zip(acc_list, add_list):
-                    merge_accumulator(acc, add)
-            if stats is not None:
-                stats.n_chunk_passes += outcome.n_chunk_passes
-                stats.n_sweep_units += outcome.n_sweep_units
-                stats.n_stacked_blocks += outcome.n_stacked_blocks
-                stats.note_sample_matrix(outcome.peak_bytes)
-        if stats is not None:
-            stats.n_shard_tasks += n_shards
 
     def _commit_values(self, index: int, table: np.ndarray):
         """Sweep a commit chunk by chunk against the *old* committed
@@ -528,18 +512,7 @@ class ShardWorker:
             [new_accumulator() for _ in checked]
             for (_, _, checked, _) in todo
         ]
-        stats = self.stats
-        before = (
-            stats.n_chunk_passes,
-            stats.n_sweep_units,
-            stats.n_stacked_blocks,
-        )
+        mark = self.stats.copy()
         for chunk in shard.chunks:
             ev._scan_chunk_into(chunk, todo, accs, qor)
-        return ShardOutcome(
-            accumulators=accs,
-            n_chunk_passes=stats.n_chunk_passes - before[0],
-            n_sweep_units=stats.n_sweep_units - before[1],
-            n_stacked_blocks=stats.n_stacked_blocks - before[2],
-            peak_bytes=stats.peak_sample_matrix_bytes,
-        )
+        return ShardOutcome(accs, self.stats.delta(mark))

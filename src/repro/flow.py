@@ -25,7 +25,7 @@ from .core.explorer import (
     explore,
 )
 from .core.qor import QoREvaluator, QoRSpec
-from .runtime import CancelToken, format_bytes
+from .runtime import CancelToken, RuntimeStats
 from .synth.library import DEFAULT_CLOCK_MHZ, LIB65, Library
 from .synth.synthesis import DesignMetrics, evaluate_design
 
@@ -63,7 +63,8 @@ class FlowResult:
     qor_metric: str = "mre"
 
     def summary(self) -> str:
-        """Human-readable per-threshold savings table (Table 2 style)."""
+        """Per-threshold savings table (Table 2 style), then the run's
+        counters and span tree."""
         lines = [
             f"{self.circuit.name}: baseline area={self.baseline.area_um2:.1f}um2 "
             f"power={self.baseline.power_uw:.1f}uW delay={self.baseline.delay_ns:.2f}ns"
@@ -81,27 +82,7 @@ class FlowResult:
             )
         stats = self.exploration.runtime_stats
         if stats is not None:
-            lines.append(f"  {stats.summary()}")
-            if stats.peak_sample_matrix_bytes:
-                chunk = (
-                    f"{stats.chunk_words} words"
-                    if stats.chunk_words
-                    else "resident (unchunked)"
-                )
-                per_process = (
-                    " per process" if stats.shard_jobs > 1 else ""
-                )
-                lines.append(
-                    f"  memory: peak sample matrix "
-                    f"{format_bytes(stats.peak_sample_matrix_bytes)}"
-                    f"{per_process}, chunk size {chunk}"
-                )
-            if stats.n_shard_tasks:
-                lines.append(
-                    f"  sharding: {stats.n_shard_tasks} shard tasks on "
-                    f"{stats.shard_jobs} worker(s), "
-                    f"{stats.n_stacked_blocks} stacked candidate blocks"
-                )
+            lines.extend(f"  {line}" for line in stats.summary().splitlines())
         return "\n".join(lines)
 
 
@@ -163,7 +144,8 @@ def run_blasys(
 
     Returns:
         A :class:`FlowResult` with baseline metrics, the full exploration
-        trajectory, and one realized design per threshold.
+        trajectory, and one realized design per threshold.  The
+        exploration's ``runtime_stats`` also holds the flow's spans.
     """
     if not thresholds:
         raise ExplorationError("need at least one threshold")
@@ -179,14 +161,18 @@ def run_blasys(
             "(or leave it None) or drop the larger thresholds"
         )
 
-    baseline = evaluate_design(
-        circuit,
-        library,
-        n_activity_samples=activity_samples,
-        clock_mhz=clock_mhz,
-        match_macros=config.match_macros,
-    )
+    stats = RuntimeStats()
+    with stats.span("synth"):
+        baseline = evaluate_design(
+            circuit,
+            library,
+            n_activity_samples=activity_samples,
+            clock_mhz=clock_mhz,
+            match_macros=config.match_macros,
+        )
     exploration = explore(circuit, config, cancel=cancel)
+    stats.merge(exploration.runtime_stats)
+    exploration.runtime_stats = stats
 
     result = FlowResult(
         circuit, baseline, exploration, qor_metric=config.qor.metric
@@ -195,17 +181,20 @@ def run_blasys(
         point = exploration.best_point(thr)
         if point is None or point.iteration == 0:
             continue  # no approximation fits this threshold
-        realized = exploration.realize(point)
-        metrics = evaluate_design(
-            realized,
-            library,
-            n_activity_samples=activity_samples,
-            clock_mhz=clock_mhz,
-            match_macros=config.match_macros,
-        )
-        measured = measure_error(
-            circuit, realized, final_samples, spec=config.qor
-        )
+        with stats.span("realize"):
+            realized = exploration.realize(point)
+        with stats.span("synth"):
+            metrics = evaluate_design(
+                realized,
+                library,
+                n_activity_samples=activity_samples,
+                clock_mhz=clock_mhz,
+                match_macros=config.match_macros,
+            )
+        with stats.span("measure"):
+            measured = measure_error(
+                circuit, realized, final_samples, spec=config.qor
+            )
         result.designs[thr] = RealizedDesign(
             threshold=thr,
             point=point,

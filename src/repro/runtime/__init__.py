@@ -5,22 +5,24 @@ window) is embarrassingly parallel across windows and fully deterministic
 given a window's truth table and the profiling parameters.  This package
 exploits both properties:
 
-* :mod:`repro.runtime.parallel` — process-pool dispatch with deterministic
-  result ordering (``jobs=1`` degrades to a plain serial loop), including
-  the supervised layer (:class:`~repro.runtime.parallel.PoolSupervisor` /
-  :func:`~repro.runtime.parallel.supervised_map`): bounded per-item
-  retries with backoff (:class:`~repro.runtime.parallel.RetryPolicy`),
-  attempt timeouts that defeat hung workers, bounded pool rebuilds, and
-  per-item in-process fallback; an exception an item itself raises
-  is not retried.
+* :mod:`repro.runtime.parallel` — supervised process-pool dispatch
+  (:class:`~repro.runtime.parallel.PoolSupervisor` /
+  :func:`~repro.runtime.parallel.supervised_map`) with deterministic
+  result ordering (``jobs=1`` degrades to a plain serial loop): bounded
+  per-item retries with backoff (:class:`~repro.runtime.parallel.
+  RetryPolicy`), attempt timeouts that defeat hung workers, bounded pool
+  rebuilds, and per-item in-process fallback; an exception an item
+  itself raises is not retried.
 * :mod:`repro.runtime.cache` — a content-addressed on-disk cache keyed by a
   canonical hash of the task inputs, so threshold sweeps and repeated CLI
   invocations skip redundant factorization/synthesis work entirely;
   corrupt entries are quarantined as misses, writes are fsync-durable.
 * :mod:`repro.runtime.driver` — the task driver tying the two together:
   same-run duplicate tasks are computed once, cache hits short-circuit
-  dispatch, and a :class:`~repro.runtime.driver.RuntimeStats` record counts
-  the work actually performed (including resilience events).
+  dispatch, and each computed task's recorded work is merged into the
+  run's :class:`~repro.runtime.stats.RuntimeStats`.
+* :mod:`repro.runtime.stats` — the one counter table and the nested
+  wall-clock spans every layer records into (DESIGN.md "Observability").
 * :mod:`repro.runtime.executor` — the streaming engine's shard executor:
   picklable chunk-range tasks over a persistent supervised pool.
 * :mod:`repro.runtime.faults` — deterministic fault injection
@@ -53,20 +55,21 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .driver import RuntimeStats, format_bytes, run_tasks
+from .driver import run_tasks
 from .faults import FAULTS_ENV, FaultClause, FaultPlan, InjectedFault, faults_enabled
 from .parallel import (
     PoolSupervisor,
     RetryPolicy,
     effective_jobs,
     format_worker_failure,
-    parallel_map,
     resolve_jobs,
     supervised_map,
 )
+from .stats import COUNTERS, RuntimeStats, format_bytes
 
 __all__ = [
     "CACHE_VERSION",
+    "COUNTERS",
     "CHECKPOINT_VERSION",
     "CancelToken",
     "ExploreCheckpoint",
@@ -87,7 +90,6 @@ __all__ = [
     "format_bytes",
     "format_worker_failure",
     "load_checkpoint",
-    "parallel_map",
     "resolve_jobs",
     "run_tasks",
     "save_checkpoint",

@@ -24,8 +24,8 @@ mid-write cannot leave one behind on non-atomic filesystems.  Reads are
 hardened the other way: any unpickling failure — truncation, garbage
 bytes, or a payload referencing classes this build no longer has — is a
 cache *miss*, and the offending file is quarantined (renamed to
-``*.corrupt``, counted in the ``corrupt`` stat) so it is diagnosable but
-never consulted again.
+``*.corrupt``, counted in the ``cache_corrupt`` stat) so it is
+diagnosable but never consulted again.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+from .stats import RuntimeStats
 
 #: Bumped when cached payload semantics change; part of every key.
 #: v2: the packed BMF kernel's canonical `dot(counts, w)` weighted error
@@ -83,12 +85,11 @@ class ProfileCache:
     """On-disk pickle store addressed by SHA-256 content keys.
 
     Attributes:
-        hits / misses / stores: Access counters for this process's view of
-            the cache (reset per instance, not persisted).
-        corrupt: Entries quarantined by :meth:`get` after failing to
-            unpickle (each also counts as a miss).
-        corrupt_purged: Quarantined files deleted by the bounded-retention
-            sweep (see ``corrupt_keep`` / :meth:`purge_corrupt`).
+        stats: This instance's :class:`~repro.runtime.RuntimeStats`:
+            ``cache_hits``, ``cache_misses`` (corrupt entries included),
+            ``cache_stores``, ``cache_corrupt`` (entries :meth:`get`
+            quarantined) and ``cache_corrupt_purged`` (quarantined files
+            the retention sweep deleted).  Not persisted.
 
     Args:
         corrupt_keep: Retention bound on quarantined ``*.pkl.corrupt``
@@ -115,11 +116,7 @@ class ProfileCache:
     ) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.corrupt = 0
-        self.corrupt_purged = 0
+        self.stats = RuntimeStats()
         if corrupt_keep is not None and corrupt_keep < 0:
             raise ValueError(
                 f"corrupt_keep must be >= 0 or None, got {corrupt_keep}"
@@ -175,7 +172,7 @@ class ProfileCache:
             with open(path, "rb") as fh:
                 value = pickle.load(fh)
         except FileNotFoundError:
-            self.misses += 1
+            self.stats.add("cache_misses")
             return None
         except (
             EOFError,
@@ -185,15 +182,15 @@ class ProfileCache:
             IndexError,
             ValueError,
         ):
-            self.misses += 1
-            self.corrupt += 1
+            self.stats.add("cache_misses")
+            self.stats.add("cache_corrupt")
             try:
                 os.replace(path, str(path) + ".corrupt")
             except OSError:  # pragma: no cover - racing cleanup
                 pass
             self.purge_corrupt()
             return None
-        self.hits += 1
+        self.stats.add("cache_hits")
         if self._sanitize:
             from ..analysis.sanitize import freeze_payload
 
@@ -223,10 +220,12 @@ class ProfileCache:
             except OSError:
                 pass
             raise
-        if self._faults is not None and self._faults.cache_fault(self.stores):
+        if self._faults is not None and self._faults.cache_fault(
+            self.stats.cache_stores
+        ):
             with open(self._file(key), "wb") as fh:
                 fh.write(b"\x80\x05garbage: injected cache corruption")
-        self.stores += 1
+        self.stats.add("cache_stores")
 
     def purge_corrupt(self) -> int:
         """Apply the quarantine retention bound; returns files deleted.
@@ -264,7 +263,7 @@ class ProfileCache:
                 purged += 1
             except OSError:  # pragma: no cover - racing cleanup
                 continue
-        self.corrupt_purged += purged
+        self.stats.add("cache_corrupt_purged", purged)
         return purged
 
     def __len__(self) -> int:

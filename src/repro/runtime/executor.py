@@ -58,6 +58,7 @@ from .parallel import (
     effective_jobs,
     format_worker_failure,
 )
+from .stats import RuntimeStats
 
 T = TypeVar("T")
 
@@ -119,17 +120,15 @@ class ShardOutcome:
 
     ``accumulators[i][c]`` is the accumulator (see :func:`new_accumulator`)
     for candidate ``c`` of request ``i``, covering only this shard's
-    chunks.  The counters are per-task deltas folded into the parent's
-    :class:`~repro.runtime.RuntimeStats`; ``peak_bytes`` is the *worker
-    process's* sample-matrix high-water mark (per-process — the figure
-    the budget-per-worker formula bounds).
+    chunks.  ``stats`` is everything the task recorded, as one generic
+    :class:`~repro.runtime.RuntimeStats` delta the parent merges: every
+    counter sums, and gauges such as the *worker process's* sample-matrix
+    high-water mark (the figure the budget-per-worker formula bounds)
+    merge by maximum.
     """
 
     accumulators: List[List[dict]]
-    n_chunk_passes: int = 0
-    n_sweep_units: int = 0
-    n_stacked_blocks: int = 0
-    peak_bytes: int = 0
+    stats: RuntimeStats
 
 
 #: Registry of every payload type that crosses the process boundary.
@@ -285,7 +284,7 @@ class ProcessShardExecutor(ShardExecutor):
         jobs: int,
         policy: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
-        stats=None,
+        stats: Optional[RuntimeStats] = None,
     ) -> None:
         self.jobs = jobs
         self._context = context
@@ -392,7 +391,7 @@ def make_shard_executor(
     jobs: int,
     policy: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
-    stats=None,
+    stats: Optional[RuntimeStats] = None,
 ) -> Optional[ShardExecutor]:
     """Build the executor for ``jobs`` workers, or ``None`` for in-process.
 

@@ -12,23 +12,18 @@ process pools are restricted.  Pool *creation* failures (sandboxes without
 semaphores, exotic platforms) degrade to the serial loop with a warning
 rather than failing the run.
 
-Two dispatch strategies live here:
-
-* :func:`parallel_map` — the original all-or-nothing ``pool.map``: one
-  worker exception aborts the whole batch.  Kept for callers whose items
-  are cheap to re-run wholesale.
-* :class:`PoolSupervisor` / :func:`supervised_map` — per-item futures
-  with a bounded retry/backoff policy (:class:`RetryPolicy`), attempt
-  timeouts that defeat hung workers, bounded pool rebuilds on
-  ``BrokenProcessPool``, and per-item in-process fallback.  Only
-  infrastructure faults are retried; an exception the item itself
-  raises is a bug and stops the batch at once.  Items are
-  pure functions of their inputs, so a retried or locally re-run item
-  returns byte-identical results — the supervisor changes *where* work
-  runs, never *what* it computes.  The streaming shard executor
-  (:mod:`repro.runtime.executor`) and the profiling driver
-  (:mod:`repro.runtime.driver`) both route through this layer, so the
-  retry semantics cannot drift between them.
+Dispatch goes through :class:`PoolSupervisor` / :func:`supervised_map`:
+per-item futures with a bounded retry/backoff policy
+(:class:`RetryPolicy`), attempt timeouts that defeat hung workers,
+bounded pool rebuilds on ``BrokenProcessPool``, and per-item in-process
+fallback.  Only infrastructure faults are retried; an exception the item
+itself raises is a bug and stops the batch at once.  Items are pure
+functions of their inputs, so a retried or locally re-run item returns
+byte-identical results — the supervisor changes *where* work runs, never
+*what* it computes.  The streaming shard executor
+(:mod:`repro.runtime.executor`) and the profiling driver
+(:mod:`repro.runtime.driver`) both route through this layer, so the retry
+semantics cannot drift between them.
 """
 
 from __future__ import annotations
@@ -46,6 +41,7 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 from ..errors import ShardFailure, WorkerTimeout
 from .cancel import CancelToken
 from .faults import FaultPlan, InjectedFault, _raise_injected
+from .stats import RuntimeStats
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -63,7 +59,7 @@ def effective_jobs(jobs: int, n_items: Optional[int] = None) -> int:
 
     ``0`` (or negative/None) means all cores; a known work-item count
     clamps the result (spawning more workers than items only costs
-    process startup).  Used by :func:`parallel_map`, the profiling driver
+    process startup).  Used by the profiling driver
     (:func:`repro.runtime.driver.run_tasks`) and the streaming shard
     executor (:mod:`repro.runtime.executor`), so "how many workers does
     ``--jobs`` mean" cannot drift between layers.
@@ -108,40 +104,6 @@ def bind_worker_to_parent() -> None:
             os._exit(0)
     except Exception:  # pragma: no cover - non-Linux platforms
         pass
-
-
-def parallel_map(
-    fn: Callable[[T], R], items: Sequence[T], jobs: int = 1
-) -> List[R]:
-    """``[fn(x) for x in items]`` across ``jobs`` worker processes.
-
-    Results are returned in input order regardless of completion order.
-    ``fn`` and every item must be picklable when ``jobs > 1``.  Worker
-    exceptions propagate to the caller.
-    """
-    items = list(items)
-    jobs = effective_jobs(jobs, len(items))
-    if jobs == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    try:
-        pool = ProcessPoolExecutor(
-            max_workers=jobs, initializer=bind_worker_to_parent
-        )
-    except (OSError, PermissionError) as exc:  # pragma: no cover
-        warnings.warn(
-            f"process pool unavailable ({exc}); running serially", RuntimeWarning
-        )
-        return [fn(item) for item in items]
-    try:
-        with pool:
-            return list(pool.map(fn, items))
-    except BrokenProcessPool as exc:  # pragma: no cover
-        # Workers died (sandbox restrictions, fork failure) — distinct from
-        # an exception *raised by fn*, which propagates to the caller above.
-        warnings.warn(
-            f"process pool broke ({exc}); re-running serially", RuntimeWarning
-        )
-        return [fn(item) for item in items]
 
 
 # ----------------------------------------------------------------------
@@ -224,38 +186,26 @@ class PoolSupervisor:
     fault of the pool: it raises :class:`~repro.errors.ShardFailure` at
     once with the worker traceback, with no retry and no fallback.
 
-    ``kind`` selects which :class:`~repro.runtime.driver.RuntimeStats`
-    counters the supervisor feeds (``"shard"`` → ``n_shard_retries`` /
-    ``n_shard_fallbacks``, ``"task"`` → ``n_task_retries`` /
-    ``n_task_fallbacks``; pool rebuilds always count in
-    ``n_pool_rebuilds``).
+    ``kind`` (``"shard"`` or ``"task"``) selects the
+    :class:`~repro.runtime.RuntimeStats` counters the supervisor feeds:
+    ``n_<kind>_retries`` and ``n_<kind>_fallbacks``; pool rebuilds
+    always count in ``n_pool_rebuilds``.
     """
-
-    _COUNTERS = {
-        "shard": ("n_shard_retries", "n_shard_fallbacks"),
-        "task": ("n_task_retries", "n_task_fallbacks"),
-    }
 
     def __init__(
         self,
         make_pool: Callable[[], ProcessPoolExecutor],
         policy: Optional[RetryPolicy] = None,
-        stats=None,
+        stats: Optional[RuntimeStats] = None,
         kind: str = "shard",
     ) -> None:
         self._make_pool = make_pool
         self.policy = policy or RetryPolicy()
-        self._stats = stats
-        self._retry_counter, self._fallback_counter = self._COUNTERS[kind]
+        self._stats = stats if stats is not None else RuntimeStats()
         self._kind = kind
         self._pool: Optional[ProcessPoolExecutor] = None
         self._spawns = 0
         self._dead = False
-
-    # -- bookkeeping ---------------------------------------------------
-    def _count(self, name: str, n: int = 1) -> None:
-        if self._stats is not None and hasattr(self._stats, name):
-            setattr(self._stats, name, getattr(self._stats, name) + n)
 
     # -- pool lifecycle ------------------------------------------------
     def start(self) -> None:
@@ -284,7 +234,7 @@ class PoolSupervisor:
             )
             return None
         if self._spawns > 0:
-            self._count("n_pool_rebuilds")
+            self._stats.add("n_pool_rebuilds")
         self._spawns += 1
         return self._pool
 
@@ -397,7 +347,7 @@ class PoolSupervisor:
             for i in failed:
                 attempts[i] += 1
                 if attempts[i] <= self.policy.max_retries:
-                    self._count(self._retry_counter)
+                    self._stats.add(f"n_{self._kind}_retries")
                     pending.append(i)
                 else:
                     fallback.append(i)
@@ -409,7 +359,7 @@ class PoolSupervisor:
         for i in sorted(fallback):
             if cancel is not None:
                 cancel.check()
-            self._count(self._fallback_counter)
+            self._stats.add(f"n_{self._kind}_fallbacks")
             results[i] = run_local(i, last_exc[i])
         return results
 
@@ -420,10 +370,10 @@ def supervised_map(
     jobs: int = 1,
     policy: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
-    stats=None,
+    stats: Optional[RuntimeStats] = None,
     cancel: Optional[CancelToken] = None,
 ) -> List[R]:
-    """:func:`parallel_map` with per-item retries and local fallback.
+    """``[fn(x) for x in items]`` across ``jobs`` supervised workers.
 
     A worker death, hung attempt, or injected fault costs only the
     affected item bounded retries plus (at worst) one in-process re-run

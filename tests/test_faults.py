@@ -212,7 +212,7 @@ class TestCacheHardening:
         with open(cache._file(key), "wb") as fh:
             fh.write(b"not a pickle at all")
         assert cache.get(key) is None
-        assert cache.corrupt == 1 and cache.misses == 1
+        assert cache.stats.cache_corrupt == 1 and cache.stats.cache_misses == 1
         assert (tmp_path / f"{key}.pkl.corrupt").exists()
         assert not cache._file(key).exists()
         # A fresh put re-populates the slot and serves again.
@@ -227,7 +227,7 @@ class TestCacheHardening:
         with open(cache._file(key), "wb") as fh:
             fh.write(b"crepro.runtime.cache\nNoSuchClass\n.")
         assert cache.get(key) is None
-        assert cache.corrupt == 1
+        assert cache.stats.cache_corrupt == 1
         assert (tmp_path / f"{key}.pkl.corrupt").exists()
 
     def test_truncated_entry_is_miss(self, tmp_path):
@@ -237,7 +237,7 @@ class TestCacheHardening:
         raw = cache._file(key).read_bytes()
         cache._file(key).write_bytes(raw[: len(raw) // 2])
         assert cache.get(key) is None
-        assert cache.corrupt == 1
+        assert cache.stats.cache_corrupt == 1
 
     def test_injected_cache_fault_corrupts_nth_store(self, tmp_path):
         cache = ProfileCache(tmp_path, faults=FaultPlan.parse("cache:put=1"))
@@ -246,7 +246,7 @@ class TestCacheHardening:
         cache.put(k1, "b")  # store ordinal 1: corrupted post-write
         assert cache.get(k0) == "a"
         assert cache.get(k1) is None
-        assert cache.corrupt == 1
+        assert cache.stats.cache_corrupt == 1
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +375,7 @@ class TestChaosMatrix:
             faults="crash:shard=1,attempt=0,scan=0",
         )
         assert "recovered:" in stats.summary()
-        assert "1 shard retries" in stats.resilience_summary()
+        assert "1 shard retries" in stats.summary()
 
     def test_cache_corruption_recovered_warm(self, tmp_path):
         """A corrupt persistent-cache entry is quarantined, recomputed,

@@ -14,11 +14,17 @@ One resident engine always runs with the sanitizer armed, so a pass that
 reads a scratch entry it did not write sees poison rather than a stale
 value that happens to be right; under ``REPRO_SANITIZE=1`` every engine
 is armed.
+
+The same circuits also drive streaming at one and two shard workers
+through one script of scans and commits, whose deterministic work
+counters must come out equal: a shard worker's counters reach the parent
+only through its returned stats delta.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,8 +36,19 @@ from repro.core.incremental import IncrementalEvaluator
 from repro.core.qor import METRICS, QoREvaluator, QoRSpec
 from repro.core.streaming import StreamingEvaluator
 from repro.partition import decompose
+from repro.runtime import RuntimeStats
 
 CHUNK_WORDS = (1, 2, 3)
+
+#: Counters that depend only on the work, not on how it was sharded.
+DETERMINISTIC_COUNTERS = (
+    "n_scan_gate_words",
+    "n_sweep_units",
+    "n_chunk_passes",
+    "n_stacked_blocks",
+    "n_preview_sweeps",
+    "n_preview_cache_hits",
+)
 
 
 def _fuzz_circuit(rng):
@@ -79,6 +96,9 @@ def _fuzz_circuit(rng):
     # BUF chain, NAND/NOR/XNOR gates (one reading a constant row) and a
     # gate over a raw BUF.
     live = [nid for nid, node in enumerate(circuit.nodes) if node.op.is_gate]
+    # A draw whose outputs are all inputs or constants keeps no gate;
+    # its raw extras read primary inputs instead.
+    live = live or list(circuit.inputs)
 
     def pick(k):
         return tuple(int(x) for x in rng.choice(live, size=k))
@@ -194,3 +214,50 @@ class TestEngineDifferentialFuzz:
         _assert_same_outputs(engines, n)
         for e in engines:
             e.close()
+
+
+class TestShardedCounters:
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    def test_sharded_counters_equal_serial(self, seed):
+        rng = np.random.default_rng(seed)
+        circuit = _fuzz_circuit(rng)
+        windows = decompose(circuit, 4, 3)
+        n = 300  # five one-word chunks, split over two shards
+        words = random_input_words(circuit.n_inputs, n, rng)
+        current = {w.index: w.table(circuit) for w in windows}
+        script = []
+        for step in range(6):
+            if step % 3 == 2:
+                w = windows[int(rng.integers(0, len(windows)))]
+                table = _tables(rng, w, current[w.index], 1)[0]
+                script.append((w.index, table))
+                continue
+            requests = [
+                (w.index, _tables(rng, w, current[w.index], 3))
+                for w in windows
+            ]
+            # Scanning the same request twice exercises the memo.
+            script.extend([requests] * (1 + step % 2))
+        stats = {}
+        results = {}
+        for jobs in (1, 2):
+            stats[jobs] = RuntimeStats()
+            engine = StreamingEvaluator(
+                circuit, windows, words, n, chunk_words=1,
+                stats=stats[jobs], shard_jobs=jobs,
+            )
+            qor = QoREvaluator(circuit, engine.exact_outputs, n)
+            qor.rebase(engine.current_outputs())
+            results[jobs] = []
+            for item in script:
+                if isinstance(item, list):
+                    results[jobs].append(engine.scan_errors(item, qor))
+                else:
+                    engine.commit(*item)
+                    qor.rebase(engine.current_outputs())
+            engine.close()
+        assert results[2] == results[1]
+        assert stats[2].n_shard_tasks > stats[1].n_shard_tasks  # it sharded
+        for name in DETERMINISTIC_COUNTERS:
+            assert getattr(stats[2], name) == getattr(stats[1], name), name
+        assert stats[1].n_preview_cache_hits > 0

@@ -19,7 +19,6 @@ from repro.runtime import (
     ProfileCache,
     RuntimeStats,
     ShutdownGuard,
-    parallel_map,
     resolve_jobs,
     run_tasks,
 )
@@ -55,14 +54,7 @@ def _assert_profiles_identical(pa, pb):
                 assert type(x.replacement) is type(y.replacement)
 
 
-class TestParallelMap:
-    def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
-
-    def test_parallel_preserves_order(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, jobs=4) == [x * x for x in items]
-
+class TestJobResolution:
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
         assert resolve_jobs(0) >= 1
@@ -84,7 +76,8 @@ class TestRunTasks:
     def test_cache_round_trip(self, tmp_path):
         cache = ProfileCache(tmp_path / "c")
         r1, s1 = run_tasks([4, 5], _square, key_fn=str, cache=cache)
-        assert r1 == [16, 25] and s1.cache_misses == 2 and cache.stores == 2
+        assert r1 == [16, 25] and s1.cache_misses == 2
+        assert cache.stats.cache_stores == 2
         cache2 = ProfileCache(tmp_path / "c")
         r2, s2 = run_tasks([4, 5], _square, key_fn=str, cache=cache2)
         assert r2 == [16, 25]
@@ -314,7 +307,7 @@ class TestCorruptQuarantineRetention:
         cache = ProfileCache(tmp_path, corrupt_keep=2)
         paths = self._plant_corrupt(cache, 5)
         assert cache.purge_corrupt() == 3
-        assert cache.corrupt_purged == 3
+        assert cache.stats.cache_corrupt_purged == 3
         survivors = sorted(p.name for p in cache.path.glob("*.pkl.corrupt"))
         assert survivors == [paths[3].name, paths[4].name]  # the newest two
         # Idempotent once within bound.
@@ -356,8 +349,8 @@ class TestCorruptQuarantineRetention:
         cache.put(key, {"x": 1})
         cache._file(key).write_bytes(b"garbage")
         assert cache.get(key) is None
-        assert cache.corrupt == 1
-        assert cache.corrupt_purged == 1
+        assert cache.stats.cache_corrupt == 1
+        assert cache.stats.cache_corrupt_purged == 1
         assert not list(cache.path.glob("*.pkl.corrupt"))
 
     def test_run_tasks_folds_purged_into_stats(self, tmp_path):
@@ -369,7 +362,7 @@ class TestCorruptQuarantineRetention:
         assert results == [49]
         assert stats.cache_corrupt == 1
         assert stats.cache_corrupt_purged == 1
-        assert "1 purged" in stats.resilience_summary()
+        assert "1 purged" in stats.summary()
 
 
 class TestShutdownGuard:

@@ -414,7 +414,7 @@ class TestFlowMemoryReporting:
         )
         text = result.summary()
         assert "peak sample matrix" in text
-        assert "chunk size 2 words" in text
+        assert "chunk=2 words" in text
 
     def test_summary_reports_resident_mode(self):
         circuit = ripple_adder(4)
@@ -422,7 +422,9 @@ class TestFlowMemoryReporting:
         result = run_blasys(
             circuit, thresholds=[0.25], config=config, final_samples=1024
         )
-        assert "resident (unchunked)" in result.summary()
+        text = result.summary()
+        assert "peak sample matrix" in text
+        assert "chunk=" not in text
 
 
 class TestStreamingStats:
