@@ -23,6 +23,12 @@ at the repository root so the perf trajectory accumulates across PRs:
 * **end-to-end explore()** — Algorithm 1 at paper window budgets, wall
   time per engine, with the trajectories asserted byte-identical
   (qor floats, areas, window choices, degree vectors — all of it).
+  ``explore()`` always builds the compiled engine; the reference run
+  patches the interpreted oracle in its place (``unittest.mock``).
+* **one-chunk plan** — ``chunk_words = words_for(n_samples)``, a plan
+  of one chunk under a pass cap: it keeps its base, so the run asserts
+  zero chunk base rebuilds and a trajectory byte-identical to the
+  uncapped run (every run, ``--smoke`` included).
 * **streaming execution** (``--samples``) — the chunked engine at the
   paper's actual Monte-Carlo scale (10^6 patterns by default for the
   mode), recording wall time, throughput, peak RSS, and the peak
@@ -60,10 +66,12 @@ and doubles as a pytest smoke test (``test_explore_engine_smoke``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -229,24 +237,47 @@ def _preview_throughput(circuit, windows, profiles, n_samples, iterations):
     }
 
 
+def _reference_evaluator(
+    circuit, windows, input_words, n_samples, stats=None, sanitize=None,
+    **execution,
+):
+    """The interpreted oracle, built with the compiled engine's arguments
+    (the chunk plan and shard knobs do not apply to it)."""
+    from repro.core.incremental import IncrementalEvaluator
+
+    return IncrementalEvaluator(
+        circuit, windows, input_words, n_samples, stats=stats,
+        sanitize=sanitize,
+    )
+
+
 def _explore_end_to_end(circuit, windows, profiles, n_samples, max_iterations):
     from repro.core.explorer import ExplorerConfig, explore
 
-    def run(engine):
+    def run(reference):
         config = ExplorerConfig(
             max_inputs=WINDOW,
             max_outputs=WINDOW,
             n_samples=n_samples,
             max_iterations=max_iterations,
             strategy="full",
-            engine=engine,
+        )
+        engine = (
+            mock.patch(
+                "repro.core.explorer.CompiledEvaluator", _reference_evaluator
+            )
+            if reference
+            else contextlib.nullcontext()
         )
         t0 = time.perf_counter()
-        result = explore(circuit, config, windows=windows, profiles=profiles)
+        with engine:
+            result = explore(
+                circuit, config, windows=windows, profiles=profiles
+            )
         return time.perf_counter() - t0, result
 
-    ref_s, ref = run("reference")
-    comp_s, comp = run("compiled")
+    ref_s, ref = run(reference=True)
+    comp_s, comp = run(reference=False)
     key = lambda r: [
         (p.iteration, p.window_index, p.f, p.qor, p.est_area, p.fs)
         for p in r.trajectory
@@ -414,6 +445,42 @@ def _streaming(
     return report
 
 
+def _one_chunk(
+    circuit, windows, profiles, n_samples, max_iterations, shard_jobs=1
+):
+    """The one-chunk plan: ``chunk_words`` covers the whole axis, so the
+    plan keeps its base and caps its passes at ``chunk_words // W``
+    blocks.  Asserts no chunk base rebuild and a trajectory
+    byte-identical to the uncapped one-chunk run."""
+    chunk_words = (n_samples + 63) // 64
+    wall_s, one = _run_streaming_once(
+        circuit, windows, profiles, n_samples, chunk_words, max_iterations,
+        shard_jobs=shard_jobs,
+    )
+    stats = one.runtime_stats
+    assert stats.n_chunk_passes == 0, (
+        f"one-chunk plan rebuilt its base {stats.n_chunk_passes} times"
+    )
+    _, uncapped = _run_streaming_once(
+        circuit, windows, profiles, n_samples, None, max_iterations
+    )
+    assert _trajectory_key(one) == _trajectory_key(uncapped), (
+        "one-chunk trajectory diverged from the uncapped run"
+    )
+    return {
+        "n_samples": n_samples,
+        "chunk_words": chunk_words,
+        "iterations_run": len(one.trajectory) - 1,
+        "n_chunk_passes": stats.n_chunk_passes,
+        "n_stacked_blocks": stats.n_stacked_blocks,
+        "wall_s": round(wall_s, 3),
+        "peak_sample_matrix_mb": round(
+            stats.peak_sample_matrix_bytes / 1e6, 3
+        ),
+        "trajectories_byte_identical": True,  # asserted above
+    }
+
+
 def _scaling(circuit, windows, profiles, n_samples, chunk_words, jobs_list):
     """Shard-worker scaling sweep at one streaming configuration.
 
@@ -549,6 +616,14 @@ def run(smoke: bool = False, write: bool = True, shard_jobs: int = 1) -> dict:
             CHUNK_WORDS_SMOKE,
             ITERATIONS_SMOKE,
             verify_resident=True,
+            shard_jobs=shard_jobs,
+        ),
+        "one_chunk_smoke": _one_chunk(
+            circuit,
+            windows,
+            profiles,
+            n_samples,
+            ITERATIONS_SMOKE,
             shard_jobs=shard_jobs,
         ),
     }

@@ -66,8 +66,8 @@ def plan_chunks(
     """Partition the packed pattern axis into word-aligned chunks.
 
     This is the single chunking discipline shared by streaming simulation
-    (:func:`simulate_outputs`) and the streaming exploration engine
-    (:class:`repro.core.streaming.StreamingEvaluator`): every consumer
+    (:func:`simulate_outputs`) and the exploration engine's chunk plan
+    (:class:`repro.core.engine.CompiledEvaluator`): every consumer
     that iterates the pattern axis in bounded memory walks the same plan,
     so the per-chunk valid-pattern counts — and therefore the tail-mask
     behaviour at every chunk boundary — cannot drift between layers.

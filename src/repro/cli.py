@@ -68,7 +68,6 @@ def _config(args) -> ExplorerConfig:
         jobs=args.jobs,
         shard_jobs=args.shard_jobs,
         cache_dir=args.cache_dir,
-        engine=args.engine,
         chunk_words=args.chunk_words,
         chunk_budget_mb=args.chunk_budget_mb,
         sanitize=True if args.sanitize else None,
@@ -128,7 +127,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "--shard-jobs overrides it, streaming shard scans "
                         "(0 = all cores)")
     p.add_argument("--shard-jobs", type=int, default=None,
-                   help="worker processes for the streaming engine's "
+                   help="worker processes for "
                         "chunk-sharded candidate scans (default: follow "
                         "--jobs; 0 = all cores; requires --chunk-words or "
                         "--chunk-budget-mb; trajectories stay byte-identical "
@@ -136,18 +135,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir",
                    help="persistent profiling cache directory; warm runs "
                         "skip factorization and variant synthesis")
-    p.add_argument("--engine", choices=["compiled", "reference"],
-                   default="compiled",
-                   help="candidate-evaluation engine (trajectories are "
-                        "byte-identical; 'reference' is the interpreted "
-                        "oracle)")
     p.add_argument("--chunk-words", type=int, default=None,
                    help="streaming execution: packed words per pattern-axis "
                         "chunk (bounds sample-matrix memory; trajectories "
-                        "stay byte-identical to resident execution)")
+                        "stay byte-identical for any chunk size)")
     p.add_argument("--chunk-budget-mb", type=float, default=None,
                    help="auto-pick --chunk-words from a sample-matrix "
-                        "memory budget in MB (resident when it already fits)")
+                        "memory budget in MB")
     p.add_argument("--sanitize", action="store_true",
                    help="runtime contract sanitizer: freeze cache-held "
                         "arrays, assert tail-bit masks, audit shard "

@@ -3,7 +3,7 @@
 from . import bmf
 from .qor import METRICS, QoREvaluator, QoRSpec, circuit_words
 from .incremental import IncrementalEvaluator
-from .engine import ENGINES, CompiledEvaluator, make_evaluator
+from .engine import CompiledEvaluator
 from .profile import (
     CandidateVariant,
     WEIGHT_MODES,
@@ -23,11 +23,9 @@ from .explorer import (
 __all__ = [
     "CandidateVariant",
     "CompiledEvaluator",
-    "ENGINES",
     "ExplorationResult",
     "ExplorerConfig",
     "IncrementalEvaluator",
-    "make_evaluator",
     "METRICS",
     "QoREvaluator",
     "QoRSpec",

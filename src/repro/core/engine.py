@@ -25,7 +25,7 @@ ops per instruction, shared by every candidate of a pass:
   commit) in a single transposed-table lookup
   (:func:`~repro.circuit.simulate.lookup_packed`), and dirty tracking
   happens in one bulk valid-bit compare per pass instead of per node.
-  Every table lookup in the engines — seeds, commits, committed windows
+  Every table lookup in the engine — seeds, commits, committed windows
   inside passes — decodes its index with
   :func:`~repro.circuit.simulate.decode_rows` and gathers with
   ``lookup_packed``; committed tables are transposed once, at commit.
@@ -35,15 +35,17 @@ ops per instruction, shared by every candidate of a pass:
   the schedule once, each instruction only on the blocks whose window's
   cone it touches, in one reused scratch matrix that the pass fills on
   demand from the committed values (DESIGN.md "Cone-sparse scan").  A
-  one-window preview is a pass with one window's blocks, a commit a
-  one-block pass, and the streaming engine runs the same pass against
-  each chunk's base state.
-* **One scoring fold** — :meth:`CompiledEvaluator.scan_errors` folds
-  every pass's dirtied output rows into mergeable per-candidate
-  accumulators over a chunk plan and memoizes whole-axis error totals.
-  Resident execution is the one-chunk case; the streaming engine
-  supplies only its chunk plan, chunk base, seeds, pass cap, commit
-  write-back and shard dispatch.
+  one-window scan is a pass with one window's blocks, a commit a
+  one-block pass, and every chunk of the plan runs the same pass against
+  its base state.
+* **One scoring fold over one chunk plan** —
+  :meth:`CompiledEvaluator.scan_errors` folds every pass's dirtied
+  output rows into mergeable per-candidate accumulators over the chunk
+  plan and memoizes whole-axis error totals.  The plan derives from
+  ``n_samples`` and ``chunk_words``: one chunk keeps its base (the value
+  matrix, updated in place on commit); several chunks rebuild each
+  chunk's base per scan or commit, and shard across worker processes
+  (:mod:`repro.core.streaming`).
 
 Determinism contract (see DESIGN.md "Exploration engine"): on every
 **valid bit** the engine is byte-identical to the interpreted reference —
@@ -55,8 +57,9 @@ tail-bit invariant explicitly permits: packed values from different
 evaluation paths are only comparable under the tail mask.  With
 ``n_samples % 64 == 0`` there are no tail bits and full words are
 identical.  Exploration trajectories (qor floats, areas, window choices)
-derive exclusively from valid bits and are bit-identical between engines —
-asserted by the test suite and ``benchmarks/bench_explore.py``.
+derive exclusively from valid bits and are bit-identical to the
+reference's — asserted by the test suite and
+``benchmarks/bench_explore.py``.
 """
 
 from __future__ import annotations
@@ -77,18 +80,30 @@ from ..circuit.simulate import (
     lookup_packed,
     mask_tail_words,
     plan_chunks,
+    simulate_full,
+    simulate_outputs,
     table_transpose,
     tail_mask,
+    words_for,
 )
-from ..analysis.sanitize import assert_tail_clean, freeze
+from ..analysis.sanitize import (
+    assert_tail_clean,
+    freeze,
+    frozen_view,
+    sanitize_enabled,
+)
 from ..errors import SimulationError
-from ..runtime import RuntimeStats
-from ..runtime.executor import new_accumulator
-from .incremental import IncrementalEvaluator
+from ..partition.plan import quotient_graph
+from ..runtime import RuntimeStats, effective_jobs
+from ..runtime.executor import (
+    ScanShard,
+    StreamContext,
+    make_shard_executor,
+    merge_accumulator,
+    new_accumulator,
+    plan_shards,
+)
 from .qor import QoREvaluator, circuit_words
-
-#: Evaluation engines selectable via ``ExplorerConfig.engine``.
-ENGINES = ("compiled", "reference")
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +169,7 @@ def gather_window_outputs(
 
     ``table_t`` is the window's transposed table
     (:func:`~repro.circuit.simulate.table_transpose`).  The table-gather
-    step of the streaming engine's chunk base passes.  Output tails
+    step of a rebuilt chunk base.  Output tails
     beyond ``n_valid`` are masked to zero (tail-bit invariant: garbage
     indices in the tail would otherwise read arbitrary table rows).
     """
@@ -370,8 +385,8 @@ ScheduleInstr = Union[GateBatch, WindowInstr]
 
 @dataclass
 class IterationSchedule:
-    """Whole-plan program every sweep runs: scans, commits and the
-    streaming engine's chunk base passes.
+    """Whole-plan program every sweep runs: scans, commits and chunk
+    base rebuilds.
 
     Slots are node ids.  Uncommitted windows are inlined as gates,
     committed ones are gather instructions, so the schedule is
@@ -444,8 +459,8 @@ def pack_passes(sizes: Sequence[int], cap: int):
 # ----------------------------------------------------------------------
 # The compiled evaluator
 # ----------------------------------------------------------------------
-class CompiledEvaluator(IncrementalEvaluator):
-    """Drop-in :class:`IncrementalEvaluator` running compiled scan passes.
+class CompiledEvaluator:
+    """The exploration engine: compiled scan passes over a chunk plan.
 
     Args:
         circuit: The accurate netlist being explored.
@@ -455,37 +470,60 @@ class CompiledEvaluator(IncrementalEvaluator):
             ``(n_inputs, words_for(n_samples))``.
         n_samples: Valid pattern count (tail bits beyond it are
             unspecified; see DESIGN.md's tail-bit invariant).
+        chunk_words: Maximum packed words per pattern-axis chunk (≥ 1),
+            or ``None`` for one whole-axis chunk.  Peak sample-matrix
+            memory **per process** is then ``≤ 2 × 8 × n_nodes ×
+            chunk_words`` bytes (base state + scan scratch).
         stats: Optional :class:`~repro.runtime.RuntimeStats` accumulator
-            for sweep/memo counters.
+            for sweep/memo counters and the ``peak_sample_matrix_bytes``
+            gauge.
+        shard_jobs: Worker processes for chunk-sharded scans (``0`` = all
+            cores through :func:`repro.runtime.parallel.effective_jobs`,
+            ``1`` = in-process).  Only a plan of more than one chunk
+            shards; sharded results are byte-identical to in-process
+            ones for any worker count.
+        exact_outputs: Precomputed packed exact output rows; skips the
+            initial output simulation (the shard-worker fast path).
+        sanitize: Runtime contract sanitizer (``None`` defers to
+            ``REPRO_SANITIZE``; DESIGN.md "Static contracts").
+        policy / faults: Retry/timeout policy
+            (:class:`repro.runtime.parallel.RetryPolicy`) and
+            deterministic fault plan (:class:`repro.runtime.faults.
+            FaultPlan`) of the shard executor (DESIGN.md "Fault
+            tolerance").
+        cancel: Cooperative :class:`~repro.runtime.cancel.CancelToken`
+            checked before every chunk of a scan and at shard dispatch; a
+            cancelled scan raises before mutating any committed state.
 
-    Determinism guarantees: public behaviour (scan errors, previews,
-    commits, the committed map) matches the reference implementation
-    bit-for-bit on every valid bit (full words when ``n_samples`` is a
-    multiple of 64 — see the module docstring for the tail contract); in
-    addition, :meth:`preview_batch_delta` reports which *output rows*
-    each candidate actually dirtied.
+    The chunk plan (:func:`~repro.circuit.simulate.plan_chunks`) decides
+    what stays resident.  A one-chunk plan keeps its base — the
+    ``(n_nodes, W)`` value matrix, updated in place on commit — and
+    caches each window's input index and candidate seeds.  A plan of
+    several chunks rebuilds each chunk's base for every scan and commit,
+    so only the inputs and the output rows stay pattern-sized.  Passes
+    stack at most ``chunk_words // cw`` blocks of a ``cw``-word chunk
+    (:data:`MAX_SCAN_BLOCKS` without ``chunk_words``).  Every plan
+    returns the same floats, dirty rows and committed outputs, bit for
+    bit (DESIGN.md "Streaming execution").
+
+    Determinism guarantees: scan errors, dirty rows, commits and the
+    committed map match the interpreted reference
+    (:class:`repro.core.incremental.IncrementalEvaluator`) bit-for-bit
+    on every valid bit (full words when ``n_samples`` is a multiple of
+    64 — see the module docstring for the tail contract).
 
     Invalidation semantics: a :meth:`commit` (a) folds the pass's changed
-    valid bits into the resident value cache, (b) drops the packed
-    input-index / stacked-seed caches of every window whose inputs the
-    changed values touch, (c) drops the memoized error totals of every
-    window whose cone state the commit touched (changed values, or any
-    table of the committed window — a new table is a different
+    valid bits into the output rows (and a kept base), (b) drops the
+    packed input-index / stacked-seed caches of every window whose
+    inputs the changed values touch, (c) drops the memoized error totals
+    of every window whose cone state the commit touched (changed values,
+    or any table of the committed window — a new table is a different
     *function* even when it matches the old one on the current samples)
     or whose memoized dirty rows share an output word with an output row
     the commit changed (the cached per-word totals include that row), and
     (d) on a window's *first* commit drops the iteration schedule, which
     had inlined it as plain gates (the committed set only grows, so the
     schedule recompiles at most once per window).
-
-    Memory: this engine is *resident* — it holds the full
-    ``(n_nodes, words_for(n_samples))`` value matrix and, from its first
-    pass until :meth:`close`, the scan's scratch matrix: one value-matrix
-    copy per block of the widest pass, at most :data:`MAX_SCAN_BLOCKS`.
-    For pattern counts where that matrix is the bottleneck, use the
-    streaming subclass (:class:`repro.core.streaming.StreamingEvaluator`,
-    selected via ``chunk_words``), which bounds sample-matrix memory by a
-    chunk budget and stays trajectory-identical.
     """
 
     def __init__(
@@ -494,13 +532,62 @@ class CompiledEvaluator(IncrementalEvaluator):
         windows,
         input_words: np.ndarray,
         n_samples: int,
+        chunk_words: Optional[int] = None,
         stats: Optional[RuntimeStats] = None,
+        shard_jobs: int = 1,
+        exact_outputs: Optional[np.ndarray] = None,
         sanitize: Optional[bool] = None,
+        policy=None,
+        faults=None,
+        cancel=None,
     ) -> None:
-        super().__init__(
-            circuit, windows, input_words, n_samples, stats=stats,
-            sanitize=sanitize,
-        )
+        if chunk_words is not None and chunk_words < 1:
+            raise SimulationError(
+                f"chunk_words must be >= 1, got {chunk_words}"
+            )
+        self.circuit = circuit
+        self.windows = list(windows)
+        self.n = n_samples
+        self._sanitize = sanitize_enabled(sanitize)
+        self._stats = stats if stats is not None else RuntimeStats()
+        self._committed: Dict[int, np.ndarray] = {}
+        self._graph = quotient_graph(circuit, self.windows)
+        self._plan = list(self._graph.steps)
+        self._window_by_index = {w.index: w for w in self.windows}
+        self._n_words = words_for(n_samples)
+        words = np.atleast_2d(np.asarray(input_words, dtype=np.uint64))
+        self.input_words = np.ascontiguousarray(words[:, : self._n_words])
+        self._out_nodes_arr = np.array(circuit.output_nodes(), dtype=np.int64)
+        # The chunk plan every scan and commit walks.  One chunk keeps
+        # its base, the value matrix, for the engine's lifetime.
+        self._chunk_words = chunk_words
+        self._chunks = plan_chunks(n_samples, chunk_words or self._n_words)
+        self._values: Optional[np.ndarray] = None
+        if len(self._chunks) == 1:
+            self._values = simulate_full(circuit, self.input_words, n_samples)
+        if exact_outputs is not None:
+            exact = np.atleast_2d(np.asarray(exact_outputs, dtype=np.uint64))
+        elif self._values is not None:
+            exact = self._values[self._out_nodes_arr]
+        else:
+            exact = simulate_outputs(
+                circuit, self.input_words, chunk_words=chunk_words,
+                n_samples=n_samples,
+            )
+        self._exact_outputs = exact.copy()
+        if self._sanitize:
+            freeze(self._exact_outputs)
+        #: Packed output rows under the committed substitutions.
+        self._out_words = self._exact_outputs.copy()
+        self._shard_jobs = effective_jobs(shard_jobs)
+        self._shard_policy = policy
+        self._shard_faults = faults
+        self._cancel = cancel
+        self._executor = None
+        self._executor_ready = False
+        self._stats.add("chunk_words", chunk_words or 0)
+        if len(self._chunks) > 1:
+            self._stats.add("shard_jobs", self._shard_jobs)
         self._idx_cache: Dict[int, np.ndarray] = {}
         self._seed_cache: Dict[int, Tuple] = {}
         # window -> (committed table, its transpose): the lookup layout,
@@ -514,7 +601,9 @@ class CompiledEvaluator(IncrementalEvaluator):
         self._win_input_sets = {
             w.index: frozenset(w.inputs) for w in self.windows
         }
-        self._out_nodes_arr = np.array(circuit.output_nodes(), dtype=np.int64)
+        self._win_input_ids = {
+            w.index: np.array(w.inputs, dtype=np.int64) for w in self.windows
+        }
         self._out_rows_by_nid: Dict[int, List[int]] = {}
         for row, nid in enumerate(circuit.output_nodes()):
             self._out_rows_by_nid.setdefault(nid, []).append(row)
@@ -528,9 +617,6 @@ class CompiledEvaluator(IncrementalEvaluator):
             )
             for row in range(circuit.n_outputs)
         ]
-        # The chunk plan every scan folds over: resident execution is
-        # one whole-axis chunk of the resident value matrix.
-        self._chunks = plan_chunks(self.n, self._n_words, self._n_words)
         # Window index -> its rank among the windows in plan order: the
         # column order of the cone-membership matrix and the order a
         # scan packs its blocks in.
@@ -545,10 +631,29 @@ class CompiledEvaluator(IncrementalEvaluator):
         # grown on demand, never initialized, dropped by close().
         self._scan_buf: Optional[np.ndarray] = None
 
+    @property
+    def exact_outputs(self) -> np.ndarray:
+        """Packed outputs of the exact circuit, as a read-only view: the
+        array backs every QoR comparison for the evaluator's lifetime."""
+        return frozen_view(self._exact_outputs)
+
+    def current_outputs(self) -> np.ndarray:
+        """Packed outputs under the committed substitutions."""
+        return self._out_words.copy()
+
+    @property
+    def committed(self) -> Dict[int, np.ndarray]:
+        """Copy of the committed substitution map (index -> table)."""
+        return dict(self._committed)
+
     def close(self) -> None:
-        """Drop the scan scratch matrix (the engine holds nothing else
-        that outlives exploration)."""
+        """Drop the scan scratch matrix and shut down the shard worker
+        pool, if one was started."""
         self._scan_buf = None
+        if self._executor is not None:
+            self._executor.close()
+            self._executor = None
+        self._executor_ready = False
 
     def _cone_touch(self, index: int) -> frozenset:
         """Every node id a sweep of ``index``'s cone can read or write.
@@ -593,14 +698,22 @@ class CompiledEvaluator(IncrementalEvaluator):
         # Read-only lookup operand, frozen under sanitize.
         return cached[1]  # contract-ok: cache-copy -- read-only lookup table, frozen under sanitize
 
-    # -- shared input index (commit-invalidated cache) ------------------
-    def _window_input_index(self, index: int) -> np.ndarray:
+    # -- input indices and seeds (cached on a kept base) ------------------
+    def _chunk_index(self, base: np.ndarray, index: int) -> np.ndarray:
+        """Per-pattern table row index of window ``index`` over ``base``.
+
+        Cached on a kept base until a commit changes one of the window's
+        inputs; a rebuilt chunk base decodes afresh every time.
+        """
         idx = self._idx_cache.get(index)
         if idx is None:
-            idx = self._input_index(self._window_by_index[index], {})
-            if self._sanitize:
-                freeze(idx)
-            self._idx_cache[index] = idx
+            idx = decode_rows(
+                base[self._win_input_ids[index]], base.shape[1] * WORD_BITS
+            )
+            if base is self._values:
+                if self._sanitize:
+                    freeze(idx)
+                self._idx_cache[index] = idx
         # Shared read-only gather index; every consumer only indexes
         # with it, and sanitize mode freezes the cached array.
         return idx  # contract-ok: cache-copy -- read-only gather index, frozen under sanitize
@@ -612,15 +725,16 @@ class CompiledEvaluator(IncrementalEvaluator):
         checked: Sequence[np.ndarray],
         n_valid: int,
     ) -> np.ndarray:
-        """``(len(checked), m, W)`` seeds of window ``index`` over the
-        resident ``base``: all candidate tables through the shared input
-        index in one stacked lookup (:func:`stacked_seed_gather`).
+        """``(len(checked), m, cw)`` seeds of window ``index`` over
+        ``base``: all candidate tables through the window's input index
+        in one stacked lookup (:func:`stacked_seed_gather`).
 
-        Seeds are cached per window: they only change when the window's
-        input index is invalidated (an upstream commit) or the candidate
-        tables do — a downstream-only invalidation reuses them.
+        On a kept base, seeds are cached per window: they only change
+        when the window's input index is invalidated (an upstream
+        commit) or the candidate tables do — a downstream-only
+        invalidation reuses them.
         """
-        idx = self._window_input_index(index)
+        idx = self._chunk_index(base, index)
         cached = self._seed_cache.get(index)
         if (
             cached is not None
@@ -632,30 +746,14 @@ class CompiledEvaluator(IncrementalEvaluator):
             # under sanitize; copying (n_cand, m, W) per scan would
             # defeat the cache.
             return cached[2]  # contract-ok: cache-copy -- read-only seed stack, frozen under sanitize
-        seeds = stacked_seed_gather(checked, idx, self.n)
+        seeds = stacked_seed_gather(checked, idx, n_valid)
         if self._sanitize:
-            assert_tail_clean(seeds, self.n, "stacked candidate seeds")
-            freeze(seeds)
-        self._seed_cache[index] = (tuple(checked), idx, seeds)
+            assert_tail_clean(seeds, n_valid, "stacked candidate seeds")
+        if base is self._values:
+            if self._sanitize:
+                freeze(seeds)
+            self._seed_cache[index] = (tuple(checked), idx, seeds)
         return seeds
-
-    # -- public API -----------------------------------------------------
-    def preview_batch_delta(
-        self, index: int, tables: Sequence[np.ndarray]
-    ) -> List[Tuple[np.ndarray, Tuple[int, ...]]]:
-        """Per candidate: (packed outputs, dirtied output rows).
-
-        A one-request :meth:`preview_scan`.  Outputs match
-        :meth:`preview` on every valid bit; the dirty-row sets are exact
-        (a row is reported iff its valid bits differ from the committed
-        state).
-        """
-        return self.preview_scan([(index, tables)])[0]
-
-    def preview_batch(
-        self, index: int, tables: Sequence[np.ndarray]
-    ) -> List[np.ndarray]:
-        return [out for out, _ in self.preview_batch_delta(index, tables)]
 
     # -- the scan pass ---------------------------------------------------
     def _cone_members(self) -> np.ndarray:
@@ -788,39 +886,13 @@ class CompiledEvaluator(IncrementalEvaluator):
                 results[pos] = memo
                 continue
             w = self._window_by_index[index]
-            checked = [self._check_table(w, t) for t in tables]
+            checked = [w.check_table(t) for t in tables]
             if not checked:
                 results[pos] = []
                 continue
             todo.append((pos, index, checked, tables))
         todo.sort(key=lambda item: self._plan_rank[item[1]])
         return todo
-
-    def preview_scan(
-        self, requests: Sequence[Tuple[int, Sequence[np.ndarray]]]
-    ) -> List[List[Tuple[np.ndarray, Tuple[int, ...]]]]:
-        """Per request (of distinct windows), per candidate: ``(packed
-        outputs, dirtied output rows)``.
-
-        Runs the same stacked passes as :meth:`scan_errors`
-        (:meth:`_chunk_passes` over the one resident chunk), unmemoized,
-        and copies out each candidate's output matrix instead of folding
-        it into error accumulators.  Results equal :meth:`preview` on
-        every valid bit, and the reported dirty-row sets are exact (a row
-        appears iff its valid bits differ from the committed state).
-        """
-        results: List = [[] for _ in requests]
-        todo = self._todo(requests, results)
-        (chunk,) = self._chunks
-        for owners, outs, dirty in self._chunk_passes(
-            chunk, self._values, todo
-        ):
-            self._stats.add("n_preview_sweeps", outs.shape[0])
-            for (t, _), out, mask in zip(owners, outs, dirty):
-                results[todo[t][0]].append(
-                    (out, tuple(np.flatnonzero(mask).tolist()))
-                )
-        return results
 
     # -- the scoring fold ------------------------------------------------
     def scan_errors(
@@ -847,9 +919,8 @@ class CompiledEvaluator(IncrementalEvaluator):
 
         Memoized requests replay their whole-axis totals; the rest fold
         over the chunk plan (:meth:`_execute_scan`), each chunk's passes
-        accumulating per candidate (:meth:`_scan_chunk_into`).  Resident
-        execution is the one-chunk case; accumulators are O(outputs),
-        never O(patterns).
+        accumulating per candidate (:meth:`_scan_chunk_into`).
+        Accumulators are O(outputs), never O(patterns).
         """
         results: List = [None] * len(requests)
         todo = self._todo(requests, results, qor)
@@ -925,8 +996,51 @@ class CompiledEvaluator(IncrementalEvaluator):
         accs: Sequence[Sequence[dict]],
         qor: QoREvaluator,
     ) -> None:
-        """Fold every chunk of the plan into ``accs``, in order."""
+        """Fold every chunk of the plan into ``accs``, in order: across
+        shard workers when an executor is up, else in-process — the
+        parent *is* a shard worker for the full chunk range.  The cancel
+        token is checked before every in-process chunk: a scan mutates
+        no committed state, so abandoning it leaves the evaluator
+        checkpointable."""
+        executor = self._shard_executor()
+        if executor is not None:
+            shard_chunks = plan_shards(self._chunks, executor.jobs)
+            if len(shard_chunks) > 1:
+                requests = tuple(
+                    (index, tuple(checked))
+                    for (_, index, checked, _) in todo
+                )
+                committed = tuple(self._committed.items())
+                shards = [
+                    ScanShard(
+                        chunks=chs,
+                        requests=requests,
+                        committed=committed,
+                        metric=qor.spec.metric,
+                    )
+                    for chs in shard_chunks
+                ]
+                outcomes = executor.run(shards, cancel=self._cancel)
+                if outcomes is not None:
+                    # Deterministic shard-order merge of the accumulators
+                    # and of everything the workers recorded.
+                    for outcome in outcomes:
+                        for acc_list, adds in zip(accs, outcome.accumulators):
+                            for acc, add in zip(acc_list, adds):
+                                merge_accumulator(acc, add)
+                        self._stats.merge(outcome.stats)
+                    self._stats.add("n_shard_tasks", len(shards))
+                    return
+                # Pool broke: latch the failure so later scans go
+                # straight to the serial loop instead of re-submitting
+                # to a dead pool (and re-warning) every iteration.
+                executor.close()
+                self._executor = None
+        if len(self._chunks) > 1:
+            self._stats.add("n_shard_tasks")
         for chunk in self._chunks:
+            if self._cancel is not None:
+                self._cancel.check()
             self._scan_chunk_into(chunk, todo, accs, qor)
 
     def _scan_chunk_into(
@@ -1032,19 +1146,58 @@ class CompiledEvaluator(IncrementalEvaluator):
             last, _, end = segments[-1]
             seeds = {last: seeds[last]} if end < sizes[last] else {}
 
-    # -- what the resident engine supplies to the fold ---------------------
+    # -- chunk bases, pass caps and the working-set gauge ----------------
     def _chunk_base(self, chunk) -> np.ndarray:
-        """The committed values a chunk's passes sweep against: the
-        resident value matrix."""
-        return self._values
+        """The committed values a chunk's passes sweep against: the kept
+        value matrix of a one-chunk plan, else the chunk's base rebuilt
+        from scratch.
+
+        A rebuild executes the whole-plan iteration schedule (committed
+        windows as table gathers, everything else as levelized gate
+        batches) on the chunk's input slice.  Valid bits equal the kept
+        matrix's word for word; gate tails may differ, which the
+        tail-bit invariant permits.
+        """
+        if self._values is not None:
+            return self._values
+        cw = chunk.n_words
+        circuit = self.circuit
+        prog = circuit_program(circuit)
+        sched = self._iteration_schedule()
+        values = np.zeros((circuit.n_nodes, cw), dtype=np.uint64)
+        if prog.input_ids.size:
+            values[prog.input_ids] = self.input_words[
+                :, chunk.start : chunk.stop
+            ]
+        if prog.const1_ids.size:
+            values[prog.const1_ids] = _FULL_WORD
+        for instr in sched.instructions:
+            if isinstance(instr, WindowInstr):
+                values[instr.out_ids] = gather_window_outputs(
+                    self._table_t(instr.index),
+                    values[instr.in_ids],
+                    chunk.n_valid,
+                )
+            else:
+                values[instr.out] = execute_batch(instr, values, chunk.n_valid)
+        self._stats.add("n_chunk_passes")
+        return values
 
     def _pass_cap(self, cw: int) -> int:
-        """Blocks per pass over a ``cw``-word chunk."""
-        return MAX_SCAN_BLOCKS
+        """Blocks per pass over a ``cw``-word chunk: ``chunk_words //
+        cw``, so base plus scratch stay within ``2 × n_nodes ×
+        chunk_words`` words, and never above :data:`MAX_SCAN_BLOCKS`."""
+        if self._chunk_words is None:
+            return MAX_SCAN_BLOCKS
+        return min(MAX_SCAN_BLOCKS, max(1, self._chunk_words // cw))
 
     def _note_pass(self, base: np.ndarray, n_blocks: int) -> None:
-        """Per-pass accounting hook (the streaming engine records its
-        working set; the resident matrix is recorded once, at build)."""
+        """Record one pass's sample-matrix bytes (the chunk's base state
+        plus the scan scratch) and its stacked candidate blocks."""
+        self._stats.add(
+            "peak_sample_matrix_bytes", base.nbytes + self._scan_buf.nbytes
+        )
+        self._stats.add("n_stacked_blocks", n_blocks)
 
     def _scan_scratch(self, n_blocks: int, cw: int) -> np.ndarray:
         """The ``(n_nodes, n_blocks, cw)`` scan scratch, a view of one
@@ -1221,7 +1374,7 @@ class CompiledEvaluator(IncrementalEvaluator):
         (first commit only).
         """
         w = self._window_by_index[index]
-        table = self._check_table(w, table)
+        table = w.check_table(table)
         first_commit = index not in self._committed
         changed_nodes, changed_rows = self._commit_values(index, table)
         self._committed[index] = table
@@ -1243,8 +1396,9 @@ class CompiledEvaluator(IncrementalEvaluator):
             self._iter_sched = None
 
     def _commit_values(self, index: int, table: np.ndarray):
-        """Sweep a commit and write its changed rows into the resident
-        value matrix; returns the changed node ids and output rows.
+        """Sweep a commit chunk by chunk against the *old* committed
+        state and write its changed rows into the output rows (and into
+        a kept base); returns the changed node ids and output rows.
 
         Also drops the cached input index of every window whose inputs
         changed, and keeps the new table's transpose for later gathers.
@@ -1252,25 +1406,77 @@ class CompiledEvaluator(IncrementalEvaluator):
         table_t = table_transpose(table)
         if self._sanitize:
             freeze(table_t)
-        seed = lookup_packed(table_t, self._window_input_index(index))
-        mask_tail_words(seed, self.n)
-        if self._sanitize:
-            assert_tail_clean(seed, self.n, "commit seed")
-        ids, rows = self._commit_pass(index, seed, self._values, self.n)
+        changed_nodes: set = set()
+        changed_rows: set = set()
+        for chunk in self._chunks:
+            base = self._chunk_base(chunk)
+            seed = lookup_packed(table_t, self._chunk_index(base, index))
+            mask_tail_words(seed, chunk.n_valid)
+            if self._sanitize:
+                assert_tail_clean(seed, chunk.n_valid, "commit seed")
+            ids, rows = self._commit_pass(index, seed, base, chunk.n_valid)
+            self._note_pass(base, 0)
+            if base is self._values:
+                base[ids] = rows
+            nids = ids.tolist()
+            changed_nodes.update(nids)
+            for pos, nid in enumerate(nids):
+                for row in self._out_rows_by_nid.get(nid, ()):
+                    self._out_words[row, chunk.start : chunk.stop] = rows[pos]
+                    changed_rows.add(row)
         self._table_t_cache[index] = (table, table_t)
-        self._values[ids] = rows
-        changed = set(ids.tolist())
-        if changed:
+        if changed_nodes:
             # Any cached input index built from a changed node is stale.
             for widx in list(self._idx_cache):
-                if self._win_input_sets[widx] & changed:
+                if self._win_input_sets[widx] & changed_nodes:
                     del self._idx_cache[widx]
-        out_rows = {
-            row
-            for nid in ids.tolist()
-            for row in self._out_rows_by_nid.get(nid, ())
-        }
-        return changed, out_rows
+        return changed_nodes, changed_rows
+
+    # -- shard workers ------------------------------------------------------
+    def _shard_executor(self):
+        """The scan executor, built lazily on first use (``None`` when
+        in-process execution is in effect: one job, a single chunk, or a
+        platform without process pools)."""
+        if self._executor_ready:
+            return self._executor
+        self._executor_ready = True
+        if self._shard_jobs > 1 and len(self._chunks) > 1:
+            context = StreamContext(
+                circuit=self.circuit,
+                windows=tuple(self.windows),
+                input_words=self.input_words,
+                n_samples=self.n,
+                chunk_words=self._chunk_words,
+                exact_outputs=self._exact_outputs,
+                sanitize=self._sanitize,
+            )
+            self._executor = make_shard_executor(
+                context,
+                self._shard_jobs,
+                policy=self._shard_policy,
+                faults=self._shard_faults,
+                stats=self._stats,
+            )
+        return self._executor
+
+    def _sync_scan_state(self, committed: Dict[int, np.ndarray]) -> None:
+        """Adopt a parent's committed state (shard-worker entry).
+
+        Mirrors :meth:`commit`'s invalidation without replaying the
+        commit passes: newly committed windows drop the iteration
+        schedule, which had inlined them.  Each worker serves one parent
+        evaluator, whose committed set only grows, and its plan has more
+        than one chunk, so it keeps no base to update.
+        """
+        newly = [k for k in committed if k not in self._committed]
+        changed = newly or any(
+            not np.array_equal(committed[k], self._committed[k])
+            for k in self._committed
+        )
+        if changed:
+            self._committed = {k: v for k, v in committed.items()}
+        if newly:
+            self._iter_sched = None
 
 
 def _spliced_error(qor: QoREvaluator, payload: Dict[int, float]) -> float:
@@ -1279,69 +1485,3 @@ def _spliced_error(qor: QoREvaluator, payload: Dict[int, float]) -> float:
     if qor.spec.metric == "hamming":
         return qor.evaluate_spliced_hamming(payload)
     return qor.evaluate_spliced(payload)
-
-
-def make_evaluator(
-    circuit: Circuit,
-    windows,
-    input_words: np.ndarray,
-    n_samples: int,
-    engine: str = "compiled",
-    stats: Optional[RuntimeStats] = None,
-    chunk_words: Optional[int] = None,
-    shard_jobs: int = 1,
-    sanitize: Optional[bool] = None,
-    policy=None,
-    faults=None,
-    cancel=None,
-) -> IncrementalEvaluator:
-    """Construct the evaluation engine selected by ``engine``.
-
-    ``chunk_words`` (compiled engine only) selects streaming execution:
-    the pattern axis is processed in word-aligned chunks of at most that
-    many packed words, bounding sample-matrix memory by the chunk budget
-    instead of the total pattern count.  ``shard_jobs`` fans the
-    streaming chunk loop across worker processes (``1`` = in-process;
-    meaningful only with ``chunk_words`` set).  Trajectory floats are
-    bit-identical to resident execution for any chunk size and shard
-    count (DESIGN.md "Streaming execution" / "Parallel streaming").
-
-    ``sanitize`` enables the runtime contract sanitizer — frozen
-    cache-held arrays and tail-bit assertions at engine boundaries
-    (``None`` defers to the ``REPRO_SANITIZE`` environment variable; see
-    DESIGN.md "Static contracts").
-
-    ``policy`` (a :class:`repro.runtime.parallel.RetryPolicy`) and
-    ``faults`` (a :class:`repro.runtime.faults.FaultPlan`) configure the
-    streaming shard executor's supervision — retry/timeout/rebuild
-    bounds and deterministic chaos injection (DESIGN.md "Fault
-    tolerance").  Both are ignored by the resident engines, which have
-    no worker pool.
-
-    ``cancel`` is a cooperative :class:`~repro.runtime.cancel.CancelToken`
-    checked at the streaming engine's chunk/dispatch boundaries.  It is
-    streaming-only — the resident engines' sweeps are single vectorized
-    passes with no safe interior interruption point.
-    """
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    if chunk_words is not None:
-        if engine != "compiled":
-            raise SimulationError(
-                "chunked (streaming) execution requires the compiled engine"
-            )
-        from .streaming import StreamingEvaluator  # lazy: builds on this module
-
-        return StreamingEvaluator(
-            circuit, windows, input_words, n_samples,
-            chunk_words=chunk_words, stats=stats,
-            shard_jobs=shard_jobs, sanitize=sanitize,
-            policy=policy, faults=faults, cancel=cancel,
-        )
-    cls = CompiledEvaluator if engine == "compiled" else IncrementalEvaluator
-    return cls(
-        circuit, windows, input_words, n_samples, stats=stats,
-        sanitize=sanitize,
-    )

@@ -23,13 +23,13 @@ Beyond greedy, ``strategy`` also selects the stochastic portfolio in
 (window, degree) moves) and ``"ranker"`` (online logistic move-ranking).
 They draw every random number from the run's single seeded generator
 and checkpoint their internal state, so the byte-identical replay
-discipline (across engines, chunk sizes, shard counts, and
-checkpoint/resume interruption points) extends to them unchanged.
+discipline (across chunk sizes, shard counts, and checkpoint/resume
+interruption points) extends to them unchanged.
 
 Every strategy runs in one loop and differs only in its select step.
-Every engine scores candidates through one call,
-``scan_errors(requests, qor)``, which returns each candidate's error and
-dirtied output rows, so the loop never dispatches on engine type.
+The engine (:class:`~repro.core.engine.CompiledEvaluator`) scores
+candidates through one call, ``scan_errors(requests, qor)``, which
+returns each candidate's error and dirtied output rows.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from ..synth.espresso import EspressoOptions
 from ..synth.library import LIB65, Library
 from ..circuit.simulate import words_for
 from .bmf.asso import DEFAULT_TAUS
-from .engine import ENGINES, make_evaluator
+from .engine import CompiledEvaluator
 from .profile import WindowProfile, profile_windows
 from .qor import QoREvaluator, QoRSpec
 from .search import SEARCHER_STRATEGIES, make_searcher
@@ -130,37 +130,33 @@ class ExplorerConfig:
             ``shard_jobs`` overrides it, for streaming shard scans
             (``0`` = all cores, ``1`` = serial); results are
             byte-identical whatever the count.
-        shard_jobs: Worker processes for the streaming engine's
-            chunk-sharded candidate scans.  ``None`` (default) follows
+        shard_jobs: Worker processes for chunk-sharded candidate
+            scans.  ``None`` (default) follows
             ``jobs`` — one knob governs both phases; set explicitly to
             decouple them (``0`` = all cores, ``1`` = in-process).
-            Only meaningful with streaming execution (``chunk_words`` or
-            ``chunk_budget_mb``); sharded trajectories are byte-identical
-            to serial streaming for every worker count.
+            Only meaningful with a chunk plan (``chunk_words`` or
+            ``chunk_budget_mb``) of more than one chunk; sharded
+            trajectories are byte-identical to in-process ones for every
+            worker count.
         cache_dir: Directory for the persistent profiling cache (None
             disables caching).  Warm runs skip all BMF factorization and
             variant synthesis.
-        engine: Candidate-evaluation engine — ``compiled`` (cone-scheduled
-            SoA sweeps + delta-QoR; default) or ``reference`` (the
-            interpreted full-plan evaluator).  Trajectories are
-            byte-identical between the two (asserted by the test suite
-            and ``benchmarks/bench_explore.py``).
-        chunk_words: Streaming execution (compiled engine only): process
-            the pattern axis in word-aligned chunks of at most this many
-            packed uint64 words, bounding peak sample-matrix memory by
-            ``2 × 8 × n_nodes × chunk_words`` bytes instead of the full
-            ``8 × n_nodes × words_for(n_samples)`` resident matrix.
-            ``None`` (default) keeps resident execution.  Trajectories
+        chunk_words: Streaming execution: process the pattern axis in
+            word-aligned chunks of at most this many packed uint64
+            words, bounding peak sample-matrix memory by ``2 × 8 ×
+            n_nodes × chunk_words`` bytes.  ``None`` (default) runs one
+            whole-axis chunk with no pass cap below
+            :data:`~repro.core.engine.MAX_SCAN_BLOCKS`.  Trajectories
             are byte-identical for every chunk size (DESIGN.md
             "Streaming execution").
         chunk_budget_mb: Auto mode for ``chunk_words``: pick the largest
             chunk whose sample-matrix working set fits this many
-            megabytes (resident execution when the whole matrix already
-            fits).  Ignored when ``chunk_words`` is set explicitly.
+            megabytes.  Ignored when ``chunk_words`` is set explicitly.
         sanitize: Runtime contract sanitizer (DESIGN.md "Static
-            contracts"): freeze arrays handed out by the preview memo
-            and profile cache; assert the tail-bit mask at
-            engine boundaries; audit shard payloads at submit time.
+            contracts"): freeze the arrays the engine caches (input
+            indices, candidate seeds, table transposes, exact outputs)
+            and the profile cache hands out; assert the tail-bit mask
+            at engine boundaries; audit shard payloads at submit time.
             ``None`` (default) defers to the ``REPRO_SANITIZE``
             environment variable.  Trajectories are byte-identical with
             the sanitizer on or off — it only adds tripwires.
@@ -212,7 +208,6 @@ class ExplorerConfig:
     jobs: int = 1
     shard_jobs: Optional[int] = None
     cache_dir: Optional[str] = None
-    engine: str = "compiled"
     chunk_words: Optional[int] = None
     chunk_budget_mb: Optional[float] = None
     sanitize: Optional[bool] = None
@@ -234,10 +229,6 @@ class ExplorerConfig:
             raise ExplorationError(
                 f"unknown strategy {self.strategy!r}; expected {STRATEGIES}"
             )
-        if self.engine not in ENGINES:
-            raise ExplorationError(
-                f"unknown engine {self.engine!r}; expected {ENGINES}"
-            )
         if self.chunk_words is not None and self.chunk_words < 1:
             raise ExplorationError(
                 f"chunk_words must be >= 1, got {self.chunk_words}"
@@ -245,12 +236,6 @@ class ExplorerConfig:
         if self.chunk_budget_mb is not None and self.chunk_budget_mb <= 0:
             raise ExplorationError(
                 f"chunk_budget_mb must be positive, got {self.chunk_budget_mb}"
-            )
-        if self.engine == "reference" and (
-            self.chunk_words is not None or self.chunk_budget_mb is not None
-        ):
-            raise ExplorationError(
-                "chunked (streaming) execution requires the compiled engine"
             )
         streaming = (
             self.chunk_words is not None or self.chunk_budget_mb is not None
@@ -514,14 +499,13 @@ def explore(
                     words_for(config.n_samples),
                     jobs=shard_jobs,
                 )
-            evaluator = make_evaluator(
+            evaluator = CompiledEvaluator(
                 circuit,
                 windows,
                 input_words,
                 config.n_samples,
-                engine=config.engine,
-                stats=runtime_stats,
                 chunk_words=chunk_words,
+                stats=runtime_stats,
                 shard_jobs=shard_jobs,
                 sanitize=sanitize,
                 policy=retry_policy,
@@ -548,7 +532,7 @@ def _search_fingerprint(circuit: Circuit, config: ExplorerConfig) -> str:
     Hashes the canonical circuit structure plus every *search-defining*
     config field.  Stop conditions (``threshold`` / ``error_cap`` /
     ``max_iterations``) and execution knobs that are byte-identical by
-    contract (engine, chunking, sharding, jobs, cache dir, sanitize,
+    contract (chunking, sharding, jobs, cache dir, sanitize,
     faults, checkpoint/resume paths) are deliberately excluded so an
     interrupted run can be resumed with different stop bounds or on a
     differently-provisioned host (see :mod:`repro.runtime.checkpoint`).
@@ -612,9 +596,9 @@ def _run_exploration(
 ) -> ExplorationResult:
     """Algorithm 1's search loop over a constructed evaluation engine.
 
-    Every engine scores candidates through one call,
-    ``evaluator.scan_errors(requests, qor_eval)``, so the loop never
-    dispatches on engine type.  The strategies differ only in their
+    The engine scores candidates through one call,
+    ``evaluator.scan_errors(requests, qor_eval)``.  The strategies differ
+    only in their
     select step; committing, rebasing the QoR state, trajectory
     recording and checkpointing are shared.
     """
@@ -788,9 +772,9 @@ def _run_exploration(
         nonlocal counter
         while heap:
             # Peek, don't pop: cancellation can surface *inside* the
-            # scan (streaming scans check the token at chunk
-            # boundaries), and the exception handler below flushes the
-            # heap into the checkpoint.  The entry only comes off once
+            # scan (scans check the token at chunk boundaries), and the
+            # exception handler below flushes the heap into the
+            # checkpoint.  The entry only comes off once
             # its fresh error is in hand, so an interrupted selection
             # resumes with the heap complete and replays the identical
             # pop sequence.

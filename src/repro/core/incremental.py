@@ -15,8 +15,8 @@ of the whole circuit:
 * :meth:`preview_batch` evaluates *all* candidate tables of one window in a
   single pass — the window's packed input index vector is built once and
   shared across the candidates;
-* :meth:`scan_errors` scores those previews — the one call the explorer
-  makes, which every engine implements with identical results.
+* :meth:`scan_errors` scores those previews — the explorer's one
+  scoring call, which the compiled engine answers with identical results.
 
 Evaluation sweeps follow the *quotient* topological order (see
 :mod:`repro.partition.plan`): once a window is substituted, its outputs
@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.sanitize import freeze, frozen_view, sanitize_enabled
-from ..errors import SimulationError
 from ..circuit.netlist import Circuit
 from ..circuit.simulate import (
     WORD_BITS,
@@ -59,9 +58,10 @@ class IncrementalEvaluator:
     """Cached bit-parallel evaluation with window-substitution previews.
 
     This is the interpreted *reference* engine: sweeps walk the entire
-    quotient plan with per-node dispatch.  The compiled engine
-    (:class:`repro.core.engine.CompiledEvaluator`) subclasses it and is
-    byte-identical; this class stays the semantics oracle.
+    quotient plan with per-node dispatch.  It is the semantics oracle the
+    compiled engine (:class:`repro.core.engine.CompiledEvaluator`, the
+    one engine :func:`~repro.core.explorer.explore` builds) is tested and
+    benchmarked against, byte for byte.
     """
 
     def __init__(
@@ -88,14 +88,8 @@ class IncrementalEvaluator:
         self._init_values(input_words)
 
     def _init_values(self, input_words: np.ndarray) -> None:
-        """Build the resident value state (hook).
-
-        The default materializes the full ``(n_nodes, W)`` value matrix —
-        the resident engines' cache.  The streaming engine
-        (:class:`repro.core.streaming.StreamingEvaluator`) overrides this
-        to keep only the packed inputs and output rows resident, bounding
-        sample-matrix memory by its chunk budget.
-        """
+        """Materialize the full ``(n_nodes, W)`` value matrix every
+        sweep reads and every commit updates."""
         self._values = simulate_full(self.circuit, input_words, self.n)
         self._n_words = self._values.shape[1]
         self._exact_outputs = self._values[self.circuit.output_nodes()].copy()
@@ -104,13 +98,9 @@ class IncrementalEvaluator:
         self._stats.add("peak_sample_matrix_bytes", self._values.nbytes)
 
     def close(self) -> None:
-        """Release execution resources (hook).
-
-        The resident engines hold nothing that needs explicit teardown;
-        the streaming engine overrides this to shut down its shard
-        worker pool.  :func:`repro.core.explorer.explore` calls it
-        unconditionally when exploration finishes.
-        """
+        """Release execution resources: the oracle holds none.  Present
+        so it stands in for the compiled engine, whose ``close`` the
+        explorer calls when exploration finishes."""
 
     # ------------------------------------------------------------------
     @property
@@ -143,15 +133,6 @@ class IncrementalEvaluator:
             return False
         return bool((a[-1] ^ b[-1]) & self._tail == 0)
 
-    def _check_table(self, w: Window, table: np.ndarray) -> np.ndarray:
-        table = np.asarray(table, dtype=bool)
-        if table.shape != (1 << w.n_inputs, w.n_outputs):
-            raise SimulationError(
-                f"window {w.index}: table shape {table.shape} does not match "
-                f"({w.n_inputs} inputs, {w.n_outputs} outputs)"
-            )
-        return table
-
     def _input_index(
         self, w: Window, overlay: Dict[int, np.ndarray]
     ) -> np.ndarray:
@@ -175,7 +156,7 @@ class IncrementalEvaluator:
         self, w: Window, table: np.ndarray, overlay: Dict[int, np.ndarray]
     ) -> Dict[int, np.ndarray]:
         """Evaluate a window's table; returns {output node id: packed}."""
-        table = self._check_table(w, table)
+        table = w.check_table(table)
         return self._gather_outputs(w, table, self._input_index(w, overlay))
 
     def _sweep(
@@ -266,7 +247,7 @@ class IncrementalEvaluator:
         out_nodes = self.circuit.output_nodes()
         results: List[np.ndarray] = []
         for table in tables:
-            table = self._check_table(w, table)
+            table = w.check_table(table)
             seed = self._gather_outputs(w, table, idx)
             self._stats.add("n_preview_sweeps")
             overlay = self._sweep(replacements, seeds={index: seed})
@@ -292,8 +273,8 @@ class IncrementalEvaluator:
         candidate is a full :meth:`preview_batch` output scored by a full
         :meth:`QoREvaluator.evaluate <repro.core.qor.QoREvaluator.evaluate>`.
         A row is reported, in sorted order, iff its valid bits differ
-        from :meth:`current_outputs`.  The compiled and streaming engines
-        return the same pairs bit for bit.
+        from :meth:`current_outputs`.  The compiled engine returns the
+        same pairs bit for bit, whatever its chunk plan.
         """
         current = self.current_outputs()
         results = []

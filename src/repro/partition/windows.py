@@ -19,6 +19,7 @@ import numpy as np
 from ..circuit.graph import extract_subcircuit
 from ..circuit.netlist import Circuit
 from ..circuit.truth_table import truth_table
+from ..errors import SimulationError
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,16 @@ class Window:
     def table(self, circuit: Circuit) -> np.ndarray:
         """The window's truth table ``M`` (2^k rows × m outputs)."""
         return truth_table(self.subcircuit(circuit))
+
+    def check_table(self, table) -> np.ndarray:
+        """``table`` as a bool array; raises unless it is ``(2^k, m)``."""
+        table = np.asarray(table, dtype=bool)
+        if table.shape != (1 << self.n_inputs, self.n_outputs):
+            raise SimulationError(
+                f"window {self.index}: table shape {table.shape} does not "
+                f"match ({self.n_inputs} inputs, {self.n_outputs} outputs)"
+            )
+        return table
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -23,7 +23,7 @@ exploits both properties:
   run's :class:`~repro.runtime.stats.RuntimeStats`.
 * :mod:`repro.runtime.stats` — the one counter table and the nested
   wall-clock spans every layer records into (DESIGN.md "Observability").
-* :mod:`repro.runtime.executor` — the streaming engine's shard executor:
+* :mod:`repro.runtime.executor` — the exploration engine's shard executor:
   picklable chunk-range tasks over a persistent supervised pool.
 * :mod:`repro.runtime.faults` — deterministic fault injection
   (``REPRO_FAULTS=<spec>``) for chaos-testing every recovery path above.

@@ -8,7 +8,7 @@ through a fresh evaluator and continues the loop — producing a final
 trajectory byte-identical to the uninterrupted run.
 
 What makes byte-identical resume *possible* is the repo-wide
-determinism discipline (DESIGN.md): every engine/chunking/sharding
+determinism discipline (DESIGN.md): every chunking/sharding
 configuration produces identical trajectories, and all memo/cache state
 is a pure performance overlay.  The checkpoint therefore only needs the
 *logical* loop state:
@@ -34,8 +34,8 @@ a performance difference only, never a value difference.
 written by.  The fingerprint hashes the canonical circuit structure plus
 every *search-defining* config field (degrees, BMF method/taus/weights,
 QoR spec, sample count, seed, strategy, tie-break tolerances, …).
-Fields that are byte-identical by contract — engine, chunking, sharding,
-jobs, cache dir, sanitize, faults — and the stop conditions
+Fields that are byte-identical by contract — chunking, sharding, jobs,
+cache dir, sanitize, faults — and the stop conditions
 (``threshold`` / ``error_cap`` / ``max_iterations``) are deliberately
 excluded, so a run interrupted via ``max_iterations`` (or killed) can be
 resumed with different stop knobs or on different hardware.  A mismatch

@@ -1,6 +1,6 @@
-"""Pluggable shard execution for the streaming exploration engine.
+"""Pluggable shard execution for the exploration engine's chunk plans.
 
-The streaming engine's candidate scans are chunk loops over the pattern
+A chunk plan's candidate scans are chunk loops over the pattern
 axis, and every chunk's work — base-state rebuild, cone sweeps, QoR
 partial accumulation — is a pure function of (committed tables, input
 slice, candidate tables).  That makes the pattern axis shardable: this
@@ -27,7 +27,7 @@ keep their evaluator machinery — compiled schedules and cone programs
 
 The caller owns the *total* fallback: :func:`make_shard_executor`
 returns ``None`` when sharding is pointless (one job) or unavailable
-(sandboxed platforms without process pools), and the streaming engine
+(sandboxed platforms without process pools), and the engine
 then runs the identical shard tasks in-process.  *Partial* failure is
 handled inside :class:`ProcessShardExecutor` itself: each shard is a
 supervised future (:class:`~repro.runtime.parallel.PoolSupervisor`)
@@ -398,7 +398,7 @@ def make_shard_executor(
     ``jobs`` resolves through the same :func:`~repro.runtime.parallel.
     effective_jobs` policy as every other dispatch layer (``0`` = all
     cores).  ``None`` (one job, or no process-pool support on this
-    platform) tells the streaming engine to run its shards serially —
+    platform) tells the engine to run its chunks in-process —
     byte-identical by the merge contract, just on one core.  ``policy``,
     ``faults`` and ``stats`` configure the supervised retry loop (see
     :class:`ProcessShardExecutor`).

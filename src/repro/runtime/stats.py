@@ -60,20 +60,21 @@ COUNTERS: Tuple[Counter, ...] = (
             "Candidates replayed from the scan memo of error totals."),
     Counter("n_sweep_units", SUM, "explore", "{} sweep units",
             "Quotient-plan units visited: per candidate on the reference "
-            "engine, per stacked pass on the compiled ones."),
+            "engine, per stacked pass on the compiled one."),
     Counter("n_scan_gate_words", SUM, "explore", "{} scan gate words",
             "Gate rows x packed words the cone-sparse scan passes evaluated."),
     Counter("peak_sample_matrix_bytes", MAX, "explore",
             "peak sample matrix {bytes}",
             "Largest packed sample-value working set of any one process."),
     Counter("chunk_words", MAX, "stream", "chunk={} words",
-            "Streaming chunk size in packed words (0: resident)."),
+            "Chunk size in packed words (0: one uncapped whole-axis chunk)."),
     Counter("n_chunk_passes", SUM, "stream", "{} chunk passes",
-            "Chunk base-state rebuilds (one per chunk per scan or commit)."),
+            "Chunk base rebuilds (per chunk per scan or commit; a "
+            "one-chunk plan keeps its base)."),
     Counter("n_stacked_blocks", SUM, "stream", "{} stacked blocks",
-            "Candidate blocks the streaming scan passes executed."),
+            "Candidate blocks the scan passes executed."),
     Counter("n_shard_tasks", SUM, "stream", "{} shard tasks",
-            "Shard tasks executed, in-process shards included."),
+            "Shard tasks of multi-chunk scans, in-process ones included."),
     Counter("shard_jobs", MAX, "stream", "shard-jobs={}",
             "Resolved worker count of the shard executor.", 1),
     Counter("n_checkpoints", SUM, "checkpoints", "{} written",

@@ -9,7 +9,12 @@ in ``tests/conftest.py``, which re-exports these helpers.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
+from repro.core import explorer
 from repro.core.explorer import ExplorerConfig
+from repro.core.incremental import IncrementalEvaluator
 
 
 def trajectory_key(result):
@@ -35,3 +40,26 @@ def explorer_config(**overrides) -> ExplorerConfig:
     base = dict(n_samples=700, max_inputs=8, max_outputs=8)
     base.update(overrides)
     return ExplorerConfig(**base)
+
+
+def _reference_evaluator(
+    circuit, windows, input_words, n_samples, stats=None, sanitize=None,
+    **execution,
+):
+    """The interpreted oracle, built with the compiled engine's
+    arguments; the chunk plan and shard knobs do not apply to it."""
+    return IncrementalEvaluator(
+        circuit, windows, input_words, n_samples, stats=stats,
+        sanitize=sanitize,
+    )
+
+
+@contextmanager
+def reference_engine():
+    """Make :func:`repro.core.explorer.explore` build the interpreted
+    oracle (:class:`IncrementalEvaluator`) where it builds the compiled
+    engine, for explore-level comparisons against the oracle."""
+    with mock.patch.object(
+        explorer, "CompiledEvaluator", _reference_evaluator
+    ):
+        yield

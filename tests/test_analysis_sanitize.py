@@ -23,7 +23,7 @@ from repro.analysis.sanitize import (
 )
 from repro.bench import ripple_adder
 from repro.circuit import random_input_words
-from repro.core.engine import make_evaluator
+from repro.core.engine import CompiledEvaluator
 from repro.core.explorer import ExplorerConfig, explore
 from repro.core.incremental import IncrementalEvaluator
 from repro.errors import ContractViolation
@@ -148,8 +148,8 @@ def test_engine_runs_clean_under_sanitize(small_setup, chunk_words):
     # Engines must not trip their own tripwires: a full evaluator build
     # under sanitize exercises the frozen seed/index/memo paths.
     circuit, windows, words, n = small_setup
-    ev = make_evaluator(circuit, windows, words, n,
-                        chunk_words=chunk_words, sanitize=True)
+    ev = CompiledEvaluator(circuit, windows, words, n,
+                           chunk_words=chunk_words, sanitize=True)
     assert ev.exact_outputs.shape[0] == circuit.n_outputs
 
 

@@ -25,25 +25,22 @@ from repro.circuit.simulate import (
     unpack_bits,
 )
 from repro.core.engine import (
-    ENGINES,
     MAX_SCAN_BLOCKS,
     CompiledEvaluator,
     GateBatch,
     execute_batch,
-    make_evaluator,
     simulate_full_compiled,
 )
 from repro.core.explorer import ExplorerConfig, explore
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.profile import profile_windows
-from repro.core.qor import QoREvaluator, QoRSpec
-from repro.core.streaming import StreamingEvaluator
-from repro.errors import ExplorationError, SimulationError
+from repro.core.qor import METRICS, QoREvaluator, QoRSpec
+from repro.errors import SimulationError
 from repro.partition import decompose
 from repro.partition.plan import quotient_graph
 from repro.runtime import RuntimeStats
 
-from explore_fixtures import explorer_config, trajectory_key
+from explore_fixtures import explorer_config, reference_engine, trajectory_key
 
 
 def _random_circuit(rng, n_inputs=6, n_gates=40, n_outputs=5):
@@ -72,6 +69,47 @@ def _random_circuit(rng, n_inputs=6, n_gates=40, n_outputs=5):
     for i, s in enumerate(sigs[-n_outputs:]):
         b.output(f"o{i}", s)
     return b.build()
+
+
+def _scan_every_metric(engine, requests, circuit, n):
+    """``scan_errors`` pairs of ``requests`` under every QoR metric, each
+    scored against the engine's current outputs."""
+    scans = {}
+    for metric in METRICS:
+        qor = QoREvaluator(circuit, engine.exact_outputs, n, QoRSpec(metric))
+        qor.rebase(engine.current_outputs())
+        scans[metric] = engine.scan_errors(requests, qor)
+    return scans
+
+
+def _assert_scans_match_oracle(ref, comp, requests, circuit, n):
+    """The compiled engine's ``(error, dirty rows)`` pairs equal the
+    oracle's under every metric: the oracle scores full previews of the
+    candidates, and reports a row iff its valid bits changed."""
+    scans = _scan_every_metric(comp, requests, circuit, n)
+    assert scans == _scan_every_metric(ref, requests, circuit, n)
+    return scans
+
+
+def _assert_same_outputs(ref, engines, n, full_words=False):
+    """Every engine's committed outputs equal the oracle's on every valid
+    bit (on every word when ``full_words``)."""
+    want = ref.current_outputs()
+    for e in engines:
+        got = e.current_outputs()
+        if full_words:
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(unpack_bits(got, n), unpack_bits(want, n))
+
+
+def _commit_each(ref, engines, requests, n, full_words=False):
+    """Commit every candidate of ``requests`` in turn on the oracle and
+    on ``engines``; after each commit the committed outputs agree."""
+    for index, tables in requests:
+        for table in tables:
+            for e in (ref, *engines):
+                e.commit(index, table)
+            _assert_same_outputs(ref, engines, n, full_words)
 
 
 class TestCompiledSimulateFull:
@@ -150,8 +188,9 @@ class TestEvaluatorEquivalence:
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 200))
     def test_property_preview_commit_byte_identical(self, seed, n):
         """Property: over random circuits, windows, tables and commit
-        orders, the compiled evaluator's batched previews, dirty rows and
-        commits are byte-identical to the reference interpreter on every
+        orders, the compiled evaluator's scan errors and dirty rows
+        (every metric) and its commits — each candidate committed in
+        turn — are byte-identical to the reference interpreter on every
         valid bit (full words when n % 64 == 0 — the engine does not
         reproduce the reference's unspecified gate tails, per DESIGN.md)."""
         rng = np.random.default_rng(seed)
@@ -162,13 +201,6 @@ class TestEvaluatorEquivalence:
         comp = CompiledEvaluator(circuit, windows, words, n)
         full_words = n % 64 == 0
 
-        def assert_same(a, b):
-            if full_words:
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(
-                unpack_bits(a, n), unpack_bits(b, n)
-            )
-
         np.testing.assert_array_equal(comp.exact_outputs, ref.exact_outputs)
         order = rng.permutation(len(windows))
         for wi in order:
@@ -177,38 +209,27 @@ class TestEvaluatorEquivalence:
                 rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
                 for _ in range(3)
             ] + [w.table(circuit)]
-            ref_outs = ref.preview_batch(w.index, tables)
-            comp_pairs = comp.preview_batch_delta(w.index, tables)
-            for ref_out, (comp_out, dirty_rows) in zip(ref_outs, comp_pairs):
-                assert_same(comp_out, ref_out)
-                # dirty rows are exact: a row is reported iff its valid
-                # bits differ from the committed state
-                cur = ref.current_outputs()
-                changed = {
-                    row
-                    for row in range(cur.shape[0])
-                    if not np.array_equal(
-                        unpack_bits(ref_out[row], n), unpack_bits(cur[row], n)
-                    )
-                }
-                assert set(dirty_rows) == changed
+            requests = [(w.index, tables)]
+            _assert_scans_match_oracle(ref, comp, requests, circuit, n)
+            _commit_each(ref, [comp], requests, n, full_words)
             commit_table = tables[int(rng.integers(0, len(tables)))]
             ref.commit(w.index, commit_table)
             comp.commit(w.index, commit_table)
-            assert_same(comp.current_outputs(), ref.current_outputs())
+            _assert_same_outputs(ref, [comp], n, full_words)
         assert set(comp.committed) == set(ref.committed)
         for idx in ref.committed:
             np.testing.assert_array_equal(
-                comp.committed_table(idx), ref.committed_table(idx)
+                comp.committed[idx], ref.committed_table(idx)
             )
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 200))
     def test_property_preview_scan_matches_reference(self, seed, n):
         """Property: the stacked iteration scan (all windows' candidates
-        in one wide pass) matches per-window reference previews on every
-        valid bit, including across commits, and scan_errors replays its
-        memo only where a fresh scan would give the same pairs."""
+        in one wide pass) matches the reference under every metric,
+        including across commits, each candidate's commit matches it on
+        every valid bit, and scan_errors replays its memo only where a
+        fresh scan would give the same pairs."""
         rng = np.random.default_rng(seed)
         circuit = _random_circuit(rng)
         windows = decompose(circuit, 5, 5)
@@ -233,26 +254,8 @@ class TestEvaluatorEquivalence:
             assert comp.scan_errors(requests, q_comp) == ref.scan_errors(
                 requests, q_ref
             )
-            scans = comp.preview_scan(requests)
-            for (index, tables), scanned in zip(requests, scans):
-                ref_outs = ref.preview_batch(index, tables)
-                assert len(scanned) == len(ref_outs)
-                for ref_out, (comp_out, dirty_rows) in zip(
-                    ref_outs, scanned
-                ):
-                    np.testing.assert_array_equal(
-                        unpack_bits(comp_out, n), unpack_bits(ref_out, n)
-                    )
-                    cur = ref.current_outputs()
-                    changed = {
-                        row
-                        for row in range(cur.shape[0])
-                        if not np.array_equal(
-                            unpack_bits(ref_out[row], n),
-                            unpack_bits(cur[row], n),
-                        )
-                    }
-                    assert set(dirty_rows) == changed
+            _assert_scans_match_oracle(ref, comp, requests, circuit, n)
+            _commit_each(ref, [comp], requests, n)
             # Commit one window with a brand-new table and rescan: memo
             # invalidation must keep the scan errors exact.
             w = windows[int(rng.integers(0, len(windows)))]
@@ -285,47 +288,43 @@ class TestEvaluatorEquivalence:
         windows = decompose(circuit, 6, 6)
         words = random_input_words(circuit.n_inputs, 64, rng)
         comp = CompiledEvaluator(circuit, windows, words, 64)
+        qor = QoREvaluator(circuit, comp.exact_outputs, 64)
+        qor.rebase(comp.exact_outputs)
+        bad = np.zeros((2, 1), dtype=bool)
         with pytest.raises(SimulationError):
-            comp.preview(windows[0].index, np.zeros((2, 1), dtype=bool))
+            comp.scan_errors([(windows[0].index, [bad])], qor)
         with pytest.raises(SimulationError):
-            comp.commit(windows[0].index, np.zeros((2, 1), dtype=bool))
-
-    def test_make_evaluator_selects_engine(self, rng):
-        circuit = ripple_adder(4)
-        windows = decompose(circuit, 4, 4)
-        words = random_input_words(circuit.n_inputs, 64, rng)
-        assert isinstance(
-            make_evaluator(circuit, windows, words, 64, engine="compiled"),
-            CompiledEvaluator,
-        )
-        ref = make_evaluator(circuit, windows, words, 64, engine="reference")
-        assert type(ref) is IncrementalEvaluator
-        with pytest.raises(SimulationError):
-            make_evaluator(circuit, windows, words, 64, engine="turbo")
+            comp.commit(windows[0].index, bad)
 
 
 class TestDeltaQoR:
     @pytest.mark.parametrize("metric", ["mre", "mae", "nmae", "hamming"])
     def test_delta_bit_identical_to_full(self, metric, rng):
-        """scan_errors == evaluate of the previewed outputs, bit for bit,
-        for every metric, with the preview's dirty rows."""
+        """scan_errors == the oracle's full evaluation of each candidate's
+        outputs, bit for bit, for every metric, with its exact dirty
+        rows; each candidate's commit matches the oracle's outputs."""
         circuit = butterfly(5)
         windows = decompose(circuit, 6, 6)
         n = 777  # not a multiple of 64
         words = random_input_words(circuit.n_inputs, n, rng)
+        ref = IncrementalEvaluator(circuit, windows, words, n)
         comp = CompiledEvaluator(circuit, windows, words, n)
-        qor = QoREvaluator(circuit, comp.exact_outputs, n, QoRSpec(metric))
-        qor.rebase(comp.exact_outputs)
+        qors = [
+            QoREvaluator(circuit, e.exact_outputs, n, QoRSpec(metric))
+            for e in (ref, comp)
+        ]
         for w in windows:
+            for e, q in zip((ref, comp), qors):
+                q.rebase(e.current_outputs())
             tables = [
                 rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
                 for _ in range(2)
             ]
-            (scanned,) = comp.scan_errors([(w.index, tables)], qor)
-            previews = comp.preview_batch_delta(w.index, tables)
-            for (err, rows), (out, dirty_rows) in zip(scanned, previews):
-                assert err == qor.evaluate(out)
-                assert rows == dirty_rows
+            requests = [(w.index, tables)]
+            assert comp.scan_errors(requests, qors[1]) == ref.scan_errors(
+                requests, qors[0]
+            )
+            _commit_each(ref, [comp], requests, n)
 
     def test_scan_without_rebase_raises(self, rng):
         """The fold splices over the rebased committed state, so scoring
@@ -343,25 +342,28 @@ class TestDeltaQoR:
                 comp.scan_errors([(w.index, [~w.table(circuit)])], qor)
 
     def test_delta_tracks_commits(self, rng):
-        """After a commit + rebase, scan errors stay identical to full
-        evals of the previewed outputs."""
+        """After a commit + rebase, scan errors stay identical to the
+        oracle's full evaluations, and the probe's commit to its
+        outputs."""
         circuit = butterfly(5)
         windows = decompose(circuit, 6, 6)
         n = 500
         words = random_input_words(circuit.n_inputs, n, rng)
+        ref = IncrementalEvaluator(circuit, windows, words, n)
         comp = CompiledEvaluator(circuit, windows, words, n)
-        qor = QoREvaluator(circuit, comp.exact_outputs, n)
-        qor.rebase(comp.exact_outputs)
+        qors = [QoREvaluator(circuit, e.exact_outputs, n) for e in (ref, comp)]
         for w in windows:
             table = rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
-            comp.commit(w.index, table)
-            qor.rebase(comp.current_outputs())
+            for e, q in zip((ref, comp), qors):
+                e.commit(w.index, table)
+                q.rebase(e.current_outputs())
             probe = next(x for x in windows if x.n_outputs >= 2)
             t = rng.random((1 << probe.n_inputs, probe.n_outputs)) < 0.5
-            ((err, rows),) = comp.scan_errors([(probe.index, [t])], qor)[0]
-            ((out, dirty),) = comp.preview_batch_delta(probe.index, [t])
-            assert err == qor.evaluate(out)
-            assert rows == dirty
+            requests = [(probe.index, [t])]
+            assert comp.scan_errors(requests, qors[1]) == ref.scan_errors(
+                requests, qors[0]
+            )
+            _commit_each(ref, [comp], requests, n)
 
 
 class TestTableLookup:
@@ -403,16 +405,17 @@ class TestStreamingScanMatchesDelta:
         """Every engine's scan_errors returns the same (error, dirty rows)
         pairs on a mult8 scan, across commits and rebases: the reference
         oracle, the compiled engine with one request per call (cone path)
-        and with the whole scan in one call, and streaming (per-chunk
-        dirty-row patches).  The floats are full evaluations of the
-        previewed outputs bit for bit."""
+        and with the whole scan in one call, and a chunked plan
+        (per-chunk dirty-row patches).  The floats are the oracle's full
+        evaluations bit for bit, and every candidate's commit matches the
+        oracle's outputs on every valid bit."""
         circuit, windows = mult8_windows
         rng = np.random.default_rng(seed)
         words = random_input_words(circuit.n_inputs, n, rng)
         ref = IncrementalEvaluator(circuit, windows, words, n)
         res = CompiledEvaluator(circuit, windows, words, n)
         one = CompiledEvaluator(circuit, windows, words, n)
-        stream = StreamingEvaluator(
+        stream = CompiledEvaluator(
             circuit, windows, words, n, chunk_words=chunk_words
         )
         engines = (ref, res, one, stream)
@@ -437,11 +440,7 @@ class TestStreamingScanMatchesDelta:
             assert [
                 one.scan_errors([request], q_one)[0] for request in requests
             ] == scanned
-            for (index, tables), got in zip(requests, scanned):
-                expect = res.preview_batch_delta(index, tables)
-                for (err, rows), (out, dirty) in zip(got, expect):
-                    assert err == q_res.evaluate(out)
-                    assert rows == tuple(sorted(dirty))
+            _commit_each(ref, engines[1:], requests, n)
             w = windows[int(rng.integers(0, len(windows)))]
             table = requests[windows.index(w)][1][0]
             for e, q in zip(engines, qors):
@@ -455,24 +454,6 @@ def _random_tables(rng, w, count):
         rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
         for _ in range(count)
     ]
-
-
-def _assert_previews_match_reference(ref, previews, requests, n):
-    """Scan/preview pairs equal the reference on every valid bit, and the
-    dirty rows are exactly the rows whose valid bits changed."""
-    cur = unpack_bits(ref.current_outputs(), n)
-    for (index, tables), got in zip(requests, previews):
-        expect = ref.preview_batch(index, tables)
-        assert len(got) == len(expect)
-        for ref_out, (out, rows) in zip(expect, got):
-            bits = unpack_bits(ref_out, n)
-            np.testing.assert_array_equal(unpack_bits(out, n), bits)
-            changed = {
-                row
-                for row in range(cur.shape[0])
-                if not np.array_equal(bits[row], cur[row])
-            }
-            assert set(rows) == changed
 
 
 class TestConeSparseScan:
@@ -506,16 +487,14 @@ class TestConeSparseScan:
                 (index, _random_tables(rng, by_index[index], count))
                 for index, count in round_
             ]
-            scans = comp.preview_scan(requests)
-            _assert_previews_match_reference(ref, scans, requests, n)
+            scans = _assert_scans_match_oracle(ref, comp, requests, circuit, n)
             order = rng.permutation(len(requests))
-            permuted = shuffled.preview_scan([requests[i] for i in order])
-            for pos, got in zip(order, permuted):
-                for (out, rows), (want, want_rows) in zip(got, scans[pos]):
-                    np.testing.assert_array_equal(
-                        unpack_bits(out, n), unpack_bits(want, n)
-                    )
-                    assert rows == want_rows
+            permuted = _scan_every_metric(
+                shuffled, [requests[i] for i in order], circuit, n
+            )
+            for metric, got in permuted.items():
+                assert got == [scans[metric][i] for i in order], metric
+            _commit_each(ref, [comp, shuffled], requests, n)
             index, tables = requests[int(rng.integers(0, len(requests)))]
             for e in (ref, comp, shuffled):
                 e.commit(index, tables[0])
@@ -526,12 +505,12 @@ class TestConeSparseScan:
         n = 100
         words = random_input_words(circuit.n_inputs, n, rng)
         stats = RuntimeStats()
+        ref = IncrementalEvaluator(circuit, windows, words, n)
         comp = CompiledEvaluator(circuit, windows, words, n, stats=stats)
         qor = QoREvaluator(circuit, comp.exact_outputs, n)
         qor.rebase(comp.exact_outputs)
         requests = [(w.index, _random_tables(rng, w, 2)) for w in windows]
         errors = comp.scan_errors(requests, qor)
-        first = comp.preview_scan(requests)
         assert comp._scan_buf is not None
         comp.close()
         assert comp._scan_buf is None
@@ -542,11 +521,8 @@ class TestConeSparseScan:
         fresh = [(i, [t.copy() for t in ts]) for i, ts in requests]
         assert comp.scan_errors(fresh, qor) == errors
         assert stats.n_preview_cache_hits == 2 * len(windows)
-        again = comp.preview_scan(fresh)
-        for got, want in zip(again, first):
-            for (out, rows), (want_out, want_rows) in zip(got, want):
-                np.testing.assert_array_equal(out, want_out)
-                assert rows == want_rows
+        # Commits after close() sweep into the new scratch too.
+        _commit_each(ref, [comp], fresh, n)
 
     def test_gate_words_below_dense(self, rng):
         """The scan evaluates fewer gate words than a dense pass would."""
@@ -556,8 +532,10 @@ class TestConeSparseScan:
         words = random_input_words(circuit.n_inputs, n, rng)
         stats = RuntimeStats()
         comp = CompiledEvaluator(circuit, windows, words, n, stats=stats)
+        qor = QoREvaluator(circuit, comp.exact_outputs, n)
+        qor.rebase(comp.exact_outputs)
         requests = [(w.index, _random_tables(rng, w, 2)) for w in windows]
-        comp.preview_scan(requests)
+        comp.scan_errors(requests, qor)
         n_gates = sum(1 for node in circuit.nodes if node.op.is_gate)
         dense = n_gates * stats.n_preview_sweeps * (n // 64)
         assert 0 < stats.n_scan_gate_words < dense
@@ -628,10 +606,11 @@ class TestScanMemo:
 
 class TestStackedConeSweep:
     def test_preview_batch_delta_matches_reference(self, mult8_windows):
-        """preview_batch_delta sweeps a window's candidates stacked in one
-        scan pass: clean seeds (the current table) and dirty ones mixed,
-        and commits (one whose seed equals the committed state) in
-        between, each a one-block pass."""
+        """A one-window scan sweeps the window's candidates stacked in one
+        pass: clean seeds (the current table) and dirty ones mixed, and
+        commits (one whose seed equals the committed state) in between,
+        each a one-block pass.  Scores and dirty rows match the oracle
+        under every metric, and each candidate's commit its outputs."""
         circuit, windows = mult8_windows
         n = 150
         rng = np.random.default_rng(5)
@@ -649,17 +628,22 @@ class TestStackedConeSweep:
             for t in noisy:
                 t[:, 0] = ~exact[:, 0]
             tables = [exact.copy(), ~exact, *noisy, exact.copy(), ~exact]
+            qor = QoREvaluator(circuit, comp.exact_outputs, n)
+            qor.rebase(comp.current_outputs())
             units0 = stats.n_sweep_units
             sweeps0 = stats.n_preview_sweeps
-            got = comp.preview_batch_delta(w.index, tables)
-            _assert_previews_match_reference(
-                ref, [got], [(w.index, tables)], n
-            )
+            blocks0 = stats.n_stacked_blocks
+            (got,) = comp.scan_errors([(w.index, tables)], qor)
             assert got[0][1] == () and got[5][1] == ()
             assert stats.n_preview_sweeps - sweeps0 == len(tables)
+            assert stats.n_stacked_blocks - blocks0 == len(tables)
             # All seven candidates, clean or dirty, share one pass over
             # the whole plan.
             assert stats.n_sweep_units - units0 == plan_units
+            requests = [(w.index, tables)]
+            _assert_scans_match_oracle(ref, comp, requests, circuit, n)
+            # Commit each candidate, then the current table back.
+            _commit_each(ref, [comp], [(w.index, [*tables, exact])], n)
             # Commit the current table again (a clean seed: nothing
             # changes) or a complemented one, alternately.
             table = exact.copy() if w.index % 2 else ~exact
@@ -668,11 +652,7 @@ class TestStackedConeSweep:
             comp.commit(w.index, table)
             current[w.index] = table
             assert stats.n_sweep_units - units0 == plan_units
-            np.testing.assert_array_equal(
-                unpack_bits(comp.current_outputs(), n),
-                unpack_bits(ref.current_outputs(), n),
-            )
-        assert stats.n_stacked_blocks == 0
+            _assert_same_outputs(ref, [comp], n)
 
 
 #: sha256 over the trajectory rows (:func:`_trajectory_digest`) and
@@ -733,23 +713,16 @@ class TestExploreTrajectoryIdentity:
 
     @pytest.mark.parametrize("strategy", ["full", "lazy"])
     def test_trajectories_byte_identical(self, strategy, butterfly_profiled):
-        """Full explore() runs agree between engines, bit for bit."""
+        """Full explore() runs agree with the oracle's, bit for bit."""
         circuit, windows, profiles = butterfly_profiled
-        base = dict(
+        config = ExplorerConfig(
             n_samples=700, max_inputs=8, max_outputs=8, strategy=strategy
         )
-        ref = explore(
-            circuit,
-            ExplorerConfig(engine="reference", **base),
-            windows=windows,
-            profiles=profiles,
-        )
-        comp = explore(
-            circuit,
-            ExplorerConfig(engine="compiled", **base),
-            windows=windows,
-            profiles=profiles,
-        )
+        with reference_engine():
+            ref = explore(
+                circuit, config, windows=windows, profiles=profiles
+            )
+        comp = explore(circuit, config, windows=windows, profiles=profiles)
         assert trajectory_key(ref) == trajectory_key(comp)
         assert ref.n_evaluations == comp.n_evaluations
         assert {k: id(v) for k, v in ref.chosen.items()}.keys() == {
@@ -760,19 +733,12 @@ class TestExploreTrajectoryIdentity:
         """RuntimeStats cone/sweep accounting: the compiled engine runs
         the same number of preview sweeps but touches far fewer units."""
         circuit, windows, profiles = butterfly_profiled
-        base = dict(n_samples=700, max_inputs=8, max_outputs=8)
-        ref = explore(
-            circuit,
-            ExplorerConfig(engine="reference", **base),
-            windows=windows,
-            profiles=profiles,
-        )
-        comp = explore(
-            circuit,
-            ExplorerConfig(engine="compiled", **base),
-            windows=windows,
-            profiles=profiles,
-        )
+        config = ExplorerConfig(n_samples=700, max_inputs=8, max_outputs=8)
+        with reference_engine():
+            ref = explore(
+                circuit, config, windows=windows, profiles=profiles
+            )
+        comp = explore(circuit, config, windows=windows, profiles=profiles)
         rs, cs = ref.runtime_stats, comp.runtime_stats
         # Every candidate is either swept or served by the scan memo.
         assert rs.n_preview_cache_hits == 0
@@ -788,11 +754,6 @@ class TestExploreTrajectoryIdentity:
         assert rs.n_sweep_units > 0
         assert cs.n_sweep_units < rs.n_sweep_units
 
-    def test_engine_config_validated(self):
-        with pytest.raises(ExplorationError):
-            ExplorerConfig(engine="turbo")
-        assert ExplorerConfig().engine in ENGINES
-
 
 class TestStatsThreading:
     def test_evaluator_stats_optional(self, rng):
@@ -802,8 +763,10 @@ class TestStatsThreading:
         words = random_input_words(circuit.n_inputs, 64, rng)
         stats = RuntimeStats()
         comp = CompiledEvaluator(circuit, windows, words, 64, stats=stats)
+        qor = QoREvaluator(circuit, comp.exact_outputs, 64)
+        qor.rebase(comp.exact_outputs)
         w = windows[0]
-        comp.preview_batch(w.index, [~w.table(circuit)])
+        comp.scan_errors([(w.index, [~w.table(circuit)])], qor)
         assert stats.n_preview_sweeps == 1
         assert stats.n_sweep_units >= 1
         assert "preview sweeps" in stats.summary()

@@ -1,7 +1,7 @@
-"""Sharded streaming executor vs. serial streaming vs. resident execution.
+"""Sharded chunk plans vs. in-process chunk plans vs. one chunk.
 
 The contract under test (DESIGN.md "Parallel streaming"): fanning the
-streaming engine's chunk loop across shard workers changes **nothing**
+engine's chunk loop across shard workers changes **nothing**
 observable: per-candidate error floats, dirty-row sets, committed
 outputs, and whole exploration trajectories are byte-identical to serial
 streaming (and therefore to resident execution) for every shard count,
@@ -18,16 +18,12 @@ import pytest
 from repro.bench import butterfly, ripple_adder
 from repro.circuit import CircuitBuilder, random_input_words
 from repro.circuit.simulate import plan_chunks, words_for
-from repro.core.engine import make_evaluator
+from repro.core.engine import CompiledEvaluator
 from repro.core.explorer import ExplorerConfig, explore
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.profile import profile_windows
 from repro.core.qor import QoREvaluator, QoRSpec
-from repro.core.streaming import (
-    ShardWorker,
-    StreamingEvaluator,
-    auto_chunk_words,
-)
+from repro.core.streaming import ShardWorker, auto_chunk_words
 from repro.errors import ExplorationError
 from repro.partition import decompose
 from repro.runtime import RuntimeStats, effective_jobs
@@ -85,7 +81,7 @@ class TestJobsResolution:
 
 class TestAutoChunkWordsBudgetPerWorker:
     def test_single_worker_unchanged(self):
-        assert auto_chunk_words(100, 10**9, 64) is None
+        assert auto_chunk_words(100, 10**9, 64) == 10**9 // 1600
         assert auto_chunk_words(100, 1, 64) == 1
         assert auto_chunk_words(100, 16 * 100 * 7, 64) == 7
 
@@ -100,11 +96,12 @@ class TestAutoChunkWordsBudgetPerWorker:
         assert auto_chunk_words(100, budget, 64, jobs=16) == 1  # floor
 
     def test_multi_worker_never_falls_back_to_resident(self):
-        # Budget covers the resident matrix, but only the streaming
-        # engine shards — a multi-worker request always chunks.
-        resident = 8 * 100 * 64
-        assert auto_chunk_words(100, resident, 64) is None
-        assert auto_chunk_words(100, resident, 64, jobs=4) == 100 * 64 // 800
+        # The budget covers the value matrix, but base plus scratch only
+        # fit as chunks of half the axis, and a quarter of that per
+        # worker at four workers.
+        matrix = 8 * 100 * 64
+        assert auto_chunk_words(100, matrix, 64) == 32
+        assert auto_chunk_words(100, matrix, 64, jobs=4) == 100 * 64 // 800
 
     def test_generous_budget_keeps_enough_chunks_to_shard(self):
         # A huge budget must not collapse the plan to fewer chunks than
@@ -187,7 +184,7 @@ class TestShardTaskIdentity:
         n = 300  # words_for = 5 -> chunk_words=2 gives 3 chunks
         words = random_input_words(circuit.n_inputs, n, rng)
         ref = IncrementalEvaluator(circuit, windows, words, n)
-        stream = StreamingEvaluator(circuit, windows, words, n, chunk_words=2)
+        stream = CompiledEvaluator(circuit, windows, words, n, chunk_words=2)
         q_ref = QoREvaluator(circuit, ref.exact_outputs, n)
         q_str = QoREvaluator(circuit, stream.exact_outputs, n)
         q_ref.rebase(ref.exact_outputs)
@@ -231,7 +228,7 @@ class TestShardTaskIdentity:
         windows = decompose(circuit, 6, 6)
         n = 300
         words = random_input_words(circuit.n_inputs, n, rng)
-        stream = StreamingEvaluator(circuit, windows, words, n, chunk_words=2)
+        stream = CompiledEvaluator(circuit, windows, words, n, chunk_words=2)
         qor = QoREvaluator(circuit, stream.exact_outputs, n, QoRSpec(metric))
         qor.rebase(stream.exact_outputs)
         requests = [
@@ -374,18 +371,17 @@ class TestConfigAndPlumbing:
         )
         assert result.runtime_stats.shard_jobs == 1
 
-    def test_make_evaluator_threads_shard_knobs(self, rng):
+    def test_evaluator_threads_shard_knobs(self, rng):
         circuit = ripple_adder(4)
         windows = decompose(circuit, 4, 4)
         words = random_input_words(circuit.n_inputs, 128, rng)
-        ev = make_evaluator(
-            circuit, windows, words, 128, engine="compiled",
-            chunk_words=1, shard_jobs=2,
+        ev = CompiledEvaluator(
+            circuit, windows, words, 128, chunk_words=1, shard_jobs=2,
         )
         try:
-            assert isinstance(ev, StreamingEvaluator)
             assert ev._shard_jobs == 2
             assert ev._chunk_words == 1
+            assert len(ev._chunks) == 2
         finally:
             ev.close()
 
@@ -393,8 +389,8 @@ class TestConfigAndPlumbing:
         circuit = ripple_adder(4)
         windows = decompose(circuit, 4, 4)
         words = random_input_words(circuit.n_inputs, 128, rng)
-        ref = StreamingEvaluator(circuit, windows, words, 128, chunk_words=1)
-        fast = StreamingEvaluator(
+        ref = CompiledEvaluator(circuit, windows, words, 128, chunk_words=1)
+        fast = CompiledEvaluator(
             circuit, windows, words, 128, chunk_words=1,
             exact_outputs=ref.exact_outputs,
         )

@@ -7,7 +7,8 @@ arbitrary candidate tables.  Each example interleaves one-request and
 multi-request ``scan_errors`` calls with commits, recommits and commits
 equal to the committed state, and after every step asserts that the
 reference oracle (:class:`IncrementalEvaluator`), resident compiled
-execution and streaming execution at ``chunk_words`` 1, 2 and 3 agree on
+execution and chunked execution at ``chunk_words`` 1, 2 and 3 — and at
+8, a one-chunk plan that keeps its base under a pass cap — agree on
 every ``(error, dirty rows)`` pair and on ``current_outputs()``.
 
 One resident engine always runs with the sanitizer armed, so a pass that
@@ -15,7 +16,7 @@ reads a scratch entry it did not write sees poison rather than a stale
 value that happens to be right; under ``REPRO_SANITIZE=1`` every engine
 is armed.
 
-The same circuits also drive streaming at one and two shard workers
+The same circuits also drive a chunked plan at one and two shard workers
 through one script of scans and commits, whose deterministic work
 counters must come out equal: a shard worker's counters reach the parent
 only through its returned stats delta.
@@ -34,11 +35,12 @@ from repro.circuit.simulate import unpack_bits
 from repro.core.engine import CompiledEvaluator
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.qor import METRICS, QoREvaluator, QoRSpec
-from repro.core.streaming import StreamingEvaluator
 from repro.partition import decompose
 from repro.runtime import RuntimeStats
 
-CHUNK_WORDS = (1, 2, 3)
+#: Chunk sizes the fuzz sweeps: 8 covers words_for(400) = 7, so it is a
+#: one-chunk plan whose passes stack 8 // W blocks.
+CHUNK_WORDS = (1, 2, 3, 8)
 
 #: Counters that depend only on the work, not on how it was sharded.
 DETERMINISTIC_COUNTERS = (
@@ -162,7 +164,7 @@ class TestEngineDifferentialFuzz:
             CompiledEvaluator(circuit, windows, words, n),
             CompiledEvaluator(circuit, windows, words, n, sanitize=True),
         ] + [
-            StreamingEvaluator(circuit, windows, words, n, chunk_words=cw)
+            CompiledEvaluator(circuit, windows, words, n, chunk_words=cw)
             for cw in CHUNK_WORDS
         ]
         spec = QoRSpec(METRICS[int(rng.integers(0, len(METRICS)))])
@@ -242,7 +244,7 @@ class TestShardedCounters:
         results = {}
         for jobs in (1, 2):
             stats[jobs] = RuntimeStats()
-            engine = StreamingEvaluator(
+            engine = CompiledEvaluator(
                 circuit, windows, words, n, chunk_words=1,
                 stats=stats[jobs], shard_jobs=jobs,
             )

@@ -29,7 +29,7 @@ from repro.core.search import (
 from repro.errors import ExplorationError, ShutdownRequested
 from repro.runtime import CancelToken, load_checkpoint
 
-from explore_fixtures import explorer_config, trajectory_key
+from explore_fixtures import explorer_config, reference_engine, trajectory_key
 
 #: Execution shapes the replay matrix sweeps: resident compiled engine,
 #: serial streaming (words_for(700)=11 / chunk_words=3 -> 4 chunks), and
@@ -99,12 +99,13 @@ class TestSeededReplayMatrix:
     ):
         circuit, windows, profiles = butterfly_profiled
         ref_key, ref_evals = searcher_references[strategy]
-        result = explore(
-            circuit,
-            explorer_config(strategy=strategy, engine="reference"),
-            windows=windows,
-            profiles=profiles,
-        )
+        with reference_engine():
+            result = explore(
+                circuit,
+                explorer_config(strategy=strategy),
+                windows=windows,
+                profiles=profiles,
+            )
         assert trajectory_key(result) == ref_key
         assert result.n_evaluations == ref_evals
 

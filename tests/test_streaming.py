@@ -1,7 +1,8 @@
-"""Streaming (chunked) engine vs. resident execution.
+"""Chunked execution vs. the one-chunk plan.
 
-The contract under test (DESIGN.md "Streaming execution"): chunked
-execution is **byte-identical** to resident execution — per-candidate
+The contract under test (DESIGN.md "Streaming execution"): every chunk
+plan of the engine is **byte-identical** to the one-chunk plan and to
+the reference oracle — per-candidate
 error floats, dirty-row sets, committed outputs, and whole exploration
 trajectories — for every word-aligned chunk size, while peak
 sample-matrix memory stays bounded by the chunk budget.  Chunk sizes are
@@ -26,12 +27,12 @@ from repro.circuit.simulate import (
     unpack_bits,
     words_for,
 )
-from repro.core.engine import CompiledEvaluator, make_evaluator
+from repro.core.engine import MAX_SCAN_BLOCKS, CompiledEvaluator
 from repro.core.explorer import ExplorerConfig, explore
 from repro.core.incremental import IncrementalEvaluator
 from repro.core.profile import profile_windows
 from repro.core.qor import METRICS, QoREvaluator, QoRSpec
-from repro.core.streaming import StreamingEvaluator, auto_chunk_words
+from repro.core.streaming import auto_chunk_words
 from repro.errors import ExplorationError, SimulationError
 from repro.flow import run_blasys
 from repro.partition import decompose
@@ -200,7 +201,7 @@ class TestScanErrorIdentity:
         words = random_input_words(circuit.n_inputs, n, rng)
         cw = chunk_sizes(words_for(n))[shape]
         ref = IncrementalEvaluator(circuit, windows, words, n)
-        stream = StreamingEvaluator(circuit, windows, words, n, chunk_words=cw)
+        stream = CompiledEvaluator(circuit, windows, words, n, chunk_words=cw)
         np.testing.assert_array_equal(
             stream.exact_outputs, ref.exact_outputs
         )
@@ -244,7 +245,7 @@ class TestScanErrorIdentity:
         n = 300  # words_for = 5; chunk_words=3 -> commit spans chunks
         words = random_input_words(circuit.n_inputs, n, rng)
         ref = IncrementalEvaluator(circuit, windows, words, n)
-        stream = StreamingEvaluator(circuit, windows, words, n, chunk_words=3)
+        stream = CompiledEvaluator(circuit, windows, words, n, chunk_words=3)
         q_ref = QoREvaluator(circuit, ref.exact_outputs, n)
         q_str = QoREvaluator(circuit, stream.exact_outputs, n)
         q_ref.rebase(ref.exact_outputs)
@@ -264,35 +265,22 @@ class TestScanErrorIdentity:
         rescanned = stream.scan_errors(requests, q_str)
         assert rescanned == ref.scan_errors(requests, q_ref)
 
-    def test_resident_preview_apis_raise(self, rng):
+    def test_chunk_words_selects_chunk_plan(self, rng):
         circuit = ripple_adder(4)
         windows = decompose(circuit, 4, 4)
-        words = random_input_words(circuit.n_inputs, 64, rng)
-        stream = StreamingEvaluator(circuit, windows, words, 64, chunk_words=1)
-        w = windows[0]
+        n = 300  # words_for = 5
+        words = random_input_words(circuit.n_inputs, n, rng)
+        plans = {
+            cw: CompiledEvaluator(circuit, windows, words, n, chunk_words=cw)
+            for cw in (None, 1, 2, 5, 64)
+        }
+        assert [len(ev._chunks) for ev in plans.values()] == [1, 5, 3, 1, 1]
+        # Only a one-chunk plan keeps its base.
+        assert [ev._values is not None for ev in plans.values()] == [
+            True, False, False, True, True,
+        ]
         with pytest.raises(SimulationError):
-            stream.preview_batch(w.index, [w.table(circuit)])
-        with pytest.raises(SimulationError):
-            stream.preview_batch_delta(w.index, [w.table(circuit)])
-        with pytest.raises(SimulationError):
-            stream.preview_scan([(w.index, [w.table(circuit)])])
-
-    def test_make_evaluator_selects_streaming(self, rng):
-        circuit = ripple_adder(4)
-        windows = decompose(circuit, 4, 4)
-        words = random_input_words(circuit.n_inputs, 64, rng)
-        ev = make_evaluator(
-            circuit, windows, words, 64, engine="compiled", chunk_words=1
-        )
-        assert isinstance(ev, StreamingEvaluator)
-        with pytest.raises(SimulationError):
-            make_evaluator(
-                circuit, windows, words, 64, engine="reference", chunk_words=1
-            )
-        with pytest.raises(SimulationError):
-            StreamingEvaluator(circuit, windows, words, 64, chunk_words=0)
-
-
+            CompiledEvaluator(circuit, windows, words, n, chunk_words=0)
 
 
 class TestStreamingTrajectoryIdentity:
@@ -379,28 +367,51 @@ class TestStreamingTrajectoryIdentity:
         )
         assert trajectory_key(result) == trajectory_key(resident)
 
+    @pytest.mark.parametrize("times", [1, 2, 4])
+    def test_budget_at_or_above_value_matrix_is_honoured(
+        self, times, butterfly_profiled
+    ):
+        """A budget the value matrix fits in still yields a chunk size:
+        the recorded peak, scan scratch included, stays within it, and
+        the trajectory equals the unbudgeted run's."""
+        circuit, windows, profiles = butterfly_profiled
+        n = 4096
+        base = dict(n_samples=n, max_inputs=8, max_outputs=8)
+        budget = times * 8 * circuit.n_nodes * words_for(n)
+        budgeted = explore(
+            circuit,
+            ExplorerConfig(chunk_budget_mb=budget / 1e6, **base),
+            windows=windows,
+            profiles=profiles,
+        )
+        stats = budgeted.runtime_stats
+        assert stats.chunk_words > 0
+        assert 0 < stats.peak_sample_matrix_bytes <= budget
+        unbudgeted = explore(
+            circuit, ExplorerConfig(**base), windows=windows,
+            profiles=profiles,
+        )
+        assert trajectory_key(budgeted) == trajectory_key(unbudgeted)
+
     def test_auto_chunk_words_helper(self):
-        # Budget covering the whole axis -> resident (None).
-        assert auto_chunk_words(100, 10**9, 64) is None
+        # A budget always yields a chunk size: one covering the whole
+        # axis gives a one-chunk plan whose passes the size caps.
+        assert auto_chunk_words(100, 10**9, 64) == 10**9 // (16 * 100)
         # Tiny budget -> at least one word.
         assert auto_chunk_words(100, 1, 64) == 1
         assert auto_chunk_words(100, 16 * 100 * 7, 64) == 7
-        # Budget between 1x and 2x the resident matrix: chunking would
-        # *grow* the working set, so stay resident.
-        resident = 8 * 100 * 64
-        assert auto_chunk_words(100, resident, 64) is None
-        assert auto_chunk_words(100, int(1.5 * resident), 64) is None
-        assert auto_chunk_words(100, resident - 1, 64) == (resident - 1) // (16 * 100)
+        # Between 1x and 2x the value matrix, base plus scratch only fit
+        # as chunks smaller than the axis.
+        matrix = 8 * 100 * 64
+        assert auto_chunk_words(100, matrix, 64) == 32
+        assert auto_chunk_words(100, int(1.5 * matrix), 64) == 48
+        assert auto_chunk_words(100, 2 * matrix, 64) == 64
 
     def test_config_validation(self):
         with pytest.raises(ExplorationError):
             ExplorerConfig(chunk_words=0)
         with pytest.raises(ExplorationError):
             ExplorerConfig(chunk_budget_mb=-1.0)
-        with pytest.raises(ExplorationError):
-            ExplorerConfig(engine="reference", chunk_words=4)
-        with pytest.raises(ExplorationError):
-            ExplorerConfig(engine="reference", chunk_budget_mb=1.0)
 
 
 class TestFlowMemoryReporting:
@@ -434,7 +445,7 @@ class TestStreamingStats:
         n = 320
         words = random_input_words(circuit.n_inputs, n, rng)
         stats = RuntimeStats()
-        stream = StreamingEvaluator(
+        stream = CompiledEvaluator(
             circuit, windows, words, n, chunk_words=2, stats=stats
         )
         qor = QoREvaluator(circuit, stream.exact_outputs, n)
@@ -463,7 +474,7 @@ class TestStreamingPassMemory:
         words = random_input_words(circuit.n_inputs, n, rng)
         stats = RuntimeStats()
         res = CompiledEvaluator(circuit, windows, words, n)
-        stream = StreamingEvaluator(
+        stream = CompiledEvaluator(
             circuit, windows, words, n, chunk_words=chunk_words, stats=stats
         )
         passes = []
@@ -506,3 +517,71 @@ class TestStreamingPassMemory:
             stats.peak_sample_matrix_bytes
         ) <= bound
         stream.close()
+
+
+class TestOneChunkPlan:
+    @pytest.mark.parametrize("metric", ["mre", "hamming"])
+    @pytest.mark.parametrize("over", [0, 13])
+    def test_one_chunk_plan_keeps_its_base(self, metric, over, rng):
+        """At chunk_words >= words_for(n) the plan is one chunk: a script
+        of scans and commits rebuilds no chunk base, and every step
+        equals the uncapped one-chunk run's results, full words
+        included."""
+        circuit = butterfly(5)
+        windows = decompose(circuit, 6, 6)
+        n = 300  # words_for = 5
+        words = random_input_words(circuit.n_inputs, n, rng)
+        stats = RuntimeStats()
+        resident = CompiledEvaluator(circuit, windows, words, n)
+        one = CompiledEvaluator(
+            circuit, windows, words, n, chunk_words=words_for(n) + over,
+            stats=stats,
+        )
+        engines = (resident, one)
+        qors = [
+            QoREvaluator(circuit, e.exact_outputs, n, QoRSpec(metric))
+            for e in engines
+        ]
+        for _ in range(3):
+            for e, q in zip(engines, qors):
+                q.rebase(e.current_outputs())
+            requests = [
+                (w.index, [
+                    rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5
+                    for _ in range(3)
+                ])
+                for w in windows
+            ]
+            scanned = resident.scan_errors(requests, qors[0])
+            assert one.scan_errors(requests, qors[1]) == scanned
+            assert one.scan_errors(requests, qors[1]) == scanned  # memo
+            index, tables = requests[int(rng.integers(0, len(requests)))]
+            for e in engines:
+                e.commit(index, tables[0])
+            np.testing.assert_array_equal(
+                one.current_outputs(), resident.current_outputs()
+            )
+        assert stats.n_chunk_passes == 0
+        assert stats.n_stacked_blocks > 0
+        assert stats.n_preview_cache_hits > 0
+
+
+class TestWorkingSetGauge:
+    def test_uncapped_one_chunk_gauge_counts_scan_scratch(self, rng):
+        """After a scan on the uncapped one-chunk plan, the gauge holds
+        at least the value matrix plus the scratch of the widest pass."""
+        circuit = butterfly(5)
+        windows = decompose(circuit, 6, 6)
+        n = 300
+        words = random_input_words(circuit.n_inputs, n, rng)
+        stats = RuntimeStats()
+        ev = CompiledEvaluator(circuit, windows, words, n, stats=stats)
+        qor = QoREvaluator(circuit, ev.exact_outputs, n)
+        qor.rebase(ev.exact_outputs)
+        requests = [
+            (w.index, [~w.table(circuit), w.table(circuit)]) for w in windows
+        ]
+        ev.scan_errors(requests, qor)
+        blocks = min(MAX_SCAN_BLOCKS, 2 * len(windows))
+        matrix = 8 * circuit.n_nodes * words_for(n)
+        assert stats.peak_sample_matrix_bytes >= matrix * (1 + blocks)
