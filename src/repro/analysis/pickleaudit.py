@@ -26,7 +26,7 @@ import threading
 import types
 import typing
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Set, Tuple
+from typing import Any, Iterator, List, Set, Tuple
 
 from ..errors import ContractViolation
 
@@ -222,18 +222,4 @@ def audit_payload(
             f"shard payload audit failed for {what}: {detail} "
             "(DESIGN.md 'Static contracts: shard pickle-safety')"
         )
-    return problems
-
-
-def audit_payload_classes(
-    classes: Optional[Tuple[type, ...]] = None,
-) -> List[AuditProblem]:
-    """Audit the registered executor payload classes (linter hook)."""
-    if classes is None:
-        from ..runtime import executor as executor_mod
-
-        classes = executor_mod.SHARD_PAYLOAD_CLASSES
-    problems: List[AuditProblem] = []
-    for cls in classes:
-        problems.extend(audit_payload_class(cls))
     return problems

@@ -21,15 +21,11 @@ from .simulate import (
     words_to_patterns,
 )
 from .stimulus import stimulus_input_words
-from .truth_table import table_from_function, table_to_ints, truth_table
+from .truth_table import truth_table
 from .graph import (
-    ancestor_bitsets,
     extract_subcircuit,
     fanout_lists,
-    levels,
     quotient_is_acyclic,
-    transitive_fanin,
-    transitive_fanout,
     window_boundary,
 )
 from .blif import read_blif, write_blif
@@ -46,14 +42,12 @@ __all__ = [
     "Op",
     "PortRef",
     "WordSpec",
-    "ancestor_bitsets",
     "default_output_word",
     "equivalent",
     "exhaustive_input_words",
     "extract_subcircuit",
     "miter",
     "fanout_lists",
-    "levels",
     "bit_count",
     "pack_bits",
     "patterns_to_words",
@@ -67,10 +61,6 @@ __all__ = [
     "simulate_outputs",
     "simulate_patterns",
     "stimulus_input_words",
-    "table_from_function",
-    "table_to_ints",
-    "transitive_fanin",
-    "transitive_fanout",
     "truth_table",
     "unpack_bits",
     "window_boundary",

@@ -1,17 +1,15 @@
-"""Graph utilities over circuits: fanout maps, levels, cones, reachability.
+"""Graph utilities over circuits: fanout maps, window boundaries and
+extraction, and the quotient-graph acyclicity check.
 
 Node ids are already a topological order (see :class:`~repro.circuit.netlist.
-Circuit`), so every routine here is a single forward or backward sweep.
-Ancestor relations are kept as packed uint64 bitsets — one row per node,
-bit ``j`` meaning "node ``j`` is a (transitive) ancestor" — which lets the
-decomposer answer convexity queries with a couple of word operations.
+Circuit`), so fanouts, boundaries and extraction are single forward
+sweeps.  The decomposer checks that a partition is convex (its clusters
+contract to a DAG) with :func:`quotient_is_acyclic`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..errors import CircuitError
 from .gate import Node, Op
@@ -25,71 +23,6 @@ def fanout_lists(circuit: Circuit) -> List[List[int]]:
         for f in node.fanins:
             fanouts[f].append(nid)
     return fanouts
-
-
-def levels(circuit: Circuit) -> np.ndarray:
-    """Logic depth of every node (sources at level 0)."""
-    lvl = np.zeros(circuit.n_nodes, dtype=np.int64)
-    for nid, node in enumerate(circuit.nodes):
-        if node.fanins:
-            lvl[nid] = 1 + max(int(lvl[f]) for f in node.fanins)
-    return lvl
-
-
-def transitive_fanin(circuit: Circuit, roots: Iterable[int]) -> np.ndarray:
-    """Boolean mask of nodes in the transitive fanin cone of ``roots``.
-
-    The roots themselves are included.
-    """
-    mask = np.zeros(circuit.n_nodes, dtype=bool)
-    for r in roots:
-        mask[r] = True
-    for nid in range(circuit.n_nodes - 1, -1, -1):
-        if mask[nid]:
-            for f in circuit.node(nid).fanins:
-                mask[f] = True
-    return mask
-
-
-def transitive_fanout(circuit: Circuit, roots: Iterable[int]) -> np.ndarray:
-    """Boolean mask of nodes in the transitive fanout cone of ``roots``.
-
-    The roots themselves are included.
-    """
-    mask = np.zeros(circuit.n_nodes, dtype=bool)
-    for r in roots:
-        mask[r] = True
-    for nid, node in enumerate(circuit.nodes):
-        if not mask[nid] and any(mask[f] for f in node.fanins):
-            mask[nid] = True
-    return mask
-
-
-def ancestor_bitsets(circuit: Circuit) -> np.ndarray:
-    """Packed ancestor matrix ``A`` with ``A[n]`` bit ``j`` set iff ``j`` is a
-    strict ancestor of ``n`` (i.e. there is a directed path ``j -> n``).
-
-    Shape is ``(n_nodes, ceil(n_nodes / 64))``; memory is ``n**2 / 8`` bytes,
-    fine for the netlist sizes this library targets (thousands of nodes).
-    """
-    n = circuit.n_nodes
-    w = (n + 63) // 64
-    anc = np.zeros((n, w), dtype=np.uint64)
-    word = np.arange(n) // 64
-    bit = np.uint64(1) << (np.arange(n, dtype=np.uint64) % np.uint64(64))
-    for nid, node in enumerate(circuit.nodes):
-        row = anc[nid]
-        for f in node.fanins:
-            row |= anc[f]
-            row[word[f]] |= bit[f]
-    return anc
-
-
-def bitset_contains(bitsets: np.ndarray, row: int, member: int) -> bool:
-    """True if bit ``member`` is set in ``bitsets[row]``."""
-    return bool(
-        (bitsets[row, member // 64] >> np.uint64(member % 64)) & np.uint64(1)
-    )
 
 
 def window_boundary(

@@ -42,37 +42,7 @@ def truth_table(circuit: Circuit, max_inputs: int = MAX_TRUTH_TABLE_INPUTS) -> n
     return words_to_patterns(out_words, 1 << k).astype(bool)
 
 
-def table_from_function(k: int, fn) -> np.ndarray:
-    """Build a single-output table by evaluating ``fn(bits) -> bool`` per row.
-
-    ``bits`` is a length-``k`` tuple with ``bits[i]`` the value of input ``i``.
-    Intended for tests and tiny reference functions.
-    """
-    rows = 1 << k
-    out = np.zeros(rows, dtype=bool)
-    for r in range(rows):
-        bits = tuple((r >> i) & 1 for i in range(k))
-        out[r] = bool(fn(bits))
-    return out
-
-
 def minterm_indices(column: np.ndarray) -> np.ndarray:
     """Indices of rows where a single-output table column is 1."""
     column = np.asarray(column, dtype=bool)
     return np.nonzero(column)[0]
-
-
-def table_to_ints(table: np.ndarray, signed: bool = False) -> np.ndarray:
-    """Interpret each row of a ``(rows, m)`` table as an m-bit integer.
-
-    Column 0 is the least-significant bit.  With ``signed`` the value is
-    two's complement on ``m`` bits.
-    """
-    table = np.asarray(table, dtype=np.int64)
-    m = table.shape[1]
-    weights = (np.int64(1) << np.arange(m, dtype=np.int64))
-    vals = table @ weights
-    if signed:
-        sign_bit = np.int64(1) << np.int64(m - 1)
-        vals = np.where(table[:, -1] > 0, vals - (sign_bit << 1), vals)
-    return vals

@@ -43,7 +43,6 @@ from .factorizer import (
     factorize_ladder,
     identity_result,
 )
-from .mdl import description_length, select_degree_mdl
 
 __all__ = [
     "ALGEBRAS",
@@ -62,7 +61,6 @@ __all__ = [
     "association_candidates",
     "bool_product",
     "check_weights",
-    "description_length",
     "exhaustive_bmf",
     "factorization_error",
     "factorize",
@@ -74,7 +72,6 @@ __all__ = [
     "packed_weighted_error",
     "refine",
     "row_masks",
-    "select_degree_mdl",
     "smooth_B_ties",
     "uniform_weights",
     "update_B_exact",

@@ -1004,38 +1004,28 @@ class CompiledEvaluator:
         checkpointable."""
         executor = self._shard_executor()
         if executor is not None:
-            shard_chunks = plan_shards(self._chunks, executor.jobs)
-            if len(shard_chunks) > 1:
-                requests = tuple(
-                    (index, tuple(checked))
-                    for (_, index, checked, _) in todo
+            requests = tuple(
+                (index, tuple(checked)) for (_, index, checked, _) in todo
+            )
+            committed = tuple(self._committed.items())
+            shards = [
+                ScanShard(
+                    chunks=chs,
+                    requests=requests,
+                    committed=committed,
+                    metric=qor.spec.metric,
                 )
-                committed = tuple(self._committed.items())
-                shards = [
-                    ScanShard(
-                        chunks=chs,
-                        requests=requests,
-                        committed=committed,
-                        metric=qor.spec.metric,
-                    )
-                    for chs in shard_chunks
-                ]
-                outcomes = executor.run(shards, cancel=self._cancel)
-                if outcomes is not None:
-                    # Deterministic shard-order merge of the accumulators
-                    # and of everything the workers recorded.
-                    for outcome in outcomes:
-                        for acc_list, adds in zip(accs, outcome.accumulators):
-                            for acc, add in zip(acc_list, adds):
-                                merge_accumulator(acc, add)
-                        self._stats.merge(outcome.stats)
-                    self._stats.add("n_shard_tasks", len(shards))
-                    return
-                # Pool broke: latch the failure so later scans go
-                # straight to the serial loop instead of re-submitting
-                # to a dead pool (and re-warning) every iteration.
-                executor.close()
-                self._executor = None
+                for chs in plan_shards(self._chunks, executor.jobs)
+            ]
+            # Deterministic shard-order merge of the accumulators and of
+            # everything the workers recorded.
+            for outcome in executor.run(shards, cancel=self._cancel):
+                for acc_list, adds in zip(accs, outcome.accumulators):
+                    for acc, add in zip(acc_list, adds):
+                        merge_accumulator(acc, add)
+                self._stats.merge(outcome.stats)
+            self._stats.add("n_shard_tasks", len(shards))
+            return
         if len(self._chunks) > 1:
             self._stats.add("n_shard_tasks")
         for chunk in self._chunks:

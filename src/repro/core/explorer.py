@@ -65,8 +65,10 @@ from ..synth.espresso import EspressoOptions
 from ..synth.library import LIB65, Library
 from ..circuit.simulate import words_for
 from .bmf.asso import DEFAULT_TAUS
+from .bmf.boolean import ALGEBRAS
+from .bmf.factorizer import METHODS
 from .engine import CompiledEvaluator
-from .profile import WindowProfile, profile_windows
+from .profile import SELECTIONS, WEIGHT_MODES, WindowProfile, profile_windows
 from .qor import QoREvaluator, QoRSpec
 from .search import SEARCHER_STRATEGIES, make_searcher
 from .streaming import auto_chunk_words
@@ -225,9 +227,21 @@ class ExplorerConfig:
     ranker_lr: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
+        for name, allowed in (
+            ("strategy", STRATEGIES),
+            ("method", METHODS),
+            ("algebra", ALGEBRAS),
+            ("weight_mode", WEIGHT_MODES),
+            ("selection", SELECTIONS),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ExplorationError(
+                    f"unknown {name} {value!r}; expected {allowed}"
+                )
+        if self.n_samples < 1:
             raise ExplorationError(
-                f"unknown strategy {self.strategy!r}; expected {STRATEGIES}"
+                f"n_samples must be >= 1, got {self.n_samples}"
             )
         if self.chunk_words is not None and self.chunk_words < 1:
             raise ExplorationError(

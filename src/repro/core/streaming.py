@@ -14,8 +14,8 @@ plan's chunks in shard workers (:class:`ShardWorker`).
 
 **Sharding** (DESIGN.md "Parallel streaming"): the per-chunk work is a
 pure function of (committed tables, input slice, candidate tables), so
-the chunk loop fans out across worker processes through the pluggable
-executor layer (:mod:`repro.runtime.executor`).  Contiguous chunk ranges
+the chunk loop fans out across worker processes through the process-pool
+shard executor (:mod:`repro.runtime.executor`).  Contiguous chunk ranges
 become picklable :class:`~repro.runtime.executor.ScanShard` tasks
 executed by per-process :class:`ShardWorker`\\ s; the returned
 accumulators merge in shard order — dirty-row unions, disjoint partial

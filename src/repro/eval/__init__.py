@@ -1,11 +1,5 @@
-"""Evaluation utilities: error analysis and Pareto-front tooling."""
+"""Evaluation utilities: Pareto-front tooling for the paper's figures."""
 
-from .error_analysis import (
-    ErrorReport,
-    analyze_errors,
-    error_histogram,
-    per_output_bit_error,
-)
 from .pareto import (
     area_at_error,
     dominance_count,
@@ -17,15 +11,11 @@ from .pareto import (
 )
 
 __all__ = [
-    "ErrorReport",
-    "analyze_errors",
     "area_at_error",
     "dominance_count",
-    "error_histogram",
     "exploration_front",
     "hypervolume",
     "pareto_front",
-    "per_output_bit_error",
     "strategy_fronts",
     "trajectory_points",
 ]

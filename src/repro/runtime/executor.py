@@ -1,4 +1,4 @@
-"""Pluggable shard execution for the exploration engine's chunk plans.
+"""Process-pool shard execution for the exploration engine's chunk plans.
 
 A chunk plan's candidate scans are chunk loops over the pattern
 axis, and every chunk's work — base-state rebuild, cone sweeps, QoR
@@ -233,32 +233,10 @@ def _run_shard_faulted(shard: ScanShard, kind: str, seconds: float) -> ShardOutc
 
 
 # ----------------------------------------------------------------------
-# Executor backends
+# The executor
 # ----------------------------------------------------------------------
-class ShardExecutor:
-    """Interface of the executor layer.
-
-    ``run`` maps shard tasks to outcomes in task order, or returns
-    ``None`` when the backend failed and the caller should execute the
-    same shards in-process (the serial path is always available — the
-    parent evaluator *is* a shard worker for the full chunk range).
-    """
-
-    jobs: int = 1
-
-    def run(
-        self,
-        shards: Sequence[ScanShard],
-        cancel: Optional[CancelToken] = None,
-    ) -> Optional[List[ShardOutcome]]:
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial
-        pass
-
-
-class ProcessShardExecutor(ShardExecutor):
-    """Supervised process-pool backend with persistent worker state.
+class ProcessShardExecutor:
+    """Supervised process-pool shard executor with persistent worker state.
 
     The pool lives as long as the executor (one pool per exploration
     run, not per scan), so workers amortize schedule compilation across
@@ -327,7 +305,8 @@ class ProcessShardExecutor(ShardExecutor):
         self,
         shards: Sequence[ScanShard],
         cancel: Optional[CancelToken] = None,
-    ) -> Optional[List[ShardOutcome]]:
+    ) -> List[ShardOutcome]:
+        """Run ``shards``, returning their outcomes in task order."""
         shards = list(shards)
         if self._sanitize:
             from ..analysis.pickleaudit import audit_payload
@@ -392,7 +371,7 @@ def make_shard_executor(
     policy: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
     stats: Optional[RuntimeStats] = None,
-) -> Optional[ShardExecutor]:
+) -> Optional[ProcessShardExecutor]:
     """Build the executor for ``jobs`` workers, or ``None`` for in-process.
 
     ``jobs`` resolves through the same :func:`~repro.runtime.parallel.

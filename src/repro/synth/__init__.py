@@ -3,7 +3,7 @@
 from .sop import Cover, Cube, cover_from_minterms, on_off_dc_split
 from .anf import anf_coefficients, anf_cost, anf_terms, anf_to_gates, sop_cost
 from .bdd import SharedBDD, bdd_cost, bdd_to_gates, build_shared_bdd
-from .espresso import EspressoOptions, espresso, espresso_multi
+from .espresso import EspressoOptions, espresso
 from .quine import prime_implicants, quine_mccluskey
 from .library import Cell, DEFAULT_CLOCK_MHZ, LIB65, Library
 from .techmap import CellInst, MappedNetlist, lower_for_mapping, tech_map
@@ -16,7 +16,6 @@ from .synthesis import (
     cover_to_gates,
     evaluate_design,
     resynthesize,
-    synthesize_covers,
     synthesize_output,
     synthesize_outputs_shared,
     synthesize_table,
@@ -48,7 +47,6 @@ __all__ = [
     "cover_from_minterms",
     "cover_to_gates",
     "espresso",
-    "espresso_multi",
     "estimate_power",
     "evaluate_design",
     "lower_for_mapping",
@@ -59,7 +57,6 @@ __all__ = [
     "signal_probabilities",
     "sop_cost",
     "static_timing",
-    "synthesize_covers",
     "synthesize_output",
     "synthesize_outputs_shared",
     "synthesize_table",

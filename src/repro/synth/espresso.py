@@ -175,23 +175,3 @@ def espresso(
             cubes = alt
 
     return Cover(k, cubes)
-
-
-def espresso_multi(
-    tables: np.ndarray,
-    dc: Optional[np.ndarray] = None,
-    options: EspressoOptions = EspressoOptions(),
-) -> List[Cover]:
-    """Minimize each column of a ``(2**k, m)`` multi-output table.
-
-    Outputs are minimized independently; product-term sharing between
-    outputs is recovered structurally (identical cubes hash to the same AND
-    gate when the covers are built into a netlist).
-    """
-    tables = np.asarray(tables, dtype=bool)
-    if tables.ndim != 2:
-        raise SynthesisError("espresso_multi expects a 2-D table")
-    dc_col = (lambda j: None) if dc is None else (lambda j: np.asarray(dc)[:, j])
-    return [
-        espresso(tables[:, j], dc_col(j), options) for j in range(tables.shape[1])
-    ]

@@ -22,7 +22,6 @@ from .bdd import MUX_AREA, NodeStore, bdd_cost, bdd_to_gates, build_shared_bdd
 from .espresso import EspressoOptions, espresso
 from .library import DEFAULT_CLOCK_MHZ, LIB65, Library
 from .power import estimate_power
-from .quine import quine_mccluskey
 from .sop import Cover, cover_literal_bound
 from .techmap import tech_map
 from .timing import static_timing
@@ -240,46 +239,19 @@ def synthesize_outputs_shared(
     return outs
 
 
-def synthesize_covers(
-    covers: Sequence[Cover],
-    name: str = "synth",
-    input_names: Optional[Sequence[str]] = None,
-    output_names: Optional[Sequence[str]] = None,
-) -> Circuit:
-    """Build a multi-output circuit from per-output covers."""
-    if not covers:
-        raise SynthesisError("no covers given")
-    k = covers[0].k
-    if any(c.k != k for c in covers):
-        raise SynthesisError("covers disagree on input count")
-    builder = CircuitBuilder(name)
-    in_names = input_names or [f"x{i}" for i in range(k)]
-    inputs = [builder.input(n) for n in in_names]
-    out_names = output_names or [f"y{j}" for j in range(len(covers))]
-    for cover, oname in zip(covers, out_names):
-        builder.output(oname, cover_to_gates(builder, cover, inputs))
-    return builder.build(prune=True)
-
-
 def synthesize_table(
     table: np.ndarray,
     name: str = "synth",
-    exact: bool = False,
     options: EspressoOptions = EspressoOptions(),
 ) -> Circuit:
     """Synthesize a ``(2**k, m)`` truth table into a gate-level circuit.
 
     Args:
         table: Boolean matrix; column ``j`` is output ``j``.
-        exact: Use Quine–McCluskey instead of the heuristic minimizer
-            (small inputs only).
     """
     table = np.atleast_2d(np.asarray(table, dtype=bool))
     if table.shape[0] == 1:
         table = table.T
-    if exact:
-        covers = [quine_mccluskey(table[:, j]) for j in range(table.shape[1])]
-        return synthesize_covers(covers, name)
     k = int(np.log2(table.shape[0]))
     builder = CircuitBuilder(name)
     inputs = [builder.input(f"x{i}") for i in range(k)]

@@ -1,4 +1,4 @@
-"""Tests for graph utilities: fanouts, levels, cones, bitsets, extraction."""
+"""Tests for graph utilities: fanouts, boundaries, extraction, quotients."""
 
 from __future__ import annotations
 
@@ -7,18 +7,13 @@ import pytest
 
 from repro.circuit import (
     CircuitBuilder,
-    ancestor_bitsets,
     extract_subcircuit,
     fanout_lists,
-    levels,
     quotient_is_acyclic,
     simulate_patterns,
-    transitive_fanin,
-    transitive_fanout,
     truth_table,
     window_boundary,
 )
-from repro.circuit.graph import bitset_contains
 from repro.errors import CircuitError
 
 
@@ -41,50 +36,6 @@ class TestFanoutAndLevels:
         assert fo[a] == [n1]
         assert fo[n1] == [n2]
         assert fo[n2] == []
-
-    def test_levels(self, chain):
-        c, (a, x, n1, n2) = chain
-        lvl = levels(c)
-        assert lvl[a] == 0
-        assert lvl[n1] == 1
-        assert lvl[n2] == 2
-
-
-class TestCones:
-    def test_transitive_fanin_includes_roots(self, chain):
-        c, (a, x, n1, n2) = chain
-        mask = transitive_fanin(c, [n2])
-        assert mask[[a, x, n1, n2]].all()
-
-    def test_transitive_fanin_partial(self, chain):
-        c, (a, x, n1, n2) = chain
-        mask = transitive_fanin(c, [n1])
-        assert mask[a] and mask[n1]
-        assert not mask[x] and not mask[n2]
-
-    def test_transitive_fanout(self, chain):
-        c, (a, x, n1, n2) = chain
-        mask = transitive_fanout(c, [a])
-        assert mask[[a, n1, n2]].all()
-        assert not mask[x]
-
-
-class TestAncestorBitsets:
-    def test_matches_transitive_fanin(self, rng):
-        b = CircuitBuilder()
-        ins = [b.input(f"i{k}") for k in range(4)]
-        n1 = b.and_(ins[0], ins[1])
-        n2 = b.or_(ins[2], ins[3])
-        n3 = b.xor_(n1, n2)
-        b.output("y", n3)
-        c = b.build()
-        anc = ancestor_bitsets(c)
-        for nid in range(c.n_nodes):
-            cone = transitive_fanin(c, [nid])
-            for other in range(c.n_nodes):
-                expect = bool(cone[other]) and other != nid
-                assert bitset_contains(anc, nid, other) == expect
-
 
 class TestWindowBoundary:
     def test_boundary_of_inner_gates(self, chain):

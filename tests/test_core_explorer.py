@@ -55,6 +55,21 @@ class TestExplorerConfig:
         with pytest.raises(ExplorationError):
             ExplorerConfig(strategy="random")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_samples", 0),
+            ("n_samples", -64),
+            ("method", "nmf"),
+            ("algebra", "ring"),
+            ("weight_mode", "linear"),
+            ("selection", "best"),
+        ],
+    )
+    def test_bad_value_rejected_at_construction(self, field, value):
+        with pytest.raises(ExplorationError, match=field):
+            ExplorerConfig(**{field: value})
+
     def test_defaults_match_paper(self):
         cfg = ExplorerConfig()
         assert cfg.max_inputs == 10

@@ -1,4 +1,4 @@
-"""Tests for error analysis, Pareto tools, MDL selection, equivalence."""
+"""Tests for Pareto tools and equivalence checking."""
 
 from __future__ import annotations
 
@@ -14,22 +14,13 @@ from repro.circuit import (
     miter,
     truth_table,
 )
-from repro.core.bmf import (
-    bool_product,
-    description_length,
-    factorize,
-    select_degree_mdl,
-)
 from repro.core.explorer import ExplorerConfig, explore
-from repro.errors import CircuitError, SimulationError
+from repro.errors import CircuitError
 from repro.eval import (
-    analyze_errors,
     area_at_error,
-    error_histogram,
     exploration_front,
     hypervolume,
     pareto_front,
-    per_output_bit_error,
 )
 
 
@@ -42,46 +33,6 @@ def _lsb_broken_adder(width):
     s[0] = b.const(False)
     b.output_word("sum", s + [c])
     return b.build()
-
-
-class TestErrorAnalysis:
-    def test_identical_circuits_zero_errors(self):
-        c = ripple_adder(6)
-        report = analyze_errors(c, c, n_samples=2048)
-        assert report.error_rate == 0.0
-        assert report.worst_case_error == 0
-        assert report.bit_error_rate == 0.0
-
-    def test_lsb_break_statistics(self):
-        c = ripple_adder(6)
-        broken = _lsb_broken_adder(6)
-        report = analyze_errors(c, broken, n_samples=8192)
-        # LSB of a+b is 1 for half of all inputs -> ER ~ 0.5, WCE = 1.
-        assert report.error_rate == pytest.approx(0.5, abs=0.05)
-        assert report.worst_case_error == 1
-        assert report.mean_error_distance == pytest.approx(0.5, abs=0.05)
-
-    def test_interface_mismatch_rejected(self):
-        with pytest.raises(SimulationError):
-            analyze_errors(ripple_adder(4), ripple_adder(5), n_samples=64)
-
-    def test_histogram_mass_equals_samples(self):
-        c = ripple_adder(5)
-        counts, edges = error_histogram(c, _lsb_broken_adder(5), n_samples=4096)
-        assert counts.sum() == 4096
-        assert len(edges) == len(counts) + 1
-
-    def test_per_bit_profile_localizes_damage(self):
-        c = ripple_adder(6)
-        profile = per_output_bit_error(c, _lsb_broken_adder(6), n_samples=4096)
-        assert profile.shape == (7,)
-        assert profile[0] == pytest.approx(0.5, abs=0.05)
-        assert profile[1:].max() == 0.0
-
-    def test_as_dict_keys(self):
-        c = ripple_adder(4)
-        d = analyze_errors(c, c, n_samples=256).as_dict()
-        assert set(d) == {"er", "med", "nmed", "mred", "wce", "wcre", "mse", "ber"}
 
 
 class TestParetoTools:
@@ -133,39 +84,6 @@ class TestParetoTools:
         costs = [c for _, c in front]
         assert errs == sorted(errs)
         assert costs == sorted(costs, reverse=True)
-
-
-class TestMdlSelection:
-    def test_low_rank_matrix_recovers_rank(self, rng):
-        B = rng.random((64, 2)) < 0.4
-        C = rng.random((2, 8)) < 0.4
-        M = bool_product(B, C)
-        best_f, result, costs = select_degree_mdl(M, method="asso+refine")
-        assert best_f <= 3
-        assert result.error == 0.0 or costs[best_f] <= costs[0]
-
-    def test_description_length_penalizes_error(self, rng):
-        M = rng.random((32, 6)) < 0.5
-        exact = factorize(M, 5)
-        rough = factorize(M, 1)
-        dl_exact_factors = description_length(M, exact.B, exact.C)
-        dl_rough = description_length(M, rough.B, rough.C)
-        # the rough model has fewer factor bits but pays in error bits;
-        # both costs must be positive and finite
-        assert np.isfinite(dl_exact_factors) and dl_exact_factors > 0
-        assert np.isfinite(dl_rough) and dl_rough > 0
-
-    def test_costs_include_degree_zero(self, rng):
-        M = rng.random((16, 4)) < 0.5
-        _, _, costs = select_degree_mdl(M)
-        assert 0 in costs
-
-    def test_shape_mismatch_rejected(self, rng):
-        M = rng.random((16, 4)) < 0.5
-        from repro.errors import FactorizationError
-
-        with pytest.raises(FactorizationError):
-            description_length(M, np.zeros((8, 2), bool), np.zeros((2, 4), bool))
 
 
 class TestEquivalence:

@@ -224,11 +224,6 @@ class TestSynthesizeTable:
         circuit = synthesize_table(table, "t")
         np.testing.assert_array_equal(truth_table(circuit), table)
 
-    def test_exact_mode(self, rng):
-        table = rng.random((16, 2)) < 0.5
-        circuit = synthesize_table(table, "t", exact=True)
-        np.testing.assert_array_equal(truth_table(circuit), table)
-
     def test_single_output_1d_table(self):
         table = np.array([False, True, True, False])
         circuit = synthesize_table(table, "xor")

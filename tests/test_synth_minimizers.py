@@ -21,7 +21,6 @@ from repro.synth import (
     Cube,
     EspressoOptions,
     espresso,
-    espresso_multi,
     prime_implicants,
     quine_mccluskey,
 )
@@ -181,19 +180,6 @@ class TestEspressoCorrectness:
             good = espresso(table, options=EspressoOptions(quality=True))
             assert (len(good), good.n_literals) <= (len(fast), fast.n_literals)
             np.testing.assert_array_equal(good.evaluate(), table)
-
-
-class TestEspressoMulti:
-    def test_each_column_implemented(self, rng):
-        tables = rng.random((32, 4)) < 0.5
-        covers = espresso_multi(tables)
-        assert len(covers) == 4
-        for j, cover in enumerate(covers):
-            np.testing.assert_array_equal(cover.evaluate(), tables[:, j])
-
-    def test_rejects_1d(self):
-        with pytest.raises(SynthesisError):
-            espresso_multi(np.zeros(8, dtype=bool).reshape(8))
 
 
 class TestPrimeImplicants:
