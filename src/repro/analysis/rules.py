@@ -9,8 +9,8 @@ set-iteration       unordered set iteration must not feed ordered
                     outputs (BMF determinism contract)
 unseeded-rng        stimulus randomness flows from one seeded generator
                     through ``flow.py`` / ``stimulus.py``
-float-reduction     QoR float sums go through the canonical per-word
-                    partials (``qor.word_partials``), never ad-hoc
+float-reduction     QoR float sums go through the canonical per-group
+                    partials (``qor.group_partials``), never ad-hoc
                     ``np.sum`` over error arrays
 cache-copy          arrays handed out of caches/memos are shared —
                     return a ``.copy()`` or a frozen view, never the raw
@@ -294,7 +294,7 @@ class FloatReductionRule(Rule):
 
     Float addition is not associative: QoR totals are only reproducible
     across chunked/sharded execution because every sum goes through the
-    canonical per-packed-word partials (``qor.word_partials``) reduced
+    canonical per-packed-word partials (``qor.group_partials``) reduced
     in one fixed order.  ``np.sum``/``.sum()``/``np.dot`` over
     error-named operands outside the canonical layer bypasses that.
     Integer-exact counts (wrapped in ``int(...)``) are exempt.
@@ -332,7 +332,7 @@ class FloatReductionRule(Rule):
                 ctx,
                 node,
                 f"float {chain[-1]}() over an error-like operand — route "
-                "through the canonical qor.word_partials helpers",
+                "through the canonical qor.group_partials helpers",
             )
 
 

@@ -3,7 +3,7 @@
 from .gate import Node, Op
 from .netlist import Circuit, PortRef
 from .builder import CircuitBuilder
-from .words import WordSpec, default_output_word, words_from_attrs
+from .words import WordSpec, default_output_word
 from .simulate import (
     Chunk,
     bit_count,
@@ -65,7 +65,6 @@ __all__ = [
     "unpack_bits",
     "window_boundary",
     "words_for",
-    "words_from_attrs",
     "words_to_patterns",
     "write_blif",
     "write_verilog",

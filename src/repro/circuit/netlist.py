@@ -9,7 +9,7 @@ validated whenever a node is appended.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -206,8 +206,3 @@ class Circuit:
             f"Circuit({self.name!r}, inputs={self.n_inputs}, "
             f"outputs={self.n_outputs}, gates={self.n_gates})"
         )
-
-
-def iter_fanins(nodes: Sequence[Node], nid: int) -> Iterable[int]:
-    """Convenience: fanin ids of node ``nid`` within a node list."""
-    return nodes[nid].fanins

@@ -40,9 +40,3 @@ def truth_table(circuit: Circuit, max_inputs: int = MAX_TRUTH_TABLE_INPUTS) -> n
     in_words = exhaustive_input_words(k)
     out_words = simulate_outputs(circuit, in_words)
     return words_to_patterns(out_words, 1 << k).astype(bool)
-
-
-def minterm_indices(column: np.ndarray) -> np.ndarray:
-    """Indices of rows where a single-output table column is 1."""
-    column = np.asarray(column, dtype=bool)
-    return np.nonzero(column)[0]

@@ -81,12 +81,6 @@ class WordSpec:
         return (1 << self.width) - 1
 
 
-def words_from_attrs(attrs: dict, key: str = "words") -> List[WordSpec]:
-    """Fetch word specs from a circuit attribute dict (empty if absent)."""
-    specs = attrs.get(key, [])
-    return list(specs)
-
-
 def default_output_word(n_outputs: int, signed: bool = False) -> List[WordSpec]:
     """Fallback interpretation: all outputs form one unsigned word."""
     return [WordSpec("out", tuple(range(n_outputs)), signed)]

@@ -103,7 +103,7 @@ from ..runtime.executor import (
     new_accumulator,
     plan_shards,
 )
-from .qor import QoREvaluator, circuit_words
+from .qor import QoREvaluator
 
 
 # ----------------------------------------------------------------------
@@ -422,10 +422,11 @@ class IterationSchedule:
     read_instr: np.ndarray
 
 
-#: Upper bound on candidate blocks stacked into one pass: the resident
-#: scan scratch holds at most n_nodes x MAX_SCAN_BLOCKS x W words.  The
-#: packer splits a window's candidates across passes at this cap, and the
-#: streaming engine caps its passes lower, at its chunk budget.
+#: Upper bound on candidate blocks stacked into one pass, so the scan
+#: scratch holds at most n_nodes x MAX_SCAN_BLOCKS x cw words.  The
+#: packer splits a window's candidates across passes at the cap that
+#: :meth:`CompiledEvaluator._pass_cap` sets, which is lower when
+#: ``chunk_words`` bounds base plus scratch.
 MAX_SCAN_BLOCKS = 64
 
 #: Word the sanitizer writes over the scan scratch before every pass, so
@@ -519,8 +520,8 @@ class CompiledEvaluator:
     of every window whose cone state the commit touched (changed values,
     or any table of the committed window — a new table is a different
     *function* even when it matches the old one on the current samples)
-    or whose memoized dirty rows share an output word with an output row
-    the commit changed (the cached per-word totals include that row), and
+    or whose memoized groups read an output row the commit changed (the
+    cached group totals include that row), and
     (d) on a window's *first* commit drops the iteration schedule, which
     had inlined it as plain gates (the committed set only grows, so the
     schedule recompiles at most once per window).
@@ -595,8 +596,8 @@ class CompiledEvaluator:
         self._table_t_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._touch_cache: Dict[int, frozenset] = {}
         self._iter_sched: Optional[IterationSchedule] = None
-        #: window -> (tables, metric, affected word positions, entries);
-        #: each entry is (dirty rows, {word pos: total} | {row: count}).
+        #: window -> (tables, metric, output rows the entries' groups
+        #: read, entries); each entry is (dirty rows, {group: total}).
         self._scan_memo: Dict[int, Tuple] = {}
         self._win_input_sets = {
             w.index: frozenset(w.inputs) for w in self.windows
@@ -607,16 +608,6 @@ class CompiledEvaluator:
         self._out_rows_by_nid: Dict[int, List[int]] = {}
         for row, nid in enumerate(circuit.output_nodes()):
             self._out_rows_by_nid.setdefault(nid, []).append(row)
-        # Output row -> positions of the output words containing it (the
-        # same mapping QoREvaluator builds; used for memo invalidation).
-        self._row_word_positions: List[Tuple[int, ...]] = [
-            tuple(
-                pos
-                for pos, w in enumerate(circuit_words(circuit))
-                if row in w.indices
-            )
-            for row in range(circuit.n_outputs)
-        ]
         # Window index -> its rank among the windows in plan order: the
         # column order of the cone-membership matrix and the order a
         # scan packs its blocks in.
@@ -932,34 +923,28 @@ class CompiledEvaluator:
         ]
         self._execute_scan(todo, accs, qor)
         for (pos, index, _, tables), acc_list in zip(todo, accs):
-            entries = []
-            for acc in acc_list:
-                rows = tuple(sorted(acc["rows"]))
-                if qor.spec.metric == "hamming":
-                    base_tot = qor.base_row_hamming()
-                    payload = {
-                        row: int(base_tot[row]) + d
-                        for row, d in acc["deltas"].items()
-                    }
-                else:
-                    payload = {
-                        wpos: qor.splice_partials(wpos, slices)
-                        for wpos, slices in acc["slices"].items()
-                    }
-                entries.append((rows, payload))
+            entries = [
+                (
+                    tuple(sorted(acc["rows"])),
+                    {
+                        g: qor.splice_partials(g, slices)
+                        for g, slices in acc["slices"].items()
+                    },
+                )
+                for acc in acc_list
+            ]
             self._stats.add("n_preview_sweeps", len(entries))
             results[pos] = [
-                (_spliced_error(qor, payload), rows)
-                for rows, payload in entries
+                (qor.evaluate_spliced(sums), rows) for rows, sums in entries
             ]
-            affected = frozenset(
-                wpos
-                for rows, _ in entries
-                for row in rows
-                for wpos in self._row_word_positions[row]
+            reads = frozenset(
+                row
+                for _, sums in entries
+                for g in sums
+                for row in qor.group_rows(g)
             )
             self._scan_memo[index] = (
-                tuple(tables), qor.spec.metric, affected, entries,
+                tuple(tables), qor.spec.metric, reads, entries,
             )
         return results
 
@@ -968,11 +953,11 @@ class CompiledEvaluator:
     ) -> Optional[List[Tuple[float, Tuple[int, ...]]]]:
         """Replay a memoized scan of ``index`` if it is still valid.
 
-        Entries are whole-axis totals (per-output-word floats / per-row
-        integer counts) for the candidate's dirty words only; clean words
-        read the *current* rebased base sums at replay, so an unrelated
-        commit + rebase still yields the exact float a fresh scan would
-        produce.  :meth:`commit` drops every entry that stops being exact.
+        Entries are whole-axis totals for the candidate's dirty groups
+        only; clean groups read the *current* rebased base sums at
+        replay, so an unrelated commit + rebase still yields the exact
+        float a fresh scan would produce.  :meth:`commit` drops every
+        entry that stops being exact.
         The tables tuple keeps the candidate arrays alive, so identity
         (``is``) checks cannot collide with recycled ids.
         """
@@ -986,9 +971,7 @@ class CompiledEvaluator:
             return None
         entries = cached[3]
         self._stats.add("n_preview_cache_hits", len(entries))
-        return [
-            (_spliced_error(qor, payload), rows) for rows, payload in entries
-        ]
+        return [(qor.evaluate_spliced(sums), rows) for rows, sums in entries]
 
     def _execute_scan(
         self,
@@ -1043,22 +1026,16 @@ class CompiledEvaluator:
         """One chunk's scan passes, folded into the accumulators.
 
         ``accs`` entries are the mergeable accumulators of
-        :func:`repro.runtime.executor.new_accumulator`.  Each candidate
-        patches only its dirty rows into the chunk's committed word
-        integers (or mismatch counts, for hamming), decoded once per
-        chunk and shared across its candidates.  Only ``qor``'s
-        pattern-independent state is read (exact word integers, relative
-        denominators, word specs), so the same code runs in the parent
-        and in shard workers.
+        :func:`repro.runtime.executor.new_accumulator`.  Each candidate's
+        dirty rows go through ``qor``'s :meth:`~repro.core.qor.
+        QoREvaluator.chunk_scorer`, which yields the partial slices of
+        the groups those rows feed.  Only ``qor``'s pattern-independent
+        state and the chunk's base rows are read, so the same code runs
+        in the parent and in shard workers.
         """
         base = self._chunk_base(chunk)
-        base_out = base[self._out_nodes_arr]
-        base_ints: Dict[int, np.ndarray] = {}
-        hamming = qor.spec.metric == "hamming"
-        base_ham = (
-            qor.row_hamming(base_out, None, chunk.start, chunk.n_valid)
-            if hamming
-            else None
+        score = qor.chunk_scorer(
+            base[self._out_nodes_arr], chunk.start, chunk.n_valid
         )
         for owners, outs, dirty in self._chunk_passes(chunk, base, todo):
             for (t, c), out, mask in zip(owners, outs, dirty):
@@ -1067,29 +1044,9 @@ class CompiledEvaluator:
                     continue
                 acc = accs[t][c]
                 acc["rows"].update(rows)
-                new_words = out[rows]
-                if hamming:
-                    cand = qor.row_hamming(
-                        new_words, rows, chunk.start, chunk.n_valid
-                    )
-                    for row, d in zip(rows, (cand - base_ham[rows]).tolist()):
-                        acc["deltas"][row] = acc["deltas"].get(row, 0) + d
-                    continue
-                old_words = base_out[rows]
-                for wpos in qor.word_positions(rows):
-                    ints = base_ints.get(wpos)
-                    if ints is None:
-                        ints = qor.word_ints(wpos, base_out, chunk.n_valid)
-                        base_ints[wpos] = ints
-                    approx = qor.patched_word_ints(
-                        wpos, ints, rows, new_words, old_words
-                    )
-                    acc["slices"].setdefault(wpos, []).append(
-                        (
-                            chunk.start,
-                            chunk.stop,
-                            qor.ints_partials(wpos, approx, chunk.start),
-                        )
+                for g, part in score(rows, out[rows]):
+                    acc["slices"].setdefault(g, []).append(
+                        (chunk.start, chunk.stop, part)
                     )
 
     def _chunk_passes(
@@ -1357,7 +1314,7 @@ class CompiledEvaluator:
         Runs the commit's one-block pass against the *old* committed
         state and writes the changed rows back (:meth:`_commit_values`),
         then invalidates exactly what the commit touched: memoized scans
-        whose cone state or affected output words it changed (a recommit
+        whose cone state or read output rows it changed (a recommit
         of the same window always invalidates its own memo — a new table
         is a different function even when it matches the old one on the
         current samples), and the schedule that had the window inlined
@@ -1369,14 +1326,9 @@ class CompiledEvaluator:
         changed_nodes, changed_rows = self._commit_values(index, table)
         self._committed[index] = table
         invalid = changed_nodes | set(w.members) | set(w.outputs)
-        changed_words = {
-            wpos
-            for row in sorted(changed_rows)
-            for wpos in self._row_word_positions[row]
-        }
         for widx in list(self._scan_memo):
             if self._cone_touch(widx) & invalid or (
-                self._scan_memo[widx][2] & changed_words
+                self._scan_memo[widx][2] & changed_rows
             ):
                 del self._scan_memo[widx]
         if first_commit:
@@ -1467,11 +1419,3 @@ class CompiledEvaluator:
             self._committed = {k: v for k, v in committed.items()}
         if newly:
             self._iter_sched = None
-
-
-def _spliced_error(qor: QoREvaluator, payload: Dict[int, float]) -> float:
-    """A memoized or freshly folded candidate's error from its per-word
-    totals (per-row counts for hamming) over the rebased base state."""
-    if qor.spec.metric == "hamming":
-        return qor.evaluate_spliced_hamming(payload)
-    return qor.evaluate_spliced(payload)

@@ -11,21 +11,23 @@ The one deviation from Eq. 1 (documented in DESIGN.md): relative error uses
 ``R = 0``.
 
 Determinism contract (see DESIGN.md "Streaming execution"): every metric
-value is derived from **canonical per-packed-word partial sums** — each
-64-sample block (one ``uint64`` word of the packed output matrix)
-contributes one float partial, the full partials vector is reduced with a
-single ``ndarray.sum()``, and the per-output-word totals are combined
-left-associatively in word order, divided by the total term count.  A
-partial depends only on its own 64 samples, so any word-aligned chunking
-of the pattern axis reproduces the identical partials vector and
-therefore the identical float.  The two metric paths — full evaluation
+value is derived from **canonical per-packed-word partial sums** of
+*groups* of output rows — one group per output word for the value
+metrics, one per output row for hamming.  Each 64-sample block (one
+``uint64`` word of the packed output matrix) contributes one float
+partial per group, a group's partials vector is reduced with a single
+``ndarray.sum()``, and the group totals are combined left-associatively
+in group order, divided by the term count.  A partial depends only on
+its own 64 samples, so any word-aligned chunking of the pattern axis
+reproduces the identical partials vector and therefore the identical
+float.  The two metric paths — full evaluation
 (:meth:`QoREvaluator.evaluate` / :meth:`QoREvaluator.metrics`) and the
-engines' scoring fold (:meth:`QoREvaluator.ints_partials` +
+engines' scoring fold (:meth:`QoREvaluator.chunk_scorer` +
 :meth:`QoREvaluator.splice_partials` +
 :meth:`QoREvaluator.evaluate_spliced`) — route through the same
-per-word-partials helper and the same combination loop, so they cannot
-drift.  Hamming errors are integer mismatch popcounts
-(order-independent, exact under any chunking).
+per-group partials helpers and the same combination loop, so they
+cannot drift.  Hamming partials are integer mismatch popcounts held as
+floats, so their sums are exact in any order.
 
 Word integers come from one bit-plane decode
 (:func:`repro.circuit.simulate.decode_rows`), and the fold never decodes
@@ -40,7 +42,7 @@ at construction instead of wrapping silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,17 +95,24 @@ def circuit_words(circuit: Circuit) -> List[WordSpec]:
 class QoREvaluator:
     """Compares approximate outputs against cached exact outputs.
 
-    Built once per pattern set.  Two metric paths share one partials
-    helper and one combination order:
+    Built once per pattern set.  The configured metric scores *groups*
+    of output rows: one group per output word for ``mre``/``mae``/
+    ``nmae``, one group per output row for ``hamming``.  Every group
+    yields canonical per-packed-word partials, and two metric paths
+    share them and one combination order:
 
     * :meth:`evaluate` / :meth:`metrics` score a full output matrix;
-    * the engines' scoring fold scores a candidate by the words its
-      dirty rows touch: :meth:`rebase` caches the per-word partials and
-      sums of the committed outputs, the fold patches the committed
-      integers with the dirty rows (:meth:`patched_word_ints`), and
+    * the engines' scoring fold scores a candidate by the groups its
+      dirty rows feed: :meth:`rebase` caches the per-group partials and
+      sums of the committed outputs, a :meth:`chunk_scorer` turns a
+      candidate's dirty rows in one chunk into partial slices, and
       :meth:`splice_partials` + :meth:`evaluate_spliced` combine the
-      recomputed words with the cached sums, yielding the exact float
+      recomputed groups with the cached sums, yielding the exact float
       :meth:`evaluate` gives on the candidate's full output matrix.
+
+    This is the only module that knows how output rows are scored; the
+    engines see group numbers, the rows a group reads
+    (:meth:`group_rows`) and partial slices.
 
     Raises:
         SimulationError: when an output word is wider than 63 bits (its
@@ -141,14 +150,16 @@ class QoREvaluator:
             name: np.maximum(np.abs(vals), 1).astype(float)
             for name, vals in self._exact_vals.items()
         }
-        self._row_words: List[Tuple[int, ...]] = [
-            tuple(
-                pos
-                for pos, w in enumerate(self.words)
-                if row in w.indices
-            )
-            for row in range(exact.shape[0])
-        ]
+        n_rows = exact.shape[0]
+        self._group_rows: List[Tuple[int, ...]] = (
+            [(row,) for row in range(n_rows)]
+            if spec.metric == "hamming"
+            else [tuple(sorted(set(w.indices))) for w in self.words]
+        )
+        self._row_groups: List[List[int]] = [[] for _ in range(n_rows)]
+        for g, rows in enumerate(self._group_rows):
+            for row in rows:
+                self._row_groups[row].append(g)
         # Per word: output row -> signed weight of its bit(s) in the
         # word's integer (the dirty-row patch of patched_word_ints).
         self._row_weights: List[Dict[int, int]] = []
@@ -162,10 +173,9 @@ class QoREvaluator:
             self._row_weights.append(weights)
         self._base_sums: Optional[List[float]] = None
         self._base_partials: Optional[List[np.ndarray]] = None
-        self._base_row_hamming: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # Shared per-word primitives (the single source of truth for both
+    # Shared per-group primitives (the single source of truth for both
     # metric paths — full evaluation and the scoring fold).
     # ------------------------------------------------------------------
     def _word_ints(
@@ -205,14 +215,15 @@ class QoREvaluator:
         own 64 samples, so concatenating chunk-sliced calls reproduces the
         full-width vector byte for byte — this is what makes chunked QoR
         accumulation bit-identical to resident evaluation (DESIGN.md
-        "Streaming execution").  Every metric path ends here, whether its
-        integers came from a full decode or a dirty-row patch.
+        "Streaming execution").  Every value-metric path ends here,
+        whether its integers came from a full decode or a dirty-row
+        patch.
 
         Args:
             w: The output word spec.
             approx: Approximate word integers of the covered samples.
-            metric: ``mre`` / ``mae`` / ``nmae`` (hamming partials are the
-                integer popcounts of :meth:`row_hamming`).
+            metric: ``mre`` / ``mae`` / ``nmae`` (hamming partials come
+                from :meth:`_row_partials`).
             word_start: First packed word the samples cover.
         """
         n_valid = approx.shape[0]
@@ -251,33 +262,67 @@ class QoREvaluator:
         approx = self._word_ints(output_words, w, max(n_valid, 0))
         return self._partials_from_ints(w, approx, metric, word_start)
 
-    def word_partials(
+    def _row_partials(
         self,
-        pos: int,
+        output_words: np.ndarray,
+        rows: Sequence[int],
+        word_start: int = 0,
+        n_valid: Optional[int] = None,
+    ) -> np.ndarray:
+        """Canonical hamming partials of the listed output rows.
+
+        Row ``j`` of ``output_words`` holds output row ``rows[j]``, over
+        the same word range as :meth:`_word_partials`.  Element ``[j, i]``
+        is row ``rows[j]``'s mismatch popcount against the exact row over
+        the valid samples of packed word ``word_start + i``, as a float.
+        Counts are integers far below ``2**53``, so every sum of them is
+        exact in any order.
+        """
+        if n_valid is None:
+            n_valid = max(self.n - word_start * 64, 0)
+        w_valid = words_for(n_valid)
+        exact = self._exact_words[list(rows), word_start : word_start + w_valid]
+        x = output_words[:, :w_valid] ^ exact
+        if w_valid:
+            x[:, -1] &= tail_mask(n_valid)
+        return bit_count(x).astype(float)
+
+    def _all_partials(
+        self, metric: str, output_words: np.ndarray
+    ) -> List[np.ndarray]:
+        """Full-axis canonical partials of every group of ``metric``."""
+        if metric == "hamming":
+            rows = range(self._exact_words.shape[0])
+            return list(self._row_partials(output_words, rows))
+        return [self._word_partials(w, output_words, metric) for w in self.words]
+
+    def _combine(self, metric: str, sums: Iterable[float]) -> float:
+        """Canonical combination: group sums, left-associated in group
+        order, over the term count (``n`` samples for hamming, ``n ×
+        words`` for the value metrics)."""
+        total = 0.0
+        for s in sums:
+            total += s
+        if metric == "hamming":
+            return total / self.n
+        return total / (self.n * len(self.words))
+
+    def group_partials(
+        self,
+        g: int,
         output_words: np.ndarray,
         word_start: int = 0,
         n_valid: Optional[int] = None,
     ) -> np.ndarray:
-        """Per-packed-word partials of word ``pos`` under the configured
-        metric (see :meth:`_word_partials` for the exact semantics)."""
+        """Per-packed-word partials of group ``g`` under the configured
+        metric; ``output_words`` holds the full row set (see
+        :meth:`_word_partials` for the word range semantics)."""
+        if self.spec.metric == "hamming":
+            return self._row_partials(
+                output_words[[g]], [g], word_start, n_valid
+            )[0]
         return self._word_partials(
-            self.words[pos], output_words, self.spec.metric, word_start, n_valid
-        )
-
-    def word_ints(
-        self, pos: int, output_words: np.ndarray, n_valid: Optional[int] = None
-    ) -> np.ndarray:
-        """Integers of word ``pos`` over the first ``n_valid`` samples of
-        a packed output matrix (full row set)."""
-        return self._word_ints(output_words, self.words[pos], n_valid)
-
-    def ints_partials(
-        self, pos: int, approx: np.ndarray, word_start: int = 0
-    ) -> np.ndarray:
-        """Canonical partials of word ``pos`` from its integers under the
-        configured metric (see :meth:`_partials_from_ints`)."""
-        return self._partials_from_ints(
-            self.words[pos], approx, self.spec.metric, word_start
+            self.words[g], output_words, self.spec.metric, word_start, n_valid
         )
 
     def patched_word_ints(
@@ -314,63 +359,6 @@ class QoREvaluator:
             approx += row_delta * np.int64(weights[rows[j]])
         return approx
 
-    def _word_sum(
-        self, w: WordSpec, output_words: np.ndarray, metric: str
-    ) -> float:
-        """Error-term sum of one word: the canonical partials, reduced."""
-        return float(self._word_partials(w, output_words, metric).sum())
-
-    def row_hamming(
-        self,
-        output_words: np.ndarray,
-        rows: Optional[Sequence[int]] = None,
-        word_start: int = 0,
-        n_valid: Optional[int] = None,
-    ) -> np.ndarray:
-        """Per-output-row mismatch popcounts over the valid bits.
-
-        ``rows`` names the output rows ``output_words`` holds, in order
-        (``None``: every row).  ``word_start``/``n_valid`` select a
-        word-aligned chunk of the pattern axis; counts are exact
-        integers, so per-chunk counts sum to the full-width count under
-        any chunking.
-        """
-        if n_valid is None:
-            n_valid = max(self.n - word_start * 64, 0)
-        w_valid = words_for(n_valid)
-        exact = (
-            self._exact_words if rows is None else self._exact_words[list(rows)]
-        )
-        exact = exact[:, word_start : word_start + w_valid]
-        x = output_words[:, :w_valid] ^ exact
-        if w_valid:
-            x[:, -1] &= tail_mask(n_valid)
-        return bit_count(x).sum(axis=1)
-
-    def _combine(
-        self,
-        metric: str,
-        output_words: Optional[np.ndarray],
-        sums: Optional[Iterable[float]] = None,
-        row_hamming: Optional[np.ndarray] = None,
-    ) -> float:
-        """Canonical combination: left-associated word sums / term count."""
-        if metric == "hamming":
-            counts = (
-                row_hamming
-                if row_hamming is not None
-                else self.row_hamming(output_words)
-            )
-            return float(int(counts.sum())) / self.n
-        if sums is None:
-            sums = (
-                self._word_sum(w, output_words, metric) for w in self.words
-            )
-        total = 0.0
-        for s in sums:
-            total += s
-        return total / (self.n * len(self.words))
-
     # ------------------------------------------------------------------
     def metrics(self, approx_output_words: np.ndarray) -> Dict[str, float]:
         """All supported metrics for one approximate output set.
@@ -381,20 +369,22 @@ class QoREvaluator:
         ints = [self._word_ints(out, w) for w in self.words]
         result: Dict[str, float] = {}
         for m in METRICS:
-            if m == "hamming":
-                result[m] = self._combine(m, out)
-                continue
-            sums = (
-                float(self._partials_from_ints(w, v, m).sum())
-                for w, v in zip(self.words, ints)
+            parts = (
+                self._all_partials(m, out)
+                if m == "hamming"
+                else [
+                    self._partials_from_ints(w, v, m)
+                    for w, v in zip(self.words, ints)
+                ]
             )
-            result[m] = self._combine(m, None, sums=sums)
+            result[m] = self._combine(m, (float(p.sum()) for p in parts))
         return result
 
     def evaluate(self, approx_output_words: np.ndarray) -> float:
         """The configured metric only (cheaper than :meth:`metrics`)."""
         out = np.atleast_2d(np.asarray(approx_output_words, dtype=np.uint64))
-        return self._combine(self.spec.metric, out)
+        parts = self._all_partials(self.spec.metric, out)
+        return self._combine(self.spec.metric, (float(p.sum()) for p in parts))
 
     # ------------------------------------------------------------------
     # Scoring-fold API (see DESIGN.md "Exploration engine")
@@ -402,35 +392,27 @@ class QoREvaluator:
     def rebase(self, output_words: np.ndarray) -> None:
         """Cache the canonical error state of the *committed* outputs.
 
-        Stores each output word's per-packed-word partials vector and
-        its reduced sum (per-row mismatch popcounts for hamming).  Call
-        after every commit; the engines' scoring fold then splices a
-        candidate's chunk partials over :meth:`base_partials` (every
-        range a candidate leaves clean keeps the committed partial, which
-        a fresh sweep would reproduce exactly) and reuses the cached sums
-        for every word it leaves untouched.
+        Stores each group's per-packed-word partials vector and its
+        reduced sum.  Call after every commit; the engines' scoring fold
+        then splices a candidate's chunk partials over
+        :meth:`base_partials` (every range a candidate leaves clean keeps
+        the committed partial, which a fresh sweep would reproduce
+        exactly) and reuses the cached sums for every group it leaves
+        untouched.
 
         Determinism: the cached values are the same canonical
         per-packed-word partials every other path computes, so reusing
         them can never shift a float.
         """
         out = np.atleast_2d(np.asarray(output_words, dtype=np.uint64))
-        if self.spec.metric == "hamming":
-            self._base_row_hamming = self.row_hamming(out)
-            if self._sanitize:
-                freeze(self._base_row_hamming)
-        else:
-            self._base_partials = [
-                self._word_partials(w, out, self.spec.metric)
-                for w in self.words
-            ]
-            if self._sanitize:
-                for arr in self._base_partials:
-                    freeze(arr)
-            self._base_sums = [float(p.sum()) for p in self._base_partials]
+        self._base_partials = self._all_partials(self.spec.metric, out)
+        if self._sanitize:
+            for arr in self._base_partials:
+                freeze(arr)
+        self._base_sums = [float(p.sum()) for p in self._base_partials]
 
-    def base_partials(self, pos: int) -> np.ndarray:
-        """Committed per-packed-word partials of word ``pos`` (rebased).
+    def base_partials(self, g: int) -> np.ndarray:
+        """Committed per-packed-word partials of group ``g`` (rebased).
 
         Raises:
             SimulationError: before the first :meth:`rebase`.
@@ -439,25 +421,74 @@ class QoREvaluator:
             raise SimulationError("base_partials requires rebase() first")
         # Consumers splice via splice_partials, which copies before
         # writing; sanitize mode freezes the cached vectors.
-        return self._base_partials[pos]  # contract-ok: cache-copy -- spliced via copy, frozen under sanitize
+        return self._base_partials[g]  # contract-ok: cache-copy -- spliced via copy, frozen under sanitize
 
-    def base_row_hamming(self) -> np.ndarray:
-        """Committed per-row mismatch counts (hamming metric, rebased)."""
-        if self._base_row_hamming is None:
-            raise SimulationError("base_row_hamming requires rebase() first")
-        return self._base_row_hamming
-
-    def word_positions(self, rows: Iterable[int]) -> Tuple[int, ...]:
-        """Output-word positions (indices into ``self.words``) that the
-        given output rows feed, sorted."""
+    def groups_of(self, rows: Iterable[int]) -> Tuple[int, ...]:
+        """The groups the given output rows feed, sorted."""
         return tuple(
-            sorted({pos for row in rows for pos in self._row_words[row]})
+            sorted({g for row in rows for g in self._row_groups[row]})
         )
 
+    def group_rows(self, g: int) -> Tuple[int, ...]:
+        """The output rows group ``g`` reads, sorted: its partials change
+        only when one of these rows does."""
+        return self._group_rows[g]
+
+    def chunk_scorer(
+        self, base_out: np.ndarray, word_start: int, n_valid: int
+    ) -> Callable[[List[int], np.ndarray], List[Tuple[int, np.ndarray]]]:
+        """Partial slices of one chunk's candidates.
+
+        ``base_out`` holds the chunk's committed output rows, starting at
+        packed word ``word_start`` with ``n_valid`` valid samples.  The
+        returned ``score(rows, new_words)`` takes a candidate's dirty
+        rows (sorted) and their packed values, and returns ``(group,
+        partials)`` for every group the rows feed — the canonical
+        partials of that group over the chunk, as :meth:`group_partials`
+        computes them on the candidate's full chunk outputs.  Value
+        metrics patch the dirty rows into the chunk's committed word
+        integers (:meth:`patched_word_ints`), each word decoded once per
+        chunk and shared by all its candidates; hamming counts the dirty
+        rows' mismatches directly.  Only pattern-independent state and
+        ``base_out`` are read, so shard workers run the same code.
+        """
+        if self.spec.metric == "hamming":
+
+            def score_rows(rows, new_words):
+                parts = self._row_partials(new_words, rows, word_start, n_valid)
+                return list(zip(rows, parts))
+
+            return score_rows
+        metric = self.spec.metric
+        base_ints: Dict[int, np.ndarray] = {}
+
+        def score_words(rows, new_words):
+            old_words = base_out[rows]
+            slices = []
+            for g in self.groups_of(rows):
+                ints = base_ints.get(g)
+                if ints is None:
+                    ints = self._word_ints(base_out, self.words[g], n_valid)
+                    base_ints[g] = ints
+                approx = self.patched_word_ints(
+                    g, ints, rows, new_words, old_words
+                )
+                slices.append(
+                    (
+                        g,
+                        self._partials_from_ints(
+                            self.words[g], approx, metric, word_start
+                        ),
+                    )
+                )
+            return slices
+
+        return score_words
+
     def splice_partials(
-        self, pos: int, slices: Iterable[Tuple[int, int, np.ndarray]]
+        self, g: int, slices: Iterable[Tuple[int, int, np.ndarray]]
     ) -> float:
-        """Total error sum of word ``pos`` with chunk slices spliced in.
+        """Total error sum of group ``g`` with chunk slices spliced in.
 
         ``slices`` are ``(word start, word stop, partials)`` pieces over
         disjoint word-aligned ranges of the pattern axis — the chunks a
@@ -473,46 +504,27 @@ class QoREvaluator:
         Raises:
             SimulationError: before the first :meth:`rebase`.
         """
-        vec = self.base_partials(pos).copy()
+        vec = self.base_partials(g).copy()
         for start, stop, part in slices:
             vec[start:stop] = part
         return float(vec.sum())
 
-    def evaluate_spliced(self, word_sums: Dict[int, float]) -> float:
-        """Configured metric from the rebased sums with per-word overrides.
+    def evaluate_spliced(self, group_sums: Dict[int, float]) -> float:
+        """Configured metric from the rebased sums with per-group
+        overrides.
 
-        ``word_sums`` maps word positions to replacement totals (each a
+        ``group_sums`` maps groups to replacement totals (each a
         canonical partials-vector reduction).  This is the terminal step
         of the engines' scoring fold; given identical override floats it
         is bit-identical to :meth:`evaluate` on the full matrix by
         construction.
 
         Raises:
-            SimulationError: before the first :meth:`rebase`, or for the
-                hamming metric (use :meth:`evaluate_spliced_hamming`).
+            SimulationError: before the first :meth:`rebase`.
         """
-        if self.spec.metric == "hamming":
-            raise SimulationError(
-                "evaluate_spliced is undefined for hamming; use "
-                "evaluate_spliced_hamming"
-            )
         if self._base_sums is None:
             raise SimulationError("evaluate_spliced requires rebase() first")
         sums = list(self._base_sums)
-        for pos, s in word_sums.items():
-            sums[pos] = s
-        return self._combine(self.spec.metric, None, sums=sums)
-
-    def evaluate_spliced_hamming(self, row_counts: Dict[int, int]) -> float:
-        """Hamming metric from the rebased per-row counts with overrides.
-
-        ``row_counts`` maps output rows to absolute mismatch popcounts;
-        unlisted rows keep their committed counts.  Integer arithmetic —
-        exact under any chunking.
-        """
-        counts = self.base_row_hamming()
-        if row_counts:
-            counts = counts.copy()
-            for row, cnt in row_counts.items():
-                counts[row] = cnt
-        return self._combine("hamming", None, row_hamming=counts)
+        for g, s in group_sums.items():
+            sums[g] = s
+        return self._combine(self.spec.metric, sums)

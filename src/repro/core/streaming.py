@@ -18,18 +18,20 @@ the chunk loop fans out across worker processes through the process-pool
 shard executor (:mod:`repro.runtime.executor`).  Contiguous chunk ranges
 become picklable :class:`~repro.runtime.executor.ScanShard` tasks
 executed by per-process :class:`ShardWorker`\\ s; the returned
-accumulators merge in shard order — dirty-row unions, disjoint partial
-slices, integer delta sums — so merged results are byte-identical to
-in-process execution *by construction*, not by floating-point luck.
+accumulators merge in shard order — dirty-row unions and disjoint
+partial slices, the same two components for every metric — so merged
+results are byte-identical to in-process execution *by construction*,
+not by floating-point luck.
 
 Determinism contract (DESIGN.md "Streaming execution"): every chunk plan
 is byte-identical to the one-chunk plan on every trajectory float.
 Three facts compose into that guarantee: bitwise gate/gather evaluation
 is per-word, so word-aligned chunking reproduces every valid bit; the
-QoR canonical order is *per-packed-word* partials (a partial depends
-only on its own 64 samples), so chunk accumulation rebuilds the
-identical partials vector; and dirty tracking compares valid bits only,
-so per-chunk dirty unions equal the whole-axis dirty sets.  Sharding and
+QoR canonical order is *per-packed-word* partials of each scored group
+(a partial depends only on its own 64 samples), so chunk accumulation
+rebuilds the identical partials vector; and dirty tracking compares
+valid bits only, so per-chunk dirty unions equal the whole-axis dirty
+sets.  Sharding and
 block-stacking change neither: shard boundaries coincide with chunk
 boundaries, and a stacked block computes the same per-word bits as a
 solo sweep.

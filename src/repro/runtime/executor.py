@@ -13,11 +13,10 @@ sharded runs byte-identical to serial streaming:
 
 * **dirty rows** are sets defined by valid-bit inequality — per-shard
   sets union to the serial set because chunk ranges partition the axis;
-* **value-metric partials** are canonical per-packed-word slices over
-  disjoint word ranges — splicing them into the rebased base partials
-  rebuilds the identical vector whatever the sharding;
-* **hamming deltas** are exact integer mismatch counts — addition is
-  associative, so any grouping sums to the serial total.
+* **partial slices** are each scored group's canonical per-packed-word
+  partials over disjoint word ranges, whatever the metric — splicing
+  them into the rebased base partials rebuilds the identical vector
+  whatever the sharding.
 
 Workers are initialized once per process with a pickled
 :class:`StreamContext` (circuit, windows, stimulus, exact outputs) and
@@ -102,7 +101,8 @@ class ScanShard:
         chunks: The pattern-axis chunks this shard owns (a contiguous
             slice of the run's chunk plan).
         requests: ``(window index, candidate tables)`` pairs — the scan's
-            non-memoized requests, identical in every shard.
+            non-memoized requests in plan order, identical in every
+            shard.
         committed: The committed substitution map at scan time (small:
             tables only, no pattern-sized state).
         metric: QoR metric name for this scan's accumulation.
@@ -119,12 +119,12 @@ class ShardOutcome:
     """Mergeable result of one shard task.
 
     ``accumulators[i][c]`` is the accumulator (see :func:`new_accumulator`)
-    for candidate ``c`` of request ``i``, covering only this shard's
-    chunks.  ``stats`` is everything the task recorded, as one generic
-    :class:`~repro.runtime.RuntimeStats` delta the parent merges: every
-    counter sums, and gauges such as the *worker process's* sample-matrix
-    high-water mark (the figure the budget-per-worker formula bounds)
-    merge by maximum.
+    for candidate ``c`` of the ``i``-th request in plan order, covering
+    only this shard's chunks.  ``stats`` is everything the task
+    recorded, as one generic :class:`~repro.runtime.RuntimeStats` delta
+    the parent merges: every counter sums, and gauges such as the
+    *worker process's* sample-matrix high-water mark (the figure the
+    budget-per-worker formula bounds) merge by maximum.
     """
 
     accumulators: List[List[dict]]
@@ -148,26 +148,23 @@ SHARD_PAYLOAD_CLASSES: Tuple[type, ...] = (
 def new_accumulator() -> dict:
     """Empty per-candidate accumulator.
 
-    ``rows``: dirtied output rows (set); ``slices``: word position ->
-    list of ``(word start, word stop, partials slice)`` over disjoint
-    chunk ranges; ``deltas``: output row -> integer hamming mismatch
-    delta vs. the committed state.
+    ``rows``: dirtied output rows (set); ``slices``: QoR group (see
+    :class:`~repro.core.qor.QoREvaluator`) -> list of ``(word start,
+    word stop, partials slice)`` over disjoint chunk ranges.
     """
-    return {"rows": set(), "slices": {}, "deltas": {}}
+    return {"rows": set(), "slices": {}}
 
 
 def merge_accumulator(into: dict, add: dict) -> None:
     """Fold one shard's accumulator into the running total.
 
-    Union/concatenate/add — each component is order-insensitive by
+    Union/concatenate — each component is order-insensitive by
     construction (see the module docstring), so merging in shard order
     reproduces the serial accumulation byte for byte.
     """
     into["rows"] |= add["rows"]
-    for wpos, slices in add["slices"].items():
-        into["slices"].setdefault(wpos, []).extend(slices)
-    for row, delta in add["deltas"].items():
-        into["deltas"][row] = into["deltas"].get(row, 0) + delta
+    for g, slices in add["slices"].items():
+        into["slices"].setdefault(g, []).extend(slices)
 
 
 def plan_shards(items: Sequence[T], n_shards: int) -> List[Tuple[T, ...]]:

@@ -12,7 +12,6 @@ from .power import PowerReport, estimate_power, signal_probabilities
 from .synthesis import (
     DesignMetrics,
     OracleMemo,
-    area_of,
     cover_to_gates,
     evaluate_design,
     resynthesize,
@@ -40,7 +39,6 @@ __all__ = [
     "anf_cost",
     "anf_terms",
     "anf_to_gates",
-    "area_of",
     "bdd_cost",
     "bdd_to_gates",
     "build_shared_bdd",

@@ -337,8 +337,3 @@ def evaluate_design(
         n_cells=mapped.n_cells,
         cell_histogram=mapped.cell_histogram(),
     )
-
-
-def area_of(circuit: Circuit, library: Library = LIB65) -> float:
-    """Cheap area-only oracle (no power simulation), used by the explorer."""
-    return tech_map(resynthesize(circuit), library).area

@@ -138,7 +138,7 @@ class TestQoREvaluator:
             c, np.ones((65, 1), dtype=np.uint8), QoRSpec("mae")
         )
         approx = ~exact  # every valid sample off by one; garbage tail
-        np.testing.assert_array_equal(ev.word_partials(0, approx), [64.0, 1.0])
+        np.testing.assert_array_equal(ev.group_partials(0, approx), [64.0, 1.0])
         assert ev.evaluate(approx) == 1.0
 
 
@@ -242,14 +242,15 @@ class TestDirtyRowQoR:
         widths=st.lists(st.integers(1, 40), min_size=1, max_size=3),
         signed=st.lists(st.booleans(), min_size=3, max_size=3),
         n=st.integers(1, 300),
-        metric=st.sampled_from(["mre", "mae", "nmae"]),
+        metric=st.sampled_from(["mre", "mae", "nmae", "hamming"]),
     )
     def test_patched_partials_byte_identical(
         self, seed, widths, signed, n, metric
     ):
         """Dirty-row partials equal full-decode partials byte for byte,
         for random dirty subsets that include sign rows and rows listed
-        as dirty but left unchanged."""
+        as dirty but left unchanged, and splice to evaluate()'s float
+        for every metric."""
         rng = np.random.default_rng(seed)
         words, start = [], 0
         for i, width in enumerate(widths):
@@ -272,20 +273,21 @@ class TestDirtyRowQoR:
         approx = base.copy()
         changed = [r for r in listed if rng.random() < 0.7]
         approx[changed] = random_input_words(len(changed), n, rng)
-        spliced = {}
         for pos, w in enumerate(words):
             patched = ev.patched_word_ints(
-                pos, ev.word_ints(pos, base), listed,
+                pos, w.to_ints(unpack_bits(base, n).T), listed,
                 approx[listed], base[listed],
             )
-            np.testing.assert_array_equal(patched, ev.word_ints(pos, approx))
             np.testing.assert_array_equal(
-                ev.ints_partials(pos, patched), ev.word_partials(pos, approx)
+                patched, w.to_ints(unpack_bits(approx, n).T)
             )
-            if pos in ev.word_positions(listed):
-                spliced[pos] = ev.splice_partials(
-                    pos, [(0, approx.shape[1], ev.ints_partials(pos, patched))]
-                )
+        score = ev.chunk_scorer(base, 0, n)
+        spliced = {}
+        slices = score(listed, approx[listed])
+        assert [g for g, _ in slices] == list(ev.groups_of(listed))
+        for g, part in slices:
+            np.testing.assert_array_equal(part, ev.group_partials(g, approx))
+            spliced[g] = ev.splice_partials(g, [(0, approx.shape[1], part)])
         # The scoring fold's terminal steps: the patched partials spliced
         # over the rebased state give the full evaluation's float.
         assert ev.evaluate_spliced(spliced) == ev.evaluate(approx)

@@ -120,44 +120,33 @@ class TestQoRChunkedPartials:
             0, 1 << 63, size=approx.shape, dtype=np.uint64
         )
         total_w = words_for(n)
-        if metric == "hamming":
-            full = qor.row_hamming(approx)
-            for cw in chunk_sizes(total_w).values():
-                acc = np.zeros_like(full)
-                for c in plan_chunks(n, cw):
-                    acc += qor.row_hamming(
-                        approx[:, c.start : c.stop], None, c.start, c.n_valid
-                    )
-                np.testing.assert_array_equal(acc, full)
-            return
-        for pos in range(len(qor.words)):
-            full = qor.word_partials(pos, approx)
+        qor.rebase(approx)
+        for g in qor.groups_of(range(circuit.n_outputs)):
+            full = qor.group_partials(g, approx)
             for cw in chunk_sizes(total_w).values():
                 parts = [
-                    qor.word_partials(
-                        pos, approx[:, c.start : c.stop], c.start, c.n_valid
+                    qor.group_partials(
+                        g, approx[:, c.start : c.stop], c.start, c.n_valid
                     )
                     for c in plan_chunks(n, cw)
                 ]
                 np.testing.assert_array_equal(np.concatenate(parts), full)
-            assert float(full.sum()) == qor._word_sum(
-                qor.words[pos], approx, metric
-            )
+            np.testing.assert_array_equal(qor.base_partials(g), full)
+        assert qor.evaluate_spliced({}) == qor.evaluate(approx)
 
     def test_spliced_requires_rebase(self, rng):
         circuit = ripple_adder(4)
         n = 64
         words = random_input_words(circuit.n_inputs, n, rng)
         exact = simulate_outputs(circuit, words, n_samples=n)
-        qor = QoREvaluator(circuit, exact, n)
-        with pytest.raises(SimulationError):
-            qor.evaluate_spliced({})
-        with pytest.raises(SimulationError):
-            qor.base_partials(0)
-        qor.rebase(exact)
-        assert qor.evaluate_spliced({}) == 0.0
-        with pytest.raises(SimulationError):
-            qor.evaluate_spliced_hamming({})
+        for metric in METRICS:
+            qor = QoREvaluator(circuit, exact, n, QoRSpec(metric))
+            with pytest.raises(SimulationError):
+                qor.evaluate_spliced({})
+            with pytest.raises(SimulationError):
+                qor.base_partials(0)
+            qor.rebase(exact)
+            assert qor.evaluate_spliced({}) == 0.0
 
 
 def _random_circuit(rng, n_inputs=6, n_gates=40, n_outputs=5):
